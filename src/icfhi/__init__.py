@@ -48,6 +48,7 @@ from .cohort import (
 )
 from .engine import (
     AttachedQualifier,
+    AttachedTree,
     ComponentScore,
     EvaluationReport,
     HealthIndex,
@@ -59,7 +60,6 @@ from .engine import (
     evaluate_report,
     evaluate_trajectory,
     nint,
-    node_value,
     scale_index,
 )
 from .errors import (

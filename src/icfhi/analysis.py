@@ -19,7 +19,7 @@ from scipy.stats import t as student_t
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import attach, evaluate
+from .engine import evaluate_trajectory
 from .errors import InsufficientDataError
 from .linkage import QualifierRecord, RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
@@ -173,13 +173,10 @@ class CohortEvaluator:
         person has no linkable records yet."""
         key = (person_id, day, spec.gamma, spec.y)
         if key not in self._cache:
-            records = [r for r in self.records.get(person_id, ()) if r.day <= day]
-            if not records or self.tree is None:
-                self._cache[key] = None
-            else:
-                attached = attach(self.tree, records, day, spec)
-                index = evaluate(attached, spec, min_raw=self.min_raw, max_raw=self.max_raw)
-                self._cache[key] = index.value
+            [(_, report)] = evaluate_trajectory(self.records.get(person_id, []), [day], spec,
+                                                tree=self.tree, min_raw=self.min_raw,
+                                                max_raw=self.max_raw)
+            self._cache[key] = None if report is None else report.index.value
         return self._cache[key]
 
     def seed_cache(self, entries: Iterable[tuple[tuple, "int | None"]]) -> None:
@@ -209,15 +206,10 @@ def _trajectory_task(payload):
     pid, records, days, spec_params, tree, min_raw, max_raw = payload
     out = []
     for y, gamma in spec_params:
-        spec = make_spec(y, gamma)
-        for day in days:
-            visible = [r for r in records if r.day <= day]
-            if not visible:
-                out.append(((pid, day, gamma, y), None))
-                continue
-            attached = attach(tree, visible, day, spec)
-            index = evaluate(attached, spec, min_raw=min_raw, max_raw=max_raw)
-            out.append(((pid, day, gamma, y), index.value))
+        trajectory = evaluate_trajectory(records, days, make_spec(y, gamma), tree=tree,
+                                         min_raw=min_raw, max_raw=max_raw)
+        out.extend(((pid, day, gamma, y), None if report is None else report.index.value)
+                   for day, report in trajectory)
     return out
 
 

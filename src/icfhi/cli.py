@@ -19,6 +19,7 @@ from pathlib import Path
 from . import analysis, cohort, engine, linkage, weighting
 from .codes import build_tree
 from .errors import ConfigError, DataError, IcfHiError
+from .formatting import format_cell
 
 CONFIG_ENV = "ICFHI_CONFIG"
 
@@ -159,20 +160,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return str(int(value)) if value.is_integer() else repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+            writer.writerow([format_cell(cell) for cell in row])
 
 
 def _load_rules(args) -> linkage.RuleSet:
@@ -286,13 +279,10 @@ def _index_rows_for_person(payload):
     """Evaluate one person's full trajectory; returns raw values so scaling
     can be applied afterwards (needed for the empirical mode)."""
     pid, records, tree, y, gamma = payload
-    spec = weighting.make_spec(y, gamma)
-    days = sorted({r.day for r in records})
+    trajectory = engine.evaluate_trajectory(records, sorted({r.day for r in records}),
+                                            weighting.make_spec(y, gamma), tree=tree)
     rows = []
-    for day in days:
-        visible = [r for r in records if r.day <= day]
-        attached = engine.attach(tree, visible, day, spec)
-        report = engine.evaluate_report(attached, spec)
+    for day, report in trajectory:
         comp_raws = {c: s.raw for c, s in report.profile.scores.items()}
         rows.append((day, report.index.raw, report.alpha, report.reliability, comp_raws))
     return pid, rows
@@ -515,7 +505,7 @@ def cmd_fit_weights(args) -> int:
         except ValueError:
             raise ConfigError(f"cannot parse y value {part!r}") from None
         params = weighting.fit_curve(y)
-        writer.writerow([_fmt(y), params.kind, _fmt(params.a), _fmt(params.b), _fmt(params.c)])
+        writer.writerow([format_cell(v) for v in (y, params.kind, params.a, params.b, params.c)])
     return 0
 
 

@@ -102,17 +102,15 @@ def codes_from_text(text: str) -> list[IcfCode]:
 
 
 class Node:
-    """One tree position: an ICF code (or the root) with its children and,
-    during an evaluation, attached qualifiers and a calculated value."""
+    """One tree position: an ICF code (None for the synthetic root) and its
+    child nodes in alphabetical code order.  A node holds no evaluation
+    state; qualifiers and results live in the engine's values."""
 
-    __slots__ = ("code", "children", "attached", "calculated", "consumed")
+    __slots__ = ("code", "children")
 
-    def __init__(self, code: "IcfCode | None"):
+    def __init__(self, code: "IcfCode | None", children: "Iterable[Node]"):
         self.code = code  # None marks the synthetic root
-        self.children: list[Node] = []
-        self.attached: list = []
-        self.calculated = None
-        self.consumed = False
+        self.children: tuple[Node, ...] = tuple(children)
 
     @property
     def level(self) -> int:
@@ -128,17 +126,32 @@ class Node:
 
     def __repr__(self) -> str:
         name = "root" if self.code is None else self.code.text
-        return f"Node({name}, children={len(self.children)}, attached={len(self.attached)})"
+        return f"Node({name}, children={len(self.children)})"
 
 
 class IcfTree:
-    """Hierarchy of available ICF codes under one synthetic root (level -1)."""
+    """Immutable hierarchy of available ICF codes under one synthetic root
+    (level -1).
+
+    The parent of every code and the bottom-up evaluation order are worked
+    out once, here, and shared by every evaluation on the tree.
+    """
 
     def __init__(self, nodes: "dict[IcfCode, Node]", root: Node):
         self.root = root
         self._by_code = nodes
-        # set by engine.attach(): the evaluation reference day of this copy
-        self.reference_day: "int | None" = None
+        # code -> parent code; None for a bare component, whose parent is the root
+        self.parents: dict[IcfCode, IcfCode | None] = {
+            child.code: node.code for node in self.iter_nodes() for child in node.children
+        }
+        # the nodes with children: deepest level first, alphabetical within a
+        # level, the root last
+        self.bottom_up: tuple[Node, ...] = tuple(
+            node
+            for level in range(self.deepest_level, ROOT_LEVEL - 1, -1)
+            for node in self.nodes_at_level(level)
+            if not node.is_leaf
+        )
 
     def node_for(self, code: IcfCode) -> Node:
         try:
@@ -172,10 +185,6 @@ class IcfTree:
         for code in sorted(self._by_code):
             yield self._by_code[code]
 
-    def copy_skeleton(self) -> "IcfTree":
-        """Fresh tree with the same structure and no attachments or results."""
-        return build_tree(self._by_code)
-
 
 def build_tree(codes: Iterable[IcfCode | str]) -> IcfTree:
     """Build the tree spanned by ``codes``: the codes themselves, every
@@ -191,10 +200,10 @@ def build_tree(codes: Iterable[IcfCode | str]) -> IcfTree:
         closed.add(code)
         closed.update(code.ancestors())
 
-    nodes = {code: Node(code) for code in closed}
-    root = Node(None)
+    children: dict[IcfCode | None, list[IcfCode]] = {}
     for code in sorted(closed):
-        parent = code.parent()
-        holder = root if parent is None else nodes[parent]
-        holder.children.append(nodes[code])
-    return IcfTree(nodes, root)
+        children.setdefault(code.parent(), []).append(code)
+    nodes: dict[IcfCode, Node] = {}
+    for code in sorted(closed, key=lambda c: -c.level):  # children before parents
+        nodes[code] = Node(code, [nodes[child] for child in children.get(code, ())])
+    return IcfTree(nodes, Node(None, [nodes[child] for child in children[None]]))

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .formatting import format_cell
 
 log = logging.getLogger(__name__)
 
@@ -280,17 +281,13 @@ def serialize(store: CohortStore, out_dir) -> None:
         writer.writerow(list(ANSWER_COLUMNS))
         for person in store:
             for a in person.answers:
-                writer.writerow([a.person_id, a.day, a.instrument, a.item, _fmt(a.value)])
+                writer.writerow([a.person_id, a.day, a.instrument, a.item, format_cell(a.value)])
     with open(out / "eqvas.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["person_id", "day", "value"])
         for person in store:
             for day, value in person.eqvas.items():
-                writer.writerow([person.person_id, day, _fmt(value)])
-
-
-def _fmt(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
+                writer.writerow([person.person_id, day, format_cell(value)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,31 @@
 """Bottom-up health index evaluation over an ICF code tree.
 
-Qualifier records are attached to a fresh copy of the tree skeleton, each
+``attach`` places qualifier records on a tree as of a reference day, each
 carrying a time weight gamma**age, the rule reliability, and a source
 uniqueness factor 1/z when the same source feeds z sibling codes under one
-parent.  Evaluation then walks levels from the deepest up to the synthetic
-root: a node with children aggregates its own (direct) qualifiers with
-weight alpha*r, its children's still-unconsumed (indirect) qualifiers with
-weight alpha*r*u, and its children's already-calculated values with weight
-alpha*r, all weights normalized to sum to one.  The node value is the
-tuning curve applied to the weighted mean; the node's alpha and r are the
-same weighted means over the contributing alpha and r values.
+parent.  ``evaluate_report`` then rolls the qualifiers up from the deepest
+level to the synthetic root: a node with children aggregates its own
+(direct) qualifiers with weight alpha*r, the calculated values of its
+children with weight alpha*r, and the qualifiers of its children that have
+no calculated value (leaves) with weight alpha*r*u, all weights normalized
+to sum to one.  The node value is the tuning curve applied to the weighted
+mean; the node's alpha and r are the same weighted means over the
+contributing alpha and r values.
 
-Once a node's value is calculated, its own qualifiers count as consumed so
-ancestors see that node only through its calculated value; a parent also
-consumes its children's qualifiers, so every record reaches the root along
-exactly one path.  The raw root value in [0, 4] is inverted and scaled to
-the 0-100 health index.  After evaluation the tree is restored, so repeated
-evaluations of the same attached tree are identical.
+Ancestors see a calculated node only through its value, so every record
+reaches the root along exactly one path.  The raw root value in [0, 4] is
+inverted and scaled to the 0-100 health index.  Both steps are pure: the
+tree is never changed and the results live in a local table, so repeated
+evaluations of one attachment are identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codes import IcfTree, Node, build_tree
+from .codes import IcfCode, IcfTree, build_tree
 from .errors import EvaluationError
 from .linkage import QualifierRecord
 from .weighting import WeightingSpec, apply_curve, normalize_weights
@@ -35,7 +35,7 @@ RAW_MIN, RAW_MAX = 0.0, 4.0
 
 @dataclass(frozen=True)
 class AttachedQualifier:
-    """One qualifier sitting on a tree node during an evaluation."""
+    """One qualifier placed on a tree node for an evaluation."""
 
     value: float
     alpha: float
@@ -110,21 +110,35 @@ def scale_index(raw: float, min_raw: float = RAW_MIN, max_raw: float = RAW_MAX) 
     return nint(100.0 - 100.0 * (raw - min_raw) / (max_raw - min_raw))
 
 
+@dataclass(frozen=True)
+class AttachedTree:
+    """Qualifier records placed on a tree as of one reference day.
+
+    ``qualifiers`` maps every code that has records to its qualifiers in
+    record order.  The tree is shared, not copied.
+    """
+
+    tree: IcfTree
+    reference_day: int
+    qualifiers: dict[IcfCode, tuple[AttachedQualifier, ...]]
+
+
 def attach(
     tree: IcfTree,
     records: Iterable[QualifierRecord],
     reference_day: int,
     spec: WeightingSpec,
-) -> IcfTree:
-    """Attach qualifier records to a fresh copy of ``tree``.
+) -> AttachedTree:
+    """Place qualifier records on ``tree`` as of ``reference_day``.
 
-    Each record's time weight is gamma**(reference_day - day).  After all
-    records are placed, source uniqueness is derived per parent: a source
-    linked to z qualifiers across sibling children gets u = 1/z on each.
+    Each record's time weight is gamma**(reference_day - day).  A source
+    linked to z qualifiers across the children of one parent gets
+    uniqueness u = 1/z on each.
     """
-    evaluation = tree.copy_skeleton()
+    placed = []
+    fanout: dict[tuple, int] = {}  # (parent code, source id) -> z
     for record in records:
-        if record.code not in evaluation:
+        if record.code not in tree:
             raise EvaluationError(
                 f"record for ICF code {record.code.text} which is not in the tree"
             )
@@ -132,68 +146,37 @@ def attach(
             raise EvaluationError(
                 f"record on day {record.day} is newer than reference day {reference_day}"
             )
-        node = evaluation.node_for(record.code)
-        node.attached.append(
+        key = (tree.parents[record.code], record.source_id)
+        fanout[key] = fanout.get(key, 0) + 1
+        placed.append((record, key))
+    qualifiers: dict[IcfCode, list[AttachedQualifier]] = {}
+    for record, key in placed:
+        qualifiers.setdefault(record.code, []).append(
             AttachedQualifier(
                 value=float(record.value),
                 alpha=spec.gamma ** (reference_day - record.day),
                 reliability=record.reliability,
                 source_id=record.source_id,
+                uniqueness=1.0 / fanout[key],
             )
         )
-    for parent in evaluation.iter_nodes():
-        _assign_uniqueness(parent)
-    evaluation.reference_day = reference_day
-    return evaluation
+    return AttachedTree(tree, reference_day,
+                        {code: tuple(quals) for code, quals in qualifiers.items()})
 
 
-def _assign_uniqueness(parent: Node) -> None:
-    counts: dict[str, int] = {}
-    for child in parent.children:
-        for qual in child.attached:
-            counts[qual.source_id] = counts.get(qual.source_id, 0) + 1
-    for child in parent.children:
-        if child.attached:
-            child.attached[:] = [
-                replace(q, uniqueness=1.0 / counts[q.source_id]) for q in child.attached
-            ]
+def _direct(qualifiers: Iterable[AttachedQualifier]) -> list[tuple]:
+    """(value, alpha, r, weight alpha*r) of a node's own qualifiers."""
+    return [(q.value, q.alpha, q.reliability, q.alpha * q.reliability) for q in qualifiers]
 
 
-def node_value(node: Node, spec: WeightingSpec) -> NodeResult | None:
-    """Aggregate one node from its current contributions; None when empty."""
-    result, _ = _aggregate(node, spec)
-    return result
-
-
-def _aggregate(node: Node, spec: WeightingSpec):
-    values: list[float] = []
-    alphas: list[float] = []
-    rels: list[float] = []
-    weights: list[float] = []
-
-    def add(value: float, alpha: float, rel: float, weight: float) -> None:
-        values.append(value)
-        alphas.append(alpha)
-        rels.append(rel)
-        weights.append(weight)
-
-    if not node.consumed:
-        for m in node.attached:
-            add(m.value, m.alpha, m.reliability, m.alpha * m.reliability)
-    for child in node.children:
-        if child.calculated is not None:
-            res = child.calculated
-            add(res.x, res.alpha, res.reliability, res.alpha * res.reliability)
-        elif not child.consumed:
-            for s in child.attached:
-                add(s.value, s.alpha, s.reliability, s.alpha * s.reliability * s.uniqueness)
-
-    if not values:
-        return None, None
+def _aggregate(code: "IcfCode | None", contributions: list[tuple], spec: WeightingSpec):
+    """The (x, alpha, r) of one node from its (value, alpha, r, weight)
+    contributions, and the normalized weights."""
+    values, alphas, rels, weights = zip(*contributions)
     try:
         normed = normalize_weights(weights)
     except ValueError:
-        label = "root" if node.is_root else node.code.text
+        label = "root" if code is None else code.text
         raise EvaluationError(
             f"all contribution weights at node {label} are zero (reliability and/or "
             "time weights vanish); the node cannot be aggregated"
@@ -205,108 +188,88 @@ def _aggregate(node: Node, spec: WeightingSpec):
     return NodeResult(x=x, alpha=alpha_q, reliability=r_q), tuple(normed)
 
 
-def _virtual_component_result(node: Node, spec: WeightingSpec) -> NodeResult | None:
-    """Profile entry for a leaf component (data attached on the bare letter):
-    such a node never calculates during the roll-up, so aggregate its own
-    qualifiers out-of-band purely for reporting."""
-    if node.calculated is not None:
-        return node.calculated
-    if not node.attached:
-        return None
-    probe = Node(node.code)
-    probe.attached = node.attached
-    result, _ = _aggregate(probe, spec)
-    return result
-
-
 def evaluate_report(
-    tree: IcfTree,
+    attached: AttachedTree,
     spec: WeightingSpec,
     *,
     min_raw: float = RAW_MIN,
     max_raw: float = RAW_MAX,
     audit: bool = False,
 ) -> EvaluationReport:
-    """Run the full roll-up and report index, root alpha/r and the profile.
+    """Roll the attached qualifiers up to the root and report the index,
+    the root alpha/r and the profile.
 
-    The tree is reset to its pre-evaluation state afterwards: calculated
-    values are dropped and all qualifiers count as unconsumed again.
+    A node with children is calculated in the tree's bottom-up order; a
+    leaf never is, its qualifiers flow into its parent.  A component with
+    data on the bare letter alone is scored from its own qualifiers.
     """
-    reference_day = tree.reference_day if tree.reference_day is not None else 0
-    audits: list[NodeAudit] = [] if audit else None
-    try:
-        for level in range(tree.deepest_level, -1, -1):
-            for node in tree.nodes_at_level(level):
-                if node.is_leaf:
-                    continue
-                _compute_in_place(node, spec, audits)
-        _compute_in_place(tree.root, spec, audits)
+    qualifiers = attached.qualifiers
+    results: dict[IcfCode | None, NodeResult] = {}
+    audits: list[NodeAudit] = []
+    for node in attached.tree.bottom_up:
+        contributions = _direct(qualifiers.get(node.code, ()))
+        for child in node.children:
+            res = results.get(child.code)
+            if res is not None:
+                contributions.append((res.x, res.alpha, res.reliability,
+                                      res.alpha * res.reliability))
+            else:
+                contributions.extend(
+                    (q.value, q.alpha, q.reliability, q.alpha * q.reliability * q.uniqueness)
+                    for q in qualifiers.get(child.code, ())
+                )
+        if not contributions:
+            continue
+        result, normed = _aggregate(node.code, contributions, spec)
+        results[node.code] = result
+        if audit:
+            audits.append(NodeAudit(code="" if node.is_root else node.code.text,
+                                    normalized_weights=normed, result=result))
 
-        if tree.root.calculated is None:
-            raise EvaluationError("cannot evaluate a tree without any attached qualifiers")
-        root = tree.root.calculated
-        scores = {}
-        for child in tree.root.children:
-            res = _virtual_component_result(child, spec)
-            if res is None:
-                continue
+    root = results.get(None)
+    if root is None:
+        raise EvaluationError("cannot evaluate a tree without any attached qualifiers")
+    scores = {}
+    for child in attached.tree.root.children:
+        res = results.get(child.code)
+        if res is None and child.code in qualifiers:
+            res, _ = _aggregate(child.code, _direct(qualifiers[child.code]), spec)
+        if res is not None:
             comp = child.code.component
             scores[comp] = ComponentScore(comp, scale_index(res.x, min_raw, max_raw), res.x)
-        return EvaluationReport(
-            index=HealthIndex(
-                value=scale_index(root.x, min_raw, max_raw),
-                raw=root.x,
-                evaluated_at=reference_day,
-            ),
-            alpha=root.alpha,
-            reliability=root.reliability,
-            profile=HealthProfile(scores),
-            audits=tuple(audits) if audit else None,
-        )
-    finally:
-        for node in tree.iter_nodes():
-            node.calculated = None
-            node.consumed = False
-
-
-def _compute_in_place(node: Node, spec: WeightingSpec, audits: "list[NodeAudit] | None") -> None:
-    result, normed = _aggregate(node, spec)
-    if result is None:
-        return
-    node.calculated = result
-    node.consumed = True
-    for child in node.children:
-        child.consumed = True
-    if audits is not None:
-        audits.append(
-            NodeAudit(
-                code="" if node.is_root else node.code.text,
-                normalized_weights=normed,
-                result=result,
-            )
-        )
+    return EvaluationReport(
+        index=HealthIndex(
+            value=scale_index(root.x, min_raw, max_raw),
+            raw=root.x,
+            evaluated_at=attached.reference_day,
+        ),
+        alpha=root.alpha,
+        reliability=root.reliability,
+        profile=HealthProfile(scores),
+        audits=tuple(audits) if audit else None,
+    )
 
 
 def evaluate(
-    tree: IcfTree,
+    attached: AttachedTree,
     spec: WeightingSpec,
     *,
     min_raw: float = RAW_MIN,
     max_raw: float = RAW_MAX,
 ) -> HealthIndex:
-    """Roll the attached tree up to the root and scale to the 0-100 index."""
-    return evaluate_report(tree, spec, min_raw=min_raw, max_raw=max_raw).index
+    """Roll the attached qualifiers up to the root and scale to the 0-100 index."""
+    return evaluate_report(attached, spec, min_raw=min_raw, max_raw=max_raw).index
 
 
 def evaluate_profile(
-    tree: IcfTree,
+    attached: AttachedTree,
     spec: WeightingSpec,
     *,
     min_raw: float = RAW_MIN,
     max_raw: float = RAW_MAX,
 ) -> HealthProfile:
     """Per-component scaled scores from the same roll-up as ``evaluate``."""
-    return evaluate_report(tree, spec, min_raw=min_raw, max_raw=max_raw).profile
+    return evaluate_report(attached, spec, min_raw=min_raw, max_raw=max_raw).profile
 
 
 def evaluate_trajectory(
@@ -317,19 +280,28 @@ def evaluate_trajectory(
     tree: IcfTree | None = None,
     min_raw: float = RAW_MIN,
     max_raw: float = RAW_MAX,
-) -> list[tuple[int, HealthIndex]]:
-    """Evaluate the index on each requested day, using only the records
-    available by that day and the day itself as the decay reference.
+) -> list[tuple[int, EvaluationReport | None]]:
+    """Evaluate on each requested day, using only the records available by
+    that day and the day itself as the decay reference; the report is None
+    on a day before the first record.
 
-    A skeleton built from all record codes is reused across days unless an
-    explicit (for example cohort-wide) tree is supplied.
+    The tree defaults to the one spanned by the record codes.  Which nodes
+    are leaves comes from the tree passed in: on a cohort-wide tree a code
+    that is a leaf for this person may have children, and the tuning curve f
+    then applies once more at it.  For example, a record on b280 evaluated
+    at y = 0.75 gives raw f^4(v) on a tree that also holds b2800, and f^3(v)
+    on the record's own tree.
     """
     if list(days) != sorted(days):
         raise EvaluationError("trajectory days must be sorted ascending")
-    skeleton = tree if tree is not None else build_tree({r.code for r in records})
-    out: list[tuple[int, HealthIndex]] = []
+    if tree is None and records:
+        tree = build_tree({r.code for r in records})
+    out: list[tuple[int, EvaluationReport | None]] = []
     for day in days:
         visible = [r for r in records if r.day <= day]
-        attached = attach(skeleton, visible, day, spec)
-        out.append((day, evaluate(attached, spec, min_raw=min_raw, max_raw=max_raw)))
+        report = None
+        if visible:
+            report = evaluate_report(attach(tree, visible, day, spec), spec,
+                                     min_raw=min_raw, max_raw=max_raw)
+        out.append((day, report))
     return out

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .codes import IcfCode, parse_code
 from .errors import ConfigError, DataError
+from .formatting import format_cell
 
 if TYPE_CHECKING:
     from .cohort import RawAnswer
@@ -375,10 +376,6 @@ def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Qualifie
 RECORD_COLUMNS = ("person_id", "day", "source_id", "code", "value", "reliability")
 
 
-def _fmt_number(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
 def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
     """Write qualifier records in canonical (person, day, source, code) order."""
     ordered = sorted(records, key=lambda r: (r.person_id, r.day, r.source_id, r.code))
@@ -388,7 +385,7 @@ def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
         for r in ordered:
             writer.writerow(
                 [r.person_id, r.day, r.source_id, r.code.text,
-                 _fmt_number(r.value), _fmt_number(r.reliability)]
+                 format_cell(r.value), format_cell(r.reliability)]
             )
 
 

@@ -203,7 +203,7 @@ def test_uniqueness():
         tree = build_tree({r.code for r in records})
         attached = attach(tree, records, 0, spec)
         for i in range(z):
-            (qual,) = attached.node_for(parse_code(f"b280{i}")).attached
+            (qual,) = attached.qualifiers[parse_code(f"b280{i}")]
             assert qual.uniqueness == 1.0 / z
         report = evaluate_report(attached, spec, audit=True)
         parent = next(a for a in report.audits if a.code == "b280")

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +280,67 @@ def test_synth_config_file(tmp_path):
         assert len(list(csv.DictReader(fh))) == 8
     echoed = json.loads((out / "synth_config.json").read_text())
     assert echoed["seed"] == 5 and echoed["trend"] == "flat"
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: byte identity of every command's files on a seed-42 cohort
+
+GOLDEN = Path(__file__).with_name("golden_seed42.json")
+GOLDEN_PERSONS = 12
+GOLDEN_YS = ("0.75", "2", "3.25")
+
+
+def golden_outputs(work):
+    """Run synth (seed 42), link, index and profile at each of GOLDEN_YS and
+    validate --groups 30:5 under ``work``; the bytes of every file written
+    after synth, by path relative to ``work``."""
+    cohort, linked = work / "cohort", work / "link"
+    assert run(*synth_args(cohort, persons=GOLDEN_PERSONS)) == 0
+    assert run("link", "--data", str(cohort), "--out", str(linked)) == 0
+    for y in GOLDEN_YS:
+        for command in ("index", "profile"):
+            assert run(command, "--records", str(linked / "records.csv"),
+                       "--out", str(work / f"{command}-y{y}"), "--y", y) == 0
+    assert run("validate", "--data", str(cohort), "--out", str(work / "validate"),
+               "--groups", "30:5") == 0
+    return {path.relative_to(work).as_posix(): path.read_bytes()
+            for path in sorted(work.rglob("*"))
+            if path.is_file() and cohort not in path.parents}
+
+
+def _row_digests(data):
+    """Four hex digits of sha256 per line; they only locate a difference,
+    the whole-file sha256 decides it."""
+    return "".join(hashlib.sha256(row).hexdigest()[:4] for row in data.splitlines())
+
+
+def _first_difference(data, golden_rows):
+    rows, digests = data.splitlines(), _row_digests(data)
+    for i, row in enumerate(rows):
+        if digests[4 * i:4 * i + 4] != golden_rows[4 * i:4 * i + 4]:
+            return f"first differing row {i + 1}: {row.decode()!r}"
+    return f"{len(rows)} rows, golden has {len(golden_rows) // 4}"
+
+
+def test_golden_outputs_seed42(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    outputs = golden_outputs(tmp_path)
+    assert sorted(outputs) == sorted(golden)
+    mismatches = [
+        f"{name}: {_first_difference(data, golden[name]['rows'])}"
+        for name, data in outputs.items()
+        if hashlib.sha256(data).hexdigest() != golden[name]["sha256"]
+    ]
+    assert not mismatches, "outputs differ from the golden sha256:\n" + "\n".join(mismatches)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py re-records the golden file from
+    # the current code; do so only for an output change that is intended
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = golden_outputs(Path(tmp))
+    GOLDEN.write_text(json.dumps(
+        {name: {"sha256": hashlib.sha256(data).hexdigest(), "rows": _row_digests(data)}
+         for name, data in outputs.items()}, indent=1, sort_keys=True) + "\n")

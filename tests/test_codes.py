@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 from icfhi import (
     CodeParseError,
     DataError,
+    QualifierRecord,
+    attach,
     build_tree,
     codes_from_text,
+    make_spec,
     parent_of,
     parse_code,
 )
@@ -131,9 +134,18 @@ def test_codes_from_text():
         codes_from_text("b280\nb28\n")
 
 
-def test_copy_skeleton_is_fresh():
-    tree = build_tree({"b280"})
-    tree.node_for(parse_code("b280")).attached.append("sentinel")
-    copy = tree.copy_skeleton()
-    assert copy.node_for(parse_code("b280")).attached == []
-    assert {c.text for c in copy.codes} == {c.text for c in tree.codes}
+def test_attach_leaves_tree_unchanged():
+    tree = build_tree({"b2801", "d450"})
+    shape = [(node.code, node.children) for node in tree.iter_nodes()]
+    parents, bottom_up = dict(tree.parents), tree.bottom_up
+    spec = make_spec(2.0, 1.0)
+    first = attach(tree, [QualifierRecord("p", 0, "s", parse_code("b2801"), 1.0, 1.0)], 0, spec)
+    second = attach(tree, [QualifierRecord("q", 0, "s", parse_code("d450"), 3.0, 1.0),
+                           QualifierRecord("q", 0, "t", parse_code("b280"), 2.0, 1.0)], 0, spec)
+    assert [(node.code, node.children) for node in tree.iter_nodes()] == shape
+    assert tree.parents == parents and tree.bottom_up == bottom_up
+    # two attachments on one tree share it and nothing else
+    assert first.tree is second.tree is tree
+    assert set(first.qualifiers) == {parse_code("b2801")}
+    assert set(second.qualifiers) == {parse_code("d450"), parse_code("b280")}
+    assert [q.value for q in first.qualifiers[parse_code("b2801")]] == [1.0]

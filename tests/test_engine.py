@@ -6,6 +6,7 @@ import pytest
 from icfhi import (
     EvaluationError,
     QualifierRecord,
+    apply_curve,
     attach,
     build_tree,
     evaluate,
@@ -14,7 +15,6 @@ from icfhi import (
     evaluate_trajectory,
     make_spec,
     nint,
-    node_value,
     parse_code,
     scale_index,
 )
@@ -74,13 +74,13 @@ def test_scale_index_empirical_bounds():
 
 def test_attach_worked_example_alphas(worked_records, worked_tree, linear_spec_third):
     at = attach(worked_tree, worked_records, 30, linear_spec_third)
-    b28010 = at.node_for(parse_code("b28010")).attached
+    b28010 = at.qualifiers[parse_code("b28010")]
     assert [(q.value, q.reliability) for q in b28010] == [(2.0, 1.0), (1.0, 0.8)]
     assert b28010[0].alpha == pytest.approx(1.0, abs=1e-15)
     assert b28010[1].alpha == pytest.approx(1.0 / 3.0, abs=1e-12)
-    b28013 = at.node_for(parse_code("b28013")).attached
+    b28013 = at.qualifiers[parse_code("b28013")]
     assert b28013[0].alpha == pytest.approx(1.0 / 3.0, abs=1e-12)
-    b2801 = at.node_for(parse_code("b2801")).attached
+    b2801 = at.qualifiers[parse_code("b2801")]
     assert b2801[0].alpha == pytest.approx(1.0, abs=1e-15)
     assert b2801[1].alpha == pytest.approx(GAMMA_THIRD_30 ** 15, abs=1e-12)
     assert at.reference_day == 30
@@ -91,12 +91,12 @@ def test_attach_shared_source_uniqueness(worked_records, worked_tree, linear_spe
     shared = [
         q
         for code in ("b28010", "b28013")
-        for q in at.node_for(parse_code(code)).attached
+        for q in at.qualifiers[parse_code(code)]
         if q.source_id == "srcB"
     ]
     assert len(shared) == 2
     assert all(q.uniqueness == 0.5 for q in shared)
-    solo = [q for q in at.node_for(parse_code("b28010")).attached if q.source_id == "srcA"]
+    solo = [q for q in at.qualifiers[parse_code("b28010")] if q.source_id == "srcA"]
     assert solo[0].uniqueness == 1.0
 
 
@@ -109,7 +109,7 @@ def test_uniqueness_scales_with_fanout():
         ]
         at = _attach(records, 0, spec)
         for code in codes:
-            (qual,) = at.node_for(parse_code(code)).attached
+            (qual,) = at.qualifiers[parse_code(code)]
             assert qual.uniqueness == pytest.approx(1.0 / z, abs=1e-15)
 
 
@@ -122,7 +122,7 @@ def test_uniqueness_only_counts_siblings():
     ]
     at = _attach(records, 0, spec)
     for code in ("b280", "d430"):
-        assert at.node_for(parse_code(code)).attached[0].uniqueness == 1.0
+        assert at.qualifiers[parse_code(code)][0].uniqueness == 1.0
 
 
 def test_attach_rejects_future_and_unknown(worked_records, worked_tree, linear_spec_third):
@@ -181,10 +181,12 @@ def test_two_equal_children_nonlinear_curve_at_node():
     assert parent.x == pytest.approx(0.75, abs=1e-9)
 
 
-def test_node_value_empty_node_is_none():
+def test_component_without_data_has_no_audit_or_score():
     spec = make_spec(2.0, 1.0)
-    tree = build_tree({"b280"})
-    assert node_value(tree.node_for(parse_code("b2")), spec) is None
+    tree = build_tree({"b280", "d450"})
+    report = evaluate_report(attach(tree, _records(("b280", 2, 0)), 0, spec), spec, audit=True)
+    assert [a.code for a in report.audits] == ["b2", "b", ""]
+    assert set(report.profile.scores) == {"b"}
 
 
 def test_all_zero_qualifiers_score_100():
@@ -236,14 +238,11 @@ def test_interior_node_direct_qualifiers_not_double_counted():
     assert raw == pytest.approx(2.0, abs=1e-12)
 
 
-def test_reset_allows_repeat_evaluation(worked_records, worked_tree, linear_spec_third):
+def test_repeat_evaluation_is_identical(worked_records, worked_tree, linear_spec_third):
     at = attach(worked_tree, worked_records, 30, linear_spec_third)
     first = evaluate_report(at, linear_spec_third)
     second = evaluate_report(at, linear_spec_third)
     assert first == second
-    for node in at.iter_nodes():
-        assert node.calculated is None
-        assert node.consumed is False
 
 
 def test_nonlinear_curve_applied_at_every_node():
@@ -298,14 +297,34 @@ def test_trajectory_single_day():
     records = _records(("b28013", 2, 0))
     out = evaluate_trajectory(records, [0], spec)
     assert len(out) == 1
-    assert out[0][0] == 0 and out[0][1].value == 50
+    assert out[0][0] == 0 and out[0][1].index.value == 50
+
+
+def test_trajectory_none_before_first_record():
+    spec = make_spec(2.0, 1.0)
+    out = evaluate_trajectory(_records(("b280", 2, 5)), [0, 5], spec)
+    assert out[0] == (0, None)
+    assert out[1][1].index.value == 50
+    assert evaluate_trajectory([], [0, 5], spec) == [(0, None), (5, None)]
+
+
+def test_trajectory_leafness_comes_from_the_tree():
+    # b280 is a leaf on its own tree; on a cohort tree that also holds
+    # b2800 it is calculated, so the curve applies once more
+    spec = make_spec(0.75, 1.0)
+    records = _records(("b280", 2, 0))
+    f = lambda x: apply_curve(spec, x)
+    [(_, own)] = evaluate_trajectory(records, [0], spec)
+    [(_, cohort)] = evaluate_trajectory(records, [0], spec, tree=build_tree({"b280", "b2800"}))
+    assert own.index.raw == pytest.approx(f(f(f(2.0))), abs=1e-12)
+    assert cohort.index.raw == pytest.approx(f(f(f(f(2.0)))), abs=1e-12)
 
 
 def test_trajectory_constant_without_decay_or_new_data():
     spec = make_spec(2.0, 1.0)
     records = _records(("b28013", 3, 0), ("b780", 1, 0))
     out = evaluate_trajectory(records, [0, 10, 40], spec)
-    values = [index.value for _, index in out]
+    values = [report.index.value for _, report in out]
     assert values[0] == values[1] == values[2]
 
 
@@ -315,7 +334,7 @@ def test_trajectory_improving_person_rises():
         ("b28013", 4, 0), ("b28013", 3, 10), ("b28013", 2, 20), ("b28013", 1, 30),
     )
     out = evaluate_trajectory(records, [0, 10, 20, 30], spec)
-    values = [index.value for _, index in out]
+    values = [report.index.value for _, report in out]
     assert values[-1] > values[0]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
