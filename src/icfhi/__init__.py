@@ -54,10 +54,13 @@ from .engine import (
     HealthIndex,
     HealthProfile,
     NodeResult,
+    RecordTable,
     attach,
+    compile_records,
     evaluate,
     evaluate_profile,
     evaluate_report,
+    evaluate_table,
     evaluate_trajectory,
     nint,
     scale_index,

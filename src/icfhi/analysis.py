@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import evaluate_trajectory
+from .engine import RecordTable, compile_records, evaluate_table
 from .errors import InsufficientDataError
-from .linkage import QualifierRecord, RuleSet, apply_rules
+from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
 
 DEFAULT_ALPHA = 0.05
@@ -82,6 +81,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]):
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
+    from scipy.stats import t as student_t  # imported here: slow, and only needed here
+
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     p = 2.0 * float(student_t.sf(abs(t), n - 2))
     return r, min(p, 1.0)
@@ -153,19 +154,21 @@ class SweepCell:
 
 
 class CohortEvaluator:
-    """Links a cohort once, holds the cohort-wide tree skeleton, and caches
-    per (person, day, gamma, y) index evaluations."""
+    """Links a cohort once, holds the cohort-wide tree skeleton and every
+    person's records compiled against it, and caches per (person, day,
+    gamma, y) index evaluations."""
 
     def __init__(self, store: CohortStore, rules: RuleSet, *,
                  min_raw: float = 0.0, max_raw: float = 4.0):
         self.store = store
         self.min_raw = min_raw
         self.max_raw = max_raw
-        self.records: dict[str, list[QualifierRecord]] = {
-            person.person_id: apply_rules(person.answers, rules) for person in store
-        }
-        codes = {r.code for recs in self.records.values() for r in recs}
+        records = {person.person_id: apply_rules(person.answers, rules) for person in store}
+        codes = {r.code for recs in records.values() for r in recs}
         self.tree: IcfTree | None = build_tree(codes) if codes else None
+        self.tables: dict[str, RecordTable] = {
+            pid: compile_records(self.tree, recs) for pid, recs in records.items() if recs
+        }
         self._cache: dict[tuple, "int | None"] = {}
 
     def hi(self, person_id: str, day: int, spec: WeightingSpec) -> "int | None":
@@ -173,9 +176,11 @@ class CohortEvaluator:
         person has no linkable records yet."""
         key = (person_id, day, spec.gamma, spec.y)
         if key not in self._cache:
-            [(_, report)] = evaluate_trajectory(self.records.get(person_id, []), [day], spec,
-                                                tree=self.tree, min_raw=self.min_raw,
-                                                max_raw=self.max_raw)
+            table = self.tables.get(person_id)
+            report = None
+            if table is not None:
+                [(_, report)] = evaluate_table(table, [day], spec, min_raw=self.min_raw,
+                                               max_raw=self.max_raw)
             self._cache[key] = None if report is None else report.index.value
         return self._cache[key]
 
@@ -190,24 +195,23 @@ class CohortEvaluator:
             return
         payloads = []
         for pid in person_ids:
-            records = self.records.get(pid, [])
-            if not records:
+            table = self.tables.get(pid)
+            if table is None:
                 continue
-            days = sorted({r.day for r in records} | set(self.store.person(pid).eqvas))
-            payloads.append((pid, records, days,
-                             [(s.y, s.gamma) for s in specs],
-                             self.tree, self.min_raw, self.max_raw))
+            days = sorted({row[0] for row in table.rows} | set(self.store.person(pid).eqvas))
+            payloads.append((pid, table, days, [(s.y, s.gamma) for s in specs],
+                             self.min_raw, self.max_raw))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for entries in pool.map(_trajectory_task, payloads, chunksize=4):
                 self.seed_cache(entries)
 
 
 def _trajectory_task(payload):
-    pid, records, days, spec_params, tree, min_raw, max_raw = payload
+    pid, table, days, spec_params, min_raw, max_raw = payload
     out = []
     for y, gamma in spec_params:
-        trajectory = evaluate_trajectory(records, days, make_spec(y, gamma), tree=tree,
-                                         min_raw=min_raw, max_raw=max_raw)
+        trajectory = evaluate_table(table, days, make_spec(y, gamma),
+                                    min_raw=min_raw, max_raw=max_raw)
         out.extend(((pid, day, gamma, y), None if report is None else report.index.value)
                    for day, report in trajectory)
     return out

@@ -279,8 +279,9 @@ def _index_rows_for_person(payload):
     """Evaluate one person's full trajectory; returns raw values so scaling
     can be applied afterwards (needed for the empirical mode)."""
     pid, records, tree, y, gamma = payload
-    trajectory = engine.evaluate_trajectory(records, sorted({r.day for r in records}),
-                                            weighting.make_spec(y, gamma), tree=tree)
+    trajectory = engine.evaluate_table(engine.compile_records(tree, records),
+                                       sorted({r.day for r in records}),
+                                       weighting.make_spec(y, gamma))
     rows = []
     for day, report in trajectory:
         comp_raws = {c: s.raw for c, s in report.profile.scores.items()}

@@ -16,6 +16,7 @@ from .errors import CodeParseError, DataError
 COMPONENTS = ("b", "d", "e", "s")
 
 ROOT_LEVEL = -1
+ROOT_SLOT = 0
 
 # digit count -> hierarchy level; two-digit codes do not exist in the ICF
 _LEVEL_BY_DIGITS = {0: 0, 1: 1, 3: 2, 4: 3, 5: 4}
@@ -117,10 +118,6 @@ class Node:
         return ROOT_LEVEL if self.code is None else self.code.level
 
     @property
-    def is_root(self) -> bool:
-        return self.code is None
-
-    @property
     def is_leaf(self) -> bool:
         return not self.children
 
@@ -133,21 +130,32 @@ class IcfTree:
     """Immutable hierarchy of available ICF codes under one synthetic root
     (level -1).
 
-    The parent of every code and the bottom-up evaluation order are worked
-    out once, here, and shared by every evaluation on the tree.
+    The tree numbers its nodes once, here: slot 0 is the root and the codes
+    follow in alphabetical order.  Next to the numbering it works out each
+    slot's parent slot and the bottom-up evaluation order.  The engine
+    compiles a person's records against these slots once and then evaluates
+    every day from integer-indexed tables, so the layout of the tree stays
+    the decision of this module.
     """
 
     def __init__(self, nodes: "dict[IcfCode, Node]", root: Node):
         self.root = root
         self._by_code = nodes
-        # code -> parent code; None for a bare component, whose parent is the root
-        self.parents: dict[IcfCode, IcfCode | None] = {
-            child.code: node.code for node in self.iter_nodes() for child in node.children
+        # slot -> code and code -> slot; the root's code is None
+        self.slot_codes: tuple[IcfCode | None, ...] = (None, *sorted(nodes))  # ROOT_SLOT first
+        self.slots: dict[IcfCode | None, int] = {
+            code: slot for slot, code in enumerate(self.slot_codes)
         }
-        # the nodes with children: deepest level first, alphabetical within a
-        # level, the root last
-        self.bottom_up: tuple[Node, ...] = tuple(
-            node
+        # slot -> parent slot; -1 for the root
+        parent_slots = [-1] * len(self.slot_codes)
+        for node in self.iter_nodes():
+            for child in node.children:
+                parent_slots[self.slots[child.code]] = self.slots[node.code]
+        self.parent_slots: tuple[int, ...] = tuple(parent_slots)
+        # (slot, child slots) of the nodes with children: deepest level
+        # first, alphabetical within a level, the root last
+        self.bottom_up: tuple[tuple[int, tuple[int, ...]], ...] = tuple(
+            (self.slots[node.code], tuple(self.slots[child.code] for child in node.children))
             for level in range(self.deepest_level, ROOT_LEVEL - 1, -1)
             for node in self.nodes_at_level(level)
             if not node.is_leaf
@@ -168,7 +176,7 @@ class IcfTree:
 
     @property
     def codes(self) -> "list[IcfCode]":
-        return sorted(self._by_code)
+        return list(self.slot_codes[1:])
 
     @property
     def deepest_level(self) -> int:
@@ -182,7 +190,7 @@ class IcfTree:
 
     def iter_nodes(self) -> Iterator[Node]:
         yield self.root
-        for code in sorted(self._by_code):
+        for code in self.slot_codes[1:]:
             yield self._by_code[code]
 
 

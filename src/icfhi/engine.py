@@ -1,31 +1,40 @@
 """Bottom-up health index evaluation over an ICF code tree.
 
-``attach`` places qualifier records on a tree as of a reference day, each
-carrying a time weight gamma**age, the rule reliability, and a source
-uniqueness factor 1/z when the same source feeds z sibling codes under one
-parent.  ``evaluate_report`` then rolls the qualifiers up from the deepest
-level to the synthetic root: a node with children aggregates its own
-(direct) qualifiers with weight alpha*r, the calculated values of its
-children with weight alpha*r, and the qualifiers of its children that have
-no calculated value (leaves) with weight alpha*r*u, all weights normalized
-to sum to one.  The node value is the tuning curve applied to the weighted
-mean; the node's alpha and r are the same weighted means over the
-contributing alpha and r values.
+A person's records are compiled against a tree once: ``compile_records``
+turns each record into a row (day, node slot, fanout-key id, value, r) of
+the tree's integer slots, where the fanout key stands for the (parent slot,
+source id) pair.  Every evaluated day then works from these rows alone.  A
+record of age TE days carries the time weight alpha = gamma**TE, worked out
+once per distinct record day, and a source that feeds z visible qualifiers
+across the children of one parent gives each of them the uniqueness
+u = 1/z, counted over the records visible that day.
 
-Ancestors see a calculated node only through its value, so every record
-reaches the root along exactly one path.  The raw root value in [0, 4] is
-inverted and scaled to the 0-100 health index.  Both steps are pure: the
-tree is never changed and the results live in a local table, so repeated
-evaluations of one attachment are identical.
+The roll-up runs from the deepest level to the synthetic root: a node with
+children aggregates its own (direct) qualifiers with weight alpha*r, the
+calculated values of its children with weight alpha*r, and the qualifiers of
+its children that have no calculated value (leaves) with weight alpha*r*u,
+all weights normalized to sum to one.  The node value is the tuning curve
+applied to the weighted mean; the node's alpha and r are the same weighted
+means over the contributing alpha and r values.  Ancestors see a calculated
+node only through its value, so every record reaches the root along exactly
+one path.  The raw root value in [0, 4] is inverted and scaled to the 0-100
+health index.
+
+There is one roll-up.  ``evaluate_table`` runs it on each requested day of a
+compiled table; ``evaluate_trajectory`` compiles and then calls it, and
+``attach`` with ``evaluate_report`` is its single-day case, with per-node
+audits on request.  Every step is pure: the tree and the table are never
+changed, so repeated evaluations are identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
-from .codes import IcfCode, IcfTree, build_tree
+from .codes import ROOT_SLOT, IcfCode, IcfTree, build_tree
 from .errors import EvaluationError
 from .linkage import QualifierRecord
 from .weighting import WeightingSpec, apply_curve, normalize_weights
@@ -111,16 +120,83 @@ def scale_index(raw: float, min_raw: float = RAW_MIN, max_raw: float = RAW_MAX) 
 
 
 @dataclass(frozen=True)
-class AttachedTree:
-    """Qualifier records placed on a tree as of one reference day.
+class RecordTable:
+    """One person's records compiled against a tree.
 
-    ``qualifiers`` maps every code that has records to its qualifiers in
-    record order.  The tree is shared, not copied.
+    ``rows`` holds (day, node slot, fanout-key id, value, r) per record, in
+    record order; ``keys`` maps a fanout-key id to its (parent slot, source
+    id) pair.  ``nodes`` is the tree's bottom-up order cut down to the slots
+    on the records' paths to the root, each with its children on those
+    paths: a node off them never gets a contribution.
     """
 
     tree: IcfTree
+    rows: tuple[tuple[int, int, int, float, float], ...]
+    keys: tuple[tuple[int, str], ...]
+    nodes: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> RecordTable:
+    """Resolve each record against ``tree`` once, for any number of
+    evaluations on any days and weighting specs."""
+    slots, parent_slots = tree.slots, tree.parent_slots
+    keys: dict[tuple[int, str], int] = {}
+    rows = []
+    for record in records:
+        slot = slots.get(record.code)
+        if slot is None:
+            raise EvaluationError(
+                f"record for ICF code {record.code.text} which is not in the tree"
+            )
+        key = keys.setdefault((parent_slots[slot], record.source_id), len(keys))
+        rows.append((record.day, slot, key, float(record.value), record.reliability))
+    on_path: set[int] = set()
+    for _, slot, _, _, _ in rows:
+        while slot >= 0 and slot not in on_path:
+            on_path.add(slot)
+            slot = parent_slots[slot]
+    nodes = tuple((slot, tuple(child for child in children if child in on_path))
+                  for slot, children in tree.bottom_up if slot in on_path)
+    return RecordTable(tree, tuple(rows), tuple(keys), nodes)
+
+
+def _visible(table: RecordTable, day: int, gamma: float):
+    """The rows visible on ``day`` in record order, the time weight
+    gamma**(day - d) of each of their days d, and the fanout z of each
+    fanout key over them."""
+    visible = [row for row in table.rows if row[0] <= day]
+    # counted, not assumed: one source may feed its siblings on several days
+    fanout = [0] * len(table.keys)
+    for row in visible:
+        fanout[row[2]] += 1
+    alphas = {d: gamma ** (day - d) for d in {row[0] for row in visible}}
+    return visible, alphas, fanout
+
+
+@dataclass(frozen=True)
+class AttachedTree:
+    """Qualifier records placed on a tree as of one reference day: the
+    compiled table, the day, and the gamma of the time weights."""
+
+    table: RecordTable
     reference_day: int
-    qualifiers: dict[IcfCode, tuple[AttachedQualifier, ...]]
+    gamma: float
+
+    @property
+    def tree(self) -> IcfTree:
+        return self.table.tree
+
+    @property
+    def qualifiers(self) -> dict[IcfCode, tuple[AttachedQualifier, ...]]:
+        """Every code that has records, with its qualifiers in record order.
+        Built on request for inspection; the roll-up reads the table."""
+        codes, keys = self.tree.slot_codes, self.table.keys
+        out: dict[IcfCode, list[AttachedQualifier]] = {}
+        visible, alphas, fanout = _visible(self.table, self.reference_day, self.gamma)
+        for d, slot, key, value, r in visible:
+            out.setdefault(codes[slot], []).append(
+                AttachedQualifier(value, alphas[d], r, keys[key][1], 1.0 / fanout[key]))
+        return {code: tuple(quals) for code, quals in out.items()}
 
 
 def attach(
@@ -135,57 +211,102 @@ def attach(
     linked to z qualifiers across the children of one parent gets
     uniqueness u = 1/z on each.
     """
-    placed = []
-    fanout: dict[tuple, int] = {}  # (parent code, source id) -> z
-    for record in records:
-        if record.code not in tree:
+    table = compile_records(tree, records)
+    for day, _, _, _, _ in table.rows:
+        if day > reference_day:
             raise EvaluationError(
-                f"record for ICF code {record.code.text} which is not in the tree"
+                f"record on day {day} is newer than reference day {reference_day}"
             )
-        if record.day > reference_day:
-            raise EvaluationError(
-                f"record on day {record.day} is newer than reference day {reference_day}"
-            )
-        key = (tree.parents[record.code], record.source_id)
-        fanout[key] = fanout.get(key, 0) + 1
-        placed.append((record, key))
-    qualifiers: dict[IcfCode, list[AttachedQualifier]] = {}
-    for record, key in placed:
-        qualifiers.setdefault(record.code, []).append(
-            AttachedQualifier(
-                value=float(record.value),
-                alpha=spec.gamma ** (reference_day - record.day),
-                reliability=record.reliability,
-                source_id=record.source_id,
-                uniqueness=1.0 / fanout[key],
-            )
-        )
-    return AttachedTree(tree, reference_day,
-                        {code: tuple(quals) for code, quals in qualifiers.items()})
+    return AttachedTree(table, reference_day, spec.gamma)
 
 
-def _direct(qualifiers: Iterable[AttachedQualifier]) -> list[tuple]:
-    """(value, alpha, r, weight alpha*r) of a node's own qualifiers."""
-    return [(q.value, q.alpha, q.reliability, q.alpha * q.reliability) for q in qualifiers]
-
-
-def _aggregate(code: "IcfCode | None", contributions: list[tuple], spec: WeightingSpec):
+def _aggregate(tree: IcfTree, slot: int, contributions: list[tuple], spec: WeightingSpec):
     """The (x, alpha, r) of one node from its (value, alpha, r, weight)
     contributions, and the normalized weights."""
     values, alphas, rels, weights = zip(*contributions)
     try:
         normed = normalize_weights(weights)
     except ValueError:
-        label = "root" if code is None else code.text
+        label = "root" if slot == ROOT_SLOT else tree.slot_codes[slot].text
         raise EvaluationError(
             f"all contribution weights at node {label} are zero (reliability and/or "
             "time weights vanish); the node cannot be aggregated"
         ) from None
-    x = apply_curve(spec, math.fsum(w * v for w, v in zip(normed, values)))
+    x = apply_curve(spec, math.fsum(map(mul, normed, values)))
     # convex combinations of values in [0, 1]; clip float dust at the ends
-    alpha_q = min(max(math.fsum(w * a for w, a in zip(normed, alphas)), 0.0), 1.0)
-    r_q = min(max(math.fsum(w * r for w, r in zip(normed, rels)), 0.0), 1.0)
-    return NodeResult(x=x, alpha=alpha_q, reliability=r_q), tuple(normed)
+    alpha_q = min(max(math.fsum(map(mul, normed, alphas)), 0.0), 1.0)
+    r_q = min(max(math.fsum(map(mul, normed, rels)), 0.0), 1.0)
+    return (x, alpha_q, r_q), tuple(normed)
+
+
+def _roll_up(
+    table: RecordTable,
+    day: int,
+    gamma: float,
+    spec: WeightingSpec,
+    min_raw: float,
+    max_raw: float,
+    audit: bool,
+) -> EvaluationReport | None:
+    """Roll the records visible on ``day`` up to the root and report the
+    index, the root alpha/r and the profile; None when no record is
+    visible.
+
+    A node with children is calculated in the tree's bottom-up order; a
+    leaf never is, its qualifiers flow into its parent.  A component with
+    data on the bare letter alone is scored from its own qualifiers.
+    """
+    visible, alphas, fanout = _visible(table, day, gamma)
+    if not visible:
+        return None
+    tree = table.tree
+    # a calculated node's qualifiers are direct, with weight alpha*r; a
+    # leaf's flow into its parent with weight alpha*r*u
+    calculated = {slot for slot, _ in table.nodes}
+    direct: dict[int, list[tuple]] = {}
+    as_leaf: dict[int, list[tuple]] = {}
+    for d, slot, key, value, r in visible:
+        alpha = alphas[d]
+        if slot in calculated:
+            direct.setdefault(slot, []).append((value, alpha, r, alpha * r))
+        else:
+            u = 1.0 / fanout[key]
+            as_leaf.setdefault(slot, []).append((value, alpha, r, alpha * r * u))
+    results = [None] * len(tree)  # slot -> (x, alpha, r)
+    audits: list[NodeAudit] = []
+    for slot, children in table.nodes:
+        contributions = direct.get(slot, [])
+        for child in children:
+            res = results[child]
+            if res is not None:
+                contributions.append((*res, res[1] * res[2]))
+            elif child in as_leaf:
+                contributions += as_leaf[child]
+        if not contributions:
+            continue
+        res, normed = _aggregate(tree, slot, contributions, spec)
+        results[slot] = res
+        if audit:
+            audits.append(NodeAudit(code="" if slot == ROOT_SLOT else tree.slot_codes[slot].text,
+                                    normalized_weights=normed, result=NodeResult(*res)))
+
+    scores = {}
+    for child in table.nodes[-1][1]:  # the components, in the order of the tree
+        res = results[child]
+        if res is None and child in as_leaf:  # data on the bare letter alone
+            res, _ = _aggregate(tree, child, [(v, a, r, a * r) for v, a, r, _ in as_leaf[child]],
+                                spec)
+        if res is not None:
+            comp = tree.slot_codes[child].component
+            scores[comp] = ComponentScore(comp, scale_index(res[0], min_raw, max_raw), res[0])
+    x, alpha, r = results[ROOT_SLOT]  # every visible record reaches the root
+    return EvaluationReport(
+        index=HealthIndex(value=scale_index(x, min_raw, max_raw), raw=x, evaluated_at=day),
+        alpha=alpha,
+        reliability=r,
+        profile=HealthProfile(scores),
+        audits=tuple(audits) if audit else None,
+    )
 
 
 def evaluate_report(
@@ -197,57 +318,13 @@ def evaluate_report(
     audit: bool = False,
 ) -> EvaluationReport:
     """Roll the attached qualifiers up to the root and report the index,
-    the root alpha/r and the profile.
-
-    A node with children is calculated in the tree's bottom-up order; a
-    leaf never is, its qualifiers flow into its parent.  A component with
-    data on the bare letter alone is scored from its own qualifiers.
-    """
-    qualifiers = attached.qualifiers
-    results: dict[IcfCode | None, NodeResult] = {}
-    audits: list[NodeAudit] = []
-    for node in attached.tree.bottom_up:
-        contributions = _direct(qualifiers.get(node.code, ()))
-        for child in node.children:
-            res = results.get(child.code)
-            if res is not None:
-                contributions.append((res.x, res.alpha, res.reliability,
-                                      res.alpha * res.reliability))
-            else:
-                contributions.extend(
-                    (q.value, q.alpha, q.reliability, q.alpha * q.reliability * q.uniqueness)
-                    for q in qualifiers.get(child.code, ())
-                )
-        if not contributions:
-            continue
-        result, normed = _aggregate(node.code, contributions, spec)
-        results[node.code] = result
-        if audit:
-            audits.append(NodeAudit(code="" if node.is_root else node.code.text,
-                                    normalized_weights=normed, result=result))
-
-    root = results.get(None)
-    if root is None:
+    the root alpha/r, the profile and, with ``audit``, every node's
+    normalized weights and result."""
+    report = _roll_up(attached.table, attached.reference_day, attached.gamma, spec,
+                      min_raw, max_raw, audit)
+    if report is None:
         raise EvaluationError("cannot evaluate a tree without any attached qualifiers")
-    scores = {}
-    for child in attached.tree.root.children:
-        res = results.get(child.code)
-        if res is None and child.code in qualifiers:
-            res, _ = _aggregate(child.code, _direct(qualifiers[child.code]), spec)
-        if res is not None:
-            comp = child.code.component
-            scores[comp] = ComponentScore(comp, scale_index(res.x, min_raw, max_raw), res.x)
-    return EvaluationReport(
-        index=HealthIndex(
-            value=scale_index(root.x, min_raw, max_raw),
-            raw=root.x,
-            evaluated_at=attached.reference_day,
-        ),
-        alpha=root.alpha,
-        reliability=root.reliability,
-        profile=HealthProfile(scores),
-        audits=tuple(audits) if audit else None,
-    )
+    return report
 
 
 def evaluate(
@@ -272,6 +349,27 @@ def evaluate_profile(
     return evaluate_report(attached, spec, min_raw=min_raw, max_raw=max_raw).profile
 
 
+def _check_days(days: Sequence[int]) -> None:
+    if list(days) != sorted(days):
+        raise EvaluationError("trajectory days must be sorted ascending")
+
+
+def evaluate_table(
+    table: RecordTable,
+    days: Sequence[int],
+    spec: WeightingSpec,
+    *,
+    min_raw: float = RAW_MIN,
+    max_raw: float = RAW_MAX,
+) -> list[tuple[int, EvaluationReport | None]]:
+    """Evaluate a compiled table on each requested day, using only the
+    records available by that day and the day itself as the decay
+    reference; the report is None on a day before the first record."""
+    _check_days(days)
+    return [(day, _roll_up(table, day, spec.gamma, spec, min_raw, max_raw, False))
+            for day in days]
+
+
 def evaluate_trajectory(
     records: Sequence[QualifierRecord],
     days: Sequence[int],
@@ -281,9 +379,8 @@ def evaluate_trajectory(
     min_raw: float = RAW_MIN,
     max_raw: float = RAW_MAX,
 ) -> list[tuple[int, EvaluationReport | None]]:
-    """Evaluate on each requested day, using only the records available by
-    that day and the day itself as the decay reference; the report is None
-    on a day before the first record.
+    """Compile ``records`` and evaluate them on each requested day, as
+    ``evaluate_table`` does.
 
     The tree defaults to the one spanned by the record codes.  Which nodes
     are leaves comes from the tree passed in: on a cohort-wide tree a code
@@ -292,16 +389,10 @@ def evaluate_trajectory(
     at y = 0.75 gives raw f^4(v) on a tree that also holds b2800, and f^3(v)
     on the record's own tree.
     """
-    if list(days) != sorted(days):
-        raise EvaluationError("trajectory days must be sorted ascending")
-    if tree is None and records:
+    if not records:
+        _check_days(days)
+        return [(day, None) for day in days]
+    if tree is None:
         tree = build_tree({r.code for r in records})
-    out: list[tuple[int, EvaluationReport | None]] = []
-    for day in days:
-        visible = [r for r in records if r.day <= day]
-        report = None
-        if visible:
-            report = evaluate_report(attach(tree, visible, day, spec), spec,
-                                     min_raw=min_raw, max_raw=max_raw)
-        out.append((day, report))
-    return out
+    return evaluate_table(compile_records(tree, records), days, spec,
+                          min_raw=min_raw, max_raw=max_raw)

@@ -390,6 +390,9 @@ def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
 
 
 def records_from_csv(path) -> list[QualifierRecord]:
+    """Read a record CSV as written by ``records_to_csv``.  A malformed row,
+    a value outside [0, 4] or a reliability outside [0, 1] (nan included)
+    is a DataError naming the file and line."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -407,16 +410,22 @@ def records_from_csv(path) -> list[QualifierRecord]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                records.append(
-                    QualifierRecord(
-                        person_id=row[0].strip(),
-                        day=int(row[1]),
-                        source_id=row[2].strip(),
-                        code=parse_code(row[3].strip()),
-                        value=float(row[4]),
-                        reliability=float(row[5]),
-                    )
+                record = QualifierRecord(
+                    person_id=row[0].strip(),
+                    day=int(row[1]),
+                    source_id=row[2].strip(),
+                    code=parse_code(row[3].strip()),
+                    value=float(row[4]),
+                    reliability=float(row[5]),
                 )
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            # the comparisons are False for nan, so nan is rejected too
+            if not QUALIFIER_MIN <= record.value <= QUALIFIER_MAX:
+                raise DataError(f"{path}:{lineno}: qualifier value {row[4].strip()!r} "
+                                f"outside [{QUALIFIER_MIN:g}, {QUALIFIER_MAX:g}]")
+            if not 0.0 <= record.reliability <= 1.0:
+                raise DataError(f"{path}:{lineno}: reliability {row[5].strip()!r} "
+                                "outside [0, 1]")
+            records.append(record)
     return records

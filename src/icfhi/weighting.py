@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from .errors import ConfigError, FitError
 
 X_MIN, X_MAX = 0.0, 4.0
@@ -73,6 +71,8 @@ def _fit_logarithmic(y: float) -> CurveParams:
     def residual(u: float) -> float:
         b = math.exp(u)
         return y * math.log1p(4.0 * b) / math.log1p(2.0 * b) - 4.0
+
+    from scipy.optimize import brentq  # imported here: slow, and only needed here
 
     lo_u, hi_u = math.log(1e-12), 700.0
     if residual(hi_u) > 0.0:

@@ -10,9 +10,11 @@ from icfhi import (
     Person,
     RawAnswer,
     SynthConfig,
+    apply_rules,
     bin_by_sequence_length,
     default_rules,
     eqvas_vs_hi,
+    evaluate_trajectory,
     form_groups,
     make_spec,
     max_pain_by_day,
@@ -22,7 +24,7 @@ from icfhi import (
     synthesize,
 )
 
-from conftest import GAMMA_THIRD_30
+from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30
 
 
 def _person_with_days(pid, days):
@@ -290,3 +292,18 @@ def test_boxplot_stats_match_numpy():
     assert report.boxplot.median == pytest.approx(float(np.median(coeffs)), abs=1e-12)
     assert report.boxplot.whisker_low >= coeffs.min() - 1e-12
     assert report.boxplot.whisker_high <= coeffs.max() + 1e-12
+
+
+def test_hi_equals_the_trajectory_value():
+    store = synthesize(SynthConfig(seed=5, n_persons=10, max_visits=8))
+    evaluator = CohortEvaluator(store, default_rules())
+    for y in (0.75, 2.0, 3.25):
+        for gamma in (GAMMA_TWENTIETH_30, GAMMA_THIRD_30, 1.0):
+            spec = make_spec(y, gamma)
+            for person in store:
+                records = apply_rules(person.answers, default_rules())
+                days = [-1, *person.days]
+                trajectory = evaluate_trajectory(records, days, spec, tree=evaluator.tree)
+                for day, report in trajectory:
+                    want = None if report is None else report.index.value
+                    assert evaluator.hi(person.person_id, day, spec) == want

@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import icfhi
 from icfhi.cli import main
 
 from conftest import GAMMA_THIRD_30
@@ -12,6 +16,14 @@ from conftest import GAMMA_THIRD_30
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package on its path."""
+    src = str(Path(icfhi.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
 
 
 def read(path):
@@ -229,6 +241,37 @@ def test_config_file_supplies_defaults(tmp_path, capsys, monkeypatch):
 def test_missing_records_file_is_data_error(tmp_path):
     assert run("index", "--records", str(tmp_path / "none.csv"),
                "--out", str(tmp_path / "o")) == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only curve fitting and p-values; link and index never need it
+    proc = run_python("-c", "import sys, icfhi.cli; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value, reliability", [("7", "1"), ("nan", "1"), ("2", "-1")])
+def test_index_out_of_range_record_is_data_error(tmp_path, capsys, value, reliability):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "person_id,day,source_id,code,value,reliability\n"
+        "p,0,s1,b280,2,1\n"
+        f"p,1,s2,b280,{value},{reliability}\n"
+    )
+    assert run("index", "--records", str(records), "--out", str(tmp_path / "out")) == 3
+    assert f"{records}:3" in capsys.readouterr().err
+
+
+def test_index_out_of_range_record_exits_3_without_traceback(tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text("person_id,day,source_id,code,value,reliability\n"
+                       "p,0,s1,b280,7,1\n")
+    proc = run_python("-m", "icfhi.cli", "index", "--records", str(records),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    assert f"{records}:2: qualifier value '7' outside [0, 4]" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_index_per_person_failure_logged_run_continues(tmp_path, capsys):

@@ -137,13 +137,13 @@ def test_codes_from_text():
 def test_attach_leaves_tree_unchanged():
     tree = build_tree({"b2801", "d450"})
     shape = [(node.code, node.children) for node in tree.iter_nodes()]
-    parents, bottom_up = dict(tree.parents), tree.bottom_up
+    slots, parents, bottom_up = dict(tree.slots), tree.parent_slots, tree.bottom_up
     spec = make_spec(2.0, 1.0)
     first = attach(tree, [QualifierRecord("p", 0, "s", parse_code("b2801"), 1.0, 1.0)], 0, spec)
     second = attach(tree, [QualifierRecord("q", 0, "s", parse_code("d450"), 3.0, 1.0),
                            QualifierRecord("q", 0, "t", parse_code("b280"), 2.0, 1.0)], 0, spec)
     assert [(node.code, node.children) for node in tree.iter_nodes()] == shape
-    assert tree.parents == parents and tree.bottom_up == bottom_up
+    assert tree.slots == slots and tree.parent_slots == parents and tree.bottom_up == bottom_up
     # two attachments on one tree share it and nothing else
     assert first.tree is second.tree is tree
     assert set(first.qualifiers) == {parse_code("b2801")}

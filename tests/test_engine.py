@@ -16,6 +16,7 @@ from icfhi import (
     make_spec,
     nint,
     parse_code,
+    parse_gamma,
     scale_index,
 )
 
@@ -27,6 +28,7 @@ from conftest import (
     WORKED_NODE_X,
     worked_example_records,
 )
+import oracle
 from oracle import brute_force_evaluate, brute_force_hi, random_case
 
 
@@ -343,6 +345,91 @@ def test_trajectory_requires_sorted_days():
     spec = make_spec(2.0, 1.0)
     with pytest.raises(EvaluationError):
         evaluate_trajectory(_records(("b280", 1, 0)), [10, 0], spec)
+
+
+def test_uniqueness_counts_a_source_reused_on_a_later_day():
+    # a source on two siblings on day 0 and on a third sibling on day 10:
+    # u is 1/2 as of day 5 and 1/3 from day 10 on
+    spec = make_spec(2.0, 1.0)
+    records = _records(("b2800", 4, 0, 1.0, "s"), ("b2801", 4, 0, 1.0, "s"),
+                       ("b2809", 0, 0, 1.0, "solo"), ("b2802", 1, 10, 1.0, "s"))
+    tree = build_tree({r.code for r in records})
+    early = [r for r in records if r.day <= 5]
+    assert [q.uniqueness for q in attach(tree, early, 5, spec).qualifiers[parse_code("b2800")]] \
+        == [0.5]
+    later = attach(tree, records, 10, spec)
+    assert [later.qualifiers[parse_code(c)][0].uniqueness for c in ("b2800", "b2801", "b2802")] \
+        == [1.0 / 3.0] * 3
+    trajectory = evaluate_trajectory(records, [5, 10], spec, tree=tree)
+    # the shared source keeps half of the weight at b280, spread over its
+    # records: (4 + 4) / 2 / 2 on day 5, (4 + 4 + 1) / 3 / 2 on day 10
+    assert trajectory[0][1].index.raw == pytest.approx(2.0, abs=1e-12)
+    assert trajectory[1][1].index.raw == pytest.approx(1.5, abs=1e-12)
+    assert trajectory[1][1] == evaluate_report(later, spec)
+
+
+# ---------------------------------------------------------------------------
+# the compiled trajectory kernel against the single-day path and the oracle
+
+KERNEL_YS = (0.75, 2.0, 3.25)
+KERNEL_GAMMAS = ("1/20@30", "1/3@30", "1")
+
+
+def _random_cohort(seed, n_persons=4):
+    """Multi-day persons: each source of an oracle case gets a day, and two
+    sources come back on a later day under the same parent, so their fanout
+    u grows over time.  Returns the persons' records and a cohort tree that
+    also holds a child of some record codes (a leaf for the person, not for
+    the tree)."""
+    rng = random.Random(seed)
+    persons = []
+    for p in range(n_persons):
+        case, _, _ = random_case(seed * 100 + p, int_values=False)
+        days = sorted(rng.sample(range(90), rng.randint(2, 5)))
+        day_of = {}
+        records = [QualifierRecord(f"p{p}", day_of.setdefault(src, rng.choice(days)), src,
+                                   parse_code(code), value, rel)
+                   for code, value, _, rel, src in case]
+        for old in rng.sample(records, min(2, len(records))):
+            records.append(QualifierRecord(old.person_id, old.day + rng.randint(1, 30),
+                                           old.source_id, old.code, rng.uniform(0, 4),
+                                           old.reliability))
+        persons.append(records)
+    codes = {r.code for records in persons for r in records}
+    extra = {parse_code(c.text + {0: "1", 1: "01", 2: "1", 3: "1"}[c.level])
+             for c in rng.sample(sorted(codes), len(codes) // 3) if c.level < 4}
+    return persons, build_tree(codes | extra)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch):
+    persons, tree = _random_cohort(seed)
+    # the oracle derives its tree from the records: give it the cohort's
+    cohort_texts = {c.text for c in tree.codes}
+    children_map = oracle.children_map
+    monkeypatch.setattr(oracle, "children_map", lambda _texts: children_map(cohort_texts))
+    for records in persons:
+        record_days = sorted({r.day for r in records})
+        days = [record_days[0] - 1, *record_days, record_days[-1] + 7]
+        for y in KERNEL_YS:
+            for gamma_text in KERNEL_GAMMAS:
+                spec = make_spec(y, parse_gamma(gamma_text))
+                trajectory = evaluate_trajectory(records, days, spec, tree=tree)
+                assert [day for day, _ in trajectory] == days
+                for day, report in trajectory:
+                    visible = [r for r in records if r.day <= day]
+                    if not visible:
+                        assert report is None
+                        continue
+                    assert report == evaluate_report(attach(tree, visible, day, spec), spec)
+                    plain = [(r.code.text, r.value, r.day, r.reliability, r.source_id)
+                             for r in visible]
+                    raw, alpha, rel, _ = brute_force_evaluate(
+                        plain, spec.gamma, day, lambda x: apply_curve(spec, x))
+                    label = f"seed {seed} {records[0].person_id} day {day} {gamma_text} y={y}"
+                    assert report.index.raw == pytest.approx(raw, abs=1e-9), label
+                    assert report.alpha == pytest.approx(alpha, abs=1e-9), label
+                    assert report.reliability == pytest.approx(rel, abs=1e-9), label
 
 
 # ---------------------------------------------------------------------------

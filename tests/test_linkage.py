@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -255,3 +256,32 @@ def test_records_csv_round_trip(tmp_path):
     assert sorted(loaded, key=lambda r: (r.person_id, r.code)) == sorted(
         records, key=lambda r: (r.person_id, r.code)
     )
+
+
+def _one_record_csv(tmp_path, value, reliability):
+    path = tmp_path / "records.csv"
+    path.write_text("person_id,day,source_id,code,value,reliability\n"
+                    "p,0,s1,b280,2,1\n"
+                    f"p,1,s2,b280,{value},{reliability}\n")
+    return path
+
+
+@pytest.mark.parametrize("value, reliability, field", [
+    ("7", "1", "qualifier value"),
+    ("-0.5", "1", "qualifier value"),
+    ("nan", "1", "qualifier value"),
+    ("inf", "1", "qualifier value"),
+    ("2", "-1", "reliability"),
+    ("2", "1.5", "reliability"),
+    ("2", "nan", "reliability"),
+])
+def test_records_from_csv_rejects_out_of_range(tmp_path, value, reliability, field):
+    path = _one_record_csv(tmp_path, value, reliability)
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: {field}")):
+        records_from_csv(path)
+
+
+def test_records_from_csv_accepts_range_ends(tmp_path):
+    for value, reliability in (("0", "0"), ("4", "1")):
+        [_, record] = records_from_csv(_one_record_csv(tmp_path, value, reliability))
+        assert (record.value, record.reliability) == (float(value), float(reliability))
