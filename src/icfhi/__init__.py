@@ -28,10 +28,7 @@ from .codes import (
     COMPONENTS,
     IcfCode,
     IcfTree,
-    Node,
     build_tree,
-    codes_from_text,
-    parent_of,
     parse_code,
 )
 from .cohort import (
@@ -48,21 +45,17 @@ from .cohort import (
 )
 from .engine import (
     AttachedQualifier,
-    AttachedTree,
     ComponentScore,
     EvaluationReport,
     HealthIndex,
     HealthProfile,
     NodeResult,
     RecordTable,
-    attach,
     compile_records,
-    evaluate,
-    evaluate_profile,
-    evaluate_report,
     evaluate_table,
     evaluate_trajectory,
     nint,
+    qualifiers,
     scale_index,
 )
 from .errors import (
@@ -83,10 +76,6 @@ from .linkage import (
     load_rules,
     records_from_csv,
     records_to_csv,
-    translate_eq5d,
-    translate_machine,
-    translate_odi,
-    translate_pain_vas,
 )
 from .weighting import (
     CurveParams,

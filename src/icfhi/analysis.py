@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -158,11 +158,8 @@ class CohortEvaluator:
     person's records compiled against it, and caches per (person, day,
     gamma, y) index evaluations."""
 
-    def __init__(self, store: CohortStore, rules: RuleSet, *,
-                 min_raw: float = 0.0, max_raw: float = 4.0):
+    def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store
-        self.min_raw = min_raw
-        self.max_raw = max_raw
         records = {person.person_id: apply_rules(person.answers, rules) for person in store}
         codes = {r.code for recs in records.values() for r in recs}
         self.tree: IcfTree | None = build_tree(codes) if codes else None
@@ -179,13 +176,9 @@ class CohortEvaluator:
             table = self.tables.get(person_id)
             report = None
             if table is not None:
-                [(_, report)] = evaluate_table(table, [day], spec, min_raw=self.min_raw,
-                                               max_raw=self.max_raw)
+                [(_, report)] = evaluate_table(table, [day], spec)
             self._cache[key] = None if report is None else report.index.value
         return self._cache[key]
-
-    def seed_cache(self, entries: Iterable[tuple[tuple, "int | None"]]) -> None:
-        self._cache.update(entries)
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],
                    workers: int = 1) -> None:
@@ -199,22 +192,16 @@ class CohortEvaluator:
             if table is None:
                 continue
             days = sorted({row[0] for row in table.rows} | set(self.store.person(pid).eqvas))
-            payloads.append((pid, table, days, [(s.y, s.gamma) for s in specs],
-                             self.min_raw, self.max_raw))
+            payloads.append((pid, table, days, specs))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for entries in pool.map(_trajectory_task, payloads, chunksize=4):
-                self.seed_cache(entries)
+                self._cache.update(entries)
 
 
 def _trajectory_task(payload):
-    pid, table, days, spec_params, min_raw, max_raw = payload
-    out = []
-    for y, gamma in spec_params:
-        trajectory = evaluate_table(table, days, make_spec(y, gamma),
-                                    min_raw=min_raw, max_raw=max_raw)
-        out.extend(((pid, day, gamma, y), None if report is None else report.index.value)
-                   for day, report in trajectory)
-    return out
+    pid, table, days, specs = payload
+    return [((pid, day, spec.gamma, spec.y), None if report is None else report.index.value)
+            for spec in specs for day, report in evaluate_table(table, days, spec)]
 
 
 def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],

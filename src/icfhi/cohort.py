@@ -62,9 +62,6 @@ class Person:
         """All measurement days (instrument answers and EQ-VAS), sorted."""
         return sorted({a.day for a in self.answers} | set(self.eqvas))
 
-    def answers_on(self, day: int) -> list[RawAnswer]:
-        return [a for a in self.answers if a.day == day]
-
 
 @dataclass(frozen=True)
 class TreatmentStats:

@@ -20,11 +20,12 @@ node only through its value, so every record reaches the root along exactly
 one path.  The raw root value in [0, 4] is inverted and scaled to the 0-100
 health index.
 
-There is one roll-up.  ``evaluate_table`` runs it on each requested day of a
-compiled table; ``evaluate_trajectory`` compiles and then calls it, and
-``attach`` with ``evaluate_report`` is its single-day case, with per-node
-audits on request.  Every step is pure: the tree and the table are never
-changed, so repeated evaluations are identical.
+There is one way to evaluate: ``compile_records`` once per person and
+tree, then ``evaluate_table`` for any days and weighting specs, with
+per-node audits on request; ``evaluate_trajectory`` does both in one call
+and ``qualifiers`` shows the alpha, r and u of each record on a day.  Every
+step is pure: the tree and the table are never changed, so repeated
+evaluations are identical.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ RAW_MIN, RAW_MAX = 0.0, 4.0
 
 @dataclass(frozen=True)
 class AttachedQualifier:
-    """One qualifier placed on a tree node for an evaluation."""
+    """One record's qualifier as an evaluation on some day sees it."""
 
     value: float
     alpha: float
@@ -155,8 +156,8 @@ def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> Record
         while slot >= 0 and slot not in on_path:
             on_path.add(slot)
             slot = parent_slots[slot]
-    nodes = tuple((slot, tuple(child for child in children if child in on_path))
-                  for slot, children in tree.bottom_up if slot in on_path)
+    nodes = tuple((slot, tuple(child for child in tree.child_slots[slot] if child in on_path))
+                  for slot in tree.bottom_up if slot in on_path)
     return RecordTable(tree, tuple(rows), tuple(keys), nodes)
 
 
@@ -173,51 +174,18 @@ def _visible(table: RecordTable, day: int, gamma: float):
     return visible, alphas, fanout
 
 
-@dataclass(frozen=True)
-class AttachedTree:
-    """Qualifier records placed on a tree as of one reference day: the
-    compiled table, the day, and the gamma of the time weights."""
-
-    table: RecordTable
-    reference_day: int
-    gamma: float
-
-    @property
-    def tree(self) -> IcfTree:
-        return self.table.tree
-
-    @property
-    def qualifiers(self) -> dict[IcfCode, tuple[AttachedQualifier, ...]]:
-        """Every code that has records, with its qualifiers in record order.
-        Built on request for inspection; the roll-up reads the table."""
-        codes, keys = self.tree.slot_codes, self.table.keys
-        out: dict[IcfCode, list[AttachedQualifier]] = {}
-        visible, alphas, fanout = _visible(self.table, self.reference_day, self.gamma)
-        for d, slot, key, value, r in visible:
-            out.setdefault(codes[slot], []).append(
-                AttachedQualifier(value, alphas[d], r, keys[key][1], 1.0 / fanout[key]))
-        return {code: tuple(quals) for code, quals in out.items()}
-
-
-def attach(
-    tree: IcfTree,
-    records: Iterable[QualifierRecord],
-    reference_day: int,
-    spec: WeightingSpec,
-) -> AttachedTree:
-    """Place qualifier records on ``tree`` as of ``reference_day``.
-
-    Each record's time weight is gamma**(reference_day - day).  A source
-    linked to z qualifiers across the children of one parent gets
-    uniqueness u = 1/z on each.
-    """
-    table = compile_records(tree, records)
-    for day, _, _, _, _ in table.rows:
-        if day > reference_day:
-            raise EvaluationError(
-                f"record on day {day} is newer than reference day {reference_day}"
-            )
-    return AttachedTree(table, reference_day, spec.gamma)
+def qualifiers(table: RecordTable, day: int,
+               gamma: float) -> dict[IcfCode, tuple[AttachedQualifier, ...]]:
+    """Every code with a record visible on ``day``, with its qualifiers in
+    record order: value, time weight gamma**(day - d), r, source and u.
+    Built on request for inspection; the roll-up reads the table."""
+    codes, keys = table.tree.slot_codes, table.keys
+    out: dict[IcfCode, list[AttachedQualifier]] = {}
+    visible, alphas, fanout = _visible(table, day, gamma)
+    for d, slot, key, value, r in visible:
+        out.setdefault(codes[slot], []).append(
+            AttachedQualifier(value, alphas[d], r, keys[key][1], 1.0 / fanout[key]))
+    return {code: tuple(quals) for code, quals in out.items()}
 
 
 def _aggregate(tree: IcfTree, slot: int, contributions: list[tuple], spec: WeightingSpec):
@@ -239,15 +207,8 @@ def _aggregate(tree: IcfTree, slot: int, contributions: list[tuple], spec: Weigh
     return (x, alpha_q, r_q), tuple(normed)
 
 
-def _roll_up(
-    table: RecordTable,
-    day: int,
-    gamma: float,
-    spec: WeightingSpec,
-    min_raw: float,
-    max_raw: float,
-    audit: bool,
-) -> EvaluationReport | None:
+def _roll_up(table: RecordTable, day: int, spec: WeightingSpec,
+             audit: bool) -> EvaluationReport | None:
     """Roll the records visible on ``day`` up to the root and report the
     index, the root alpha/r and the profile; None when no record is
     visible.
@@ -256,7 +217,7 @@ def _roll_up(
     leaf never is, its qualifiers flow into its parent.  A component with
     data on the bare letter alone is scored from its own qualifiers.
     """
-    visible, alphas, fanout = _visible(table, day, gamma)
+    visible, alphas, fanout = _visible(table, day, spec.gamma)
     if not visible:
         return None
     tree = table.tree
@@ -298,55 +259,15 @@ def _roll_up(
                                 spec)
         if res is not None:
             comp = tree.slot_codes[child].component
-            scores[comp] = ComponentScore(comp, scale_index(res[0], min_raw, max_raw), res[0])
+            scores[comp] = ComponentScore(comp, scale_index(res[0]), res[0])
     x, alpha, r = results[ROOT_SLOT]  # every visible record reaches the root
     return EvaluationReport(
-        index=HealthIndex(value=scale_index(x, min_raw, max_raw), raw=x, evaluated_at=day),
+        index=HealthIndex(value=scale_index(x), raw=x, evaluated_at=day),
         alpha=alpha,
         reliability=r,
         profile=HealthProfile(scores),
         audits=tuple(audits) if audit else None,
     )
-
-
-def evaluate_report(
-    attached: AttachedTree,
-    spec: WeightingSpec,
-    *,
-    min_raw: float = RAW_MIN,
-    max_raw: float = RAW_MAX,
-    audit: bool = False,
-) -> EvaluationReport:
-    """Roll the attached qualifiers up to the root and report the index,
-    the root alpha/r, the profile and, with ``audit``, every node's
-    normalized weights and result."""
-    report = _roll_up(attached.table, attached.reference_day, attached.gamma, spec,
-                      min_raw, max_raw, audit)
-    if report is None:
-        raise EvaluationError("cannot evaluate a tree without any attached qualifiers")
-    return report
-
-
-def evaluate(
-    attached: AttachedTree,
-    spec: WeightingSpec,
-    *,
-    min_raw: float = RAW_MIN,
-    max_raw: float = RAW_MAX,
-) -> HealthIndex:
-    """Roll the attached qualifiers up to the root and scale to the 0-100 index."""
-    return evaluate_report(attached, spec, min_raw=min_raw, max_raw=max_raw).index
-
-
-def evaluate_profile(
-    attached: AttachedTree,
-    spec: WeightingSpec,
-    *,
-    min_raw: float = RAW_MIN,
-    max_raw: float = RAW_MAX,
-) -> HealthProfile:
-    """Per-component scaled scores from the same roll-up as ``evaluate``."""
-    return evaluate_report(attached, spec, min_raw=min_raw, max_raw=max_raw).profile
 
 
 def _check_days(days: Sequence[int]) -> None:
@@ -359,15 +280,15 @@ def evaluate_table(
     days: Sequence[int],
     spec: WeightingSpec,
     *,
-    min_raw: float = RAW_MIN,
-    max_raw: float = RAW_MAX,
+    audit: bool = False,
 ) -> list[tuple[int, EvaluationReport | None]]:
     """Evaluate a compiled table on each requested day, using only the
     records available by that day and the day itself as the decay
-    reference; the report is None on a day before the first record."""
+    reference; the report is None on a day before the first record.  With
+    ``audit`` each report also carries every calculated node's normalized
+    weights and result."""
     _check_days(days)
-    return [(day, _roll_up(table, day, spec.gamma, spec, min_raw, max_raw, False))
-            for day in days]
+    return [(day, _roll_up(table, day, spec, audit)) for day in days]
 
 
 def evaluate_trajectory(
@@ -376,8 +297,6 @@ def evaluate_trajectory(
     spec: WeightingSpec,
     *,
     tree: IcfTree | None = None,
-    min_raw: float = RAW_MIN,
-    max_raw: float = RAW_MAX,
 ) -> list[tuple[int, EvaluationReport | None]]:
     """Compile ``records`` and evaluate them on each requested day, as
     ``evaluate_table`` does.
@@ -394,5 +313,4 @@ def evaluate_trajectory(
         return [(day, None) for day in days]
     if tree is None:
         tree = build_tree({r.code for r in records})
-    return evaluate_table(compile_records(tree, records), days, spec,
-                          min_raw=min_raw, max_raw=max_raw)
+    return evaluate_table(compile_records(tree, records), days, spec)

@@ -25,17 +25,6 @@ if TYPE_CHECKING:
 
 QUALIFIER_MIN, QUALIFIER_MAX = 0.0, 4.0
 
-# Oswestry disability index: six answer levels onto five qualifiers
-ODI_TABLE = {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 5: 4}
-
-# pain VAS 0-10 onto qualifiers
-PAIN_VAS_TABLE = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3, 9: 4, 10: 4}
-
-# machine tests: relative deficit percentage intervals onto qualifiers;
-# first interval closed, the rest half-open (low, high]
-MACHINE_BREAKS = (0.0, 4.0, 24.0, 49.0, 95.0, 100.0)
-MACHINE_QUALIFIERS = (0, 1, 2, 3, 4)
-
 
 def _require_int(answer, what: str) -> int:
     if isinstance(answer, bool) or (isinstance(answer, float) and not answer.is_integer()):
@@ -44,45 +33,6 @@ def _require_int(answer, what: str) -> int:
         return int(answer)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be an integer, got {answer!r}") from None
-
-
-def translate_odi(answer: int) -> int:
-    """ODI answer 0-5 to qualifier (0,1,2,3,3,4)."""
-    value = _require_int(answer, "ODI answer")
-    if value not in ODI_TABLE:
-        raise ValueError(f"ODI answer out of range 0-5: {answer!r}")
-    return ODI_TABLE[value]
-
-
-def translate_eq5d(answer: int) -> int:
-    """EQ-5D-5L answer 1-5 maps directly onto qualifier answer-1."""
-    value = _require_int(answer, "EQ-5D answer")
-    if not 1 <= value <= 5:
-        raise ValueError(f"EQ-5D answer out of range 1-5: {answer!r}")
-    return value - 1
-
-
-def translate_pain_vas(answer: int) -> int:
-    """Pain VAS answer 0-10 to qualifier."""
-    value = _require_int(answer, "pain VAS answer")
-    if value not in PAIN_VAS_TABLE:
-        raise ValueError(f"pain VAS answer out of range 0-10: {answer!r}")
-    return PAIN_VAS_TABLE[value]
-
-
-def translate_machine(relative_change_pct: float) -> int:
-    """Machine-test relative deficit percentage (0-100) to qualifier.
-
-    Readings better than the reference population must already be clamped
-    to 0% by the caller; values outside [0, 100] are rejected.
-    """
-    pct = float(relative_change_pct)
-    if not MACHINE_BREAKS[0] <= pct <= MACHINE_BREAKS[-1]:
-        raise ValueError(f"machine relative change out of range 0-100: {relative_change_pct!r}")
-    for high, qualifier in zip(MACHINE_BREAKS[1:], MACHINE_QUALIFIERS):
-        if pct <= high:
-            return qualifier
-    raise AssertionError("unreachable: breaks cover [0, 100]")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 """Shared fixtures: the worked tree example and its hand-derived values."""
 
+import functools
 import math
 
 import pytest
 
-from icfhi import QualifierRecord, build_tree, make_spec, parse_code
+from icfhi import (
+    QualifierRecord,
+    build_tree,
+    compile_records,
+    default_rules,
+    evaluate_table,
+    make_spec,
+    parse_code,
+)
 
 # gamma giving a 30-day-old qualifier one third of its weight
 GAMMA_THIRD_30 = (1.0 / 3.0) ** (1.0 / 30.0)
@@ -52,3 +61,21 @@ def worked_tree(worked_records):
 def linear_spec_third():
     """Linear curve with the one-third-over-30-days decay."""
     return make_spec(2.0, GAMMA_THIRD_30)
+
+
+def report_on(records, day, spec, *, tree=None, audit=False):
+    """The report of ``records`` as of ``day``: compile them against
+    ``tree`` (by default the tree of their codes) and evaluate that day."""
+    if tree is None:
+        tree = build_tree({r.code for r in records})
+    [(_, report)] = evaluate_table(compile_records(tree, records), [day], spec, audit=audit)
+    return report
+
+
+@functools.cache
+def shipped_translation(instrument):
+    """The value translation of the bundled rules of ``instrument``
+    (``odi``, ``eq5d``, ``pain_vas`` or ``machine``), which all its rules share."""
+    rules = [rule for rule in default_rules() if rule.source_item_id.startswith(f"{instrument}:")]
+    assert rules and all(rule.translation == rules[0].translation for rule in rules)
+    return rules[0].translation.translate

@@ -15,24 +15,20 @@ from icfhi import (
     SynthConfig,
     apply_curve,
     apply_rules,
-    attach,
     bin_by_sequence_length,
     build_tree,
+    compile_records,
     default_rules,
     eqvas_vs_hi,
-    evaluate_report,
     fit_curve,
     form_groups,
     make_spec,
     maxpain_vs_hi,
     parse_code,
+    qualifiers,
     scale_index,
     synthesize,
     time_weight,
-    translate_eq5d,
-    translate_machine,
-    translate_odi,
-    translate_pain_vas,
 )
 from icfhi.cli import main as cli_main
 
@@ -41,6 +37,8 @@ from conftest import (
     GAMMA_TWENTIETH_30,
     WORKED_HI,
     WORKED_NODE_X,
+    report_on,
+    shipped_translation,
     worked_example_records,
 )
 from oracle import brute_force_evaluate, random_case
@@ -72,11 +70,7 @@ def _to_records(plain):
 
 
 def _evaluate(plain, gamma, reference_day, audit=False):
-    spec = make_spec(2.0, gamma)
-    records = _to_records(plain)
-    tree = build_tree({r.code for r in records})
-    attached = attach(tree, records, reference_day, spec)
-    return evaluate_report(attached, spec, audit=audit)
+    return report_on(_to_records(plain), reference_day, make_spec(2.0, gamma), audit=audit)
 
 
 @criterion("scale anchors")
@@ -114,9 +108,7 @@ def test_oracle_equivalence():
 @criterion("worked example (x_b2801 and health index)")
 def test_worked_example():
     spec = make_spec(2.0, GAMMA_THIRD_30)
-    records = worked_example_records()
-    tree = build_tree({r.code for r in records})
-    report = evaluate_report(attach(tree, records, 30, spec), spec, audit=True)
+    report = report_on(worked_example_records(), 30, spec, audit=True)
     node = next(a.result for a in report.audits if a.code == "b2801")
     # hand-derived independently: 49 / (34 + 13.5/sqrt(3)) = 1.1724106796905387
     assert abs(node.x - WORKED_NODE_X) < 1e-4   # stated tolerance
@@ -171,13 +163,16 @@ def test_normalization():
 
 @criterion("linkage tables (exhaustive) and worked translations")
 def test_linkage_tables():
-    assert [translate_odi(a) for a in range(6)] == [0, 1, 2, 3, 3, 4]
-    assert [translate_eq5d(a) for a in range(1, 6)] == [0, 1, 2, 3, 4]
-    assert [translate_pain_vas(a) for a in range(11)] == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 4]
+    # the translations of the bundled rules, which apply_rules uses
+    odi, eq5d = shipped_translation("odi"), shipped_translation("eq5d")
+    pain_vas, machine = shipped_translation("pain_vas"), shipped_translation("machine")
+    assert [odi(a) for a in range(6)] == [0, 1, 2, 3, 3, 4]
+    assert [eq5d(a) for a in range(1, 6)] == [0, 1, 2, 3, 4]
+    assert [pain_vas(a) for a in range(11)] == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 4]
     machine_expected = {0: 0, 4: 0, 4.5: 1, 24: 1, 24.5: 2, 49: 2, 49.5: 3,
                         95: 3, 95.5: 4, 100: 4, 20: 1}
     for pct, qualifier in machine_expected.items():
-        assert translate_machine(pct) == qualifier
+        assert machine(pct) == qualifier
 
     rules = default_rules()
     from icfhi import RawAnswer
@@ -201,11 +196,11 @@ def test_uniqueness():
         ]
         records.append(QualifierRecord("p", 0, "solo", parse_code("b2809"), 0.0, 1.0))
         tree = build_tree({r.code for r in records})
-        attached = attach(tree, records, 0, spec)
+        quals = qualifiers(compile_records(tree, records), 0, spec.gamma)
         for i in range(z):
-            (qual,) = attached.qualifiers[parse_code(f"b280{i}")]
+            (qual,) = quals[parse_code(f"b280{i}")]
             assert qual.uniqueness == 1.0 / z
-        report = evaluate_report(attached, spec, audit=True)
+        report = report_on(records, 0, spec, tree=tree, audit=True)
         parent = next(a for a in report.audits if a.code == "b280")
         # weights: z shared contributions of u/z each, one solo contribution
         weights = sorted(parent.normalized_weights)

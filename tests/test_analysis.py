@@ -307,3 +307,16 @@ def test_hi_equals_the_trajectory_value():
                 for day, report in trajectory:
                     want = None if report is None else report.index.value
                     assert evaluator.hi(person.person_id, day, spec) == want
+
+
+def test_precompute_matches_serial_hi():
+    # the workers get the specs themselves and fill the cache with what hi
+    # computes one value at a time
+    store = synthesize(SynthConfig(seed=5, n_persons=6, max_visits=6))
+    specs = [make_spec(y, gamma) for y in (0.75, 3.25) for gamma in (GAMMA_THIRD_30, 1.0)]
+    parallel = CohortEvaluator(store, default_rules())
+    parallel.precompute(store.person_ids, specs, workers=2)
+    serial = CohortEvaluator(store, default_rules())
+    assert len(parallel._cache) == len(specs) * sum(len(person.days) for person in store)
+    for (pid, day, gamma, y), value in parallel._cache.items():
+        assert serial.hi(pid, day, make_spec(y, gamma)) == value

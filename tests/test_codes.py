@@ -6,12 +6,11 @@ from icfhi import (
     CodeParseError,
     DataError,
     QualifierRecord,
-    attach,
     build_tree,
-    codes_from_text,
+    compile_records,
     make_spec,
-    parent_of,
     parse_code,
+    qualifiers,
 )
 
 from oracle import closure
@@ -43,11 +42,11 @@ def test_parse_fourth_level_and_parent():
     ("e1234", "e123"),
 ])
 def test_parent_chain(text, parent):
-    assert parent_of(parse_code(text)).text == parent
+    assert parse_code(text).parent().text == parent
 
 
 def test_component_parent_is_root():
-    assert parent_of(parse_code("e")) is None
+    assert parse_code("e").parent() is None
 
 
 @pytest.mark.parametrize("bad", [
@@ -75,8 +74,8 @@ def test_build_tree_prefix_closure():
 def test_build_tree_single_chain():
     tree = build_tree({"b780"})
     assert [c.text for c in tree.codes] == ["b", "b7", "b780"]
-    root = tree.root
-    assert [ch.code.text for ch in root.children] == ["b"]
+    assert _children(tree, None) == ["b"]
+    assert _children(tree, "b780") == []
 
 
 def test_build_tree_empty_is_error():
@@ -84,21 +83,29 @@ def test_build_tree_empty_is_error():
         build_tree(set())
 
 
+def _children(tree, text):
+    """Child code texts of ``text`` (None for the root), in slot order."""
+    slot = tree.slots[None if text is None else parse_code(text)]
+    return [tree.slot_codes[child].text for child in tree.child_slots[slot]]
+
+
 def test_siblings_alphabetical():
     tree = build_tree({"b2801", "b2102", "b2800", "s1", "d450"})
-    b2 = tree.node_for(parse_code("b2"))
-    assert [ch.code.text for ch in b2.children] == ["b210", "b280"]
-    b280 = tree.node_for(parse_code("b280"))
-    assert [ch.code.text for ch in b280.children] == ["b2800", "b2801"]
-    assert [ch.code.text for ch in tree.root.children] == ["b", "d", "s"]
+    assert _children(tree, "b2") == ["b210", "b280"]
+    assert _children(tree, "b280") == ["b2800", "b2801"]
+    assert _children(tree, None) == ["b", "d", "s"]
 
 
-def test_nodes_at_level_order():
-    tree = build_tree({"b2801", "b2102", "d450"})
-    assert [n.code.text for n in tree.nodes_at_level(3)] == ["b2102", "b2801"]
-    assert [n.code.text for n in tree.nodes_at_level(0)] == ["b", "d"]
-    assert tree.nodes_at_level(-1) == [tree.root]
-    assert tree.deepest_level == 3
+def test_bottom_up_order():
+    # levels: b2102 and b2801 at 3, b210 and b280 at 2, b2 at 1, b and d
+    # at 0; the leaves b21020, b28010 and d4500 are left out
+    tree = build_tree({"b21020", "b28010", "b2801", "d4500"})
+    order = [tree.slot_codes[slot] for slot in tree.bottom_up]
+    assert [None if code is None else code.text for code in order] == [
+        "b2102", "b2801", "b210", "b280", "d450", "b2", "d4", "b", "d", None,
+    ]
+    assert all(tree.child_slots[slot] for slot in tree.bottom_up)
+    assert len(tree.bottom_up) == sum(1 for children in tree.child_slots if children)
 
 
 _code_texts = st.builds(
@@ -127,25 +134,19 @@ def test_parent_is_proper_prefix(text):
     assert len(code.parent().text) < len(text)
 
 
-def test_codes_from_text():
-    parsed = codes_from_text("b280\n\n# pain codes\nb28013\nd450\n")
-    assert [c.text for c in parsed] == ["b280", "b28013", "d450"]
-    with pytest.raises(CodeParseError):
-        codes_from_text("b280\nb28\n")
-
-
 def test_attach_leaves_tree_unchanged():
+    # compiling records against a tree places them on its slots without
+    # changing it, and two compilations share the tree and nothing else
     tree = build_tree({"b2801", "d450"})
-    shape = [(node.code, node.children) for node in tree.iter_nodes()]
-    slots, parents, bottom_up = dict(tree.slots), tree.parent_slots, tree.bottom_up
+    tables = (tree.slot_codes, dict(tree.slots), tree.parent_slots, tree.child_slots,
+              tree.bottom_up)
     spec = make_spec(2.0, 1.0)
-    first = attach(tree, [QualifierRecord("p", 0, "s", parse_code("b2801"), 1.0, 1.0)], 0, spec)
-    second = attach(tree, [QualifierRecord("q", 0, "s", parse_code("d450"), 3.0, 1.0),
-                           QualifierRecord("q", 0, "t", parse_code("b280"), 2.0, 1.0)], 0, spec)
-    assert [(node.code, node.children) for node in tree.iter_nodes()] == shape
-    assert tree.slots == slots and tree.parent_slots == parents and tree.bottom_up == bottom_up
-    # two attachments on one tree share it and nothing else
+    first = compile_records(tree, [QualifierRecord("p", 0, "s", parse_code("b2801"), 1.0, 1.0)])
+    second = compile_records(tree, [QualifierRecord("q", 0, "s", parse_code("d450"), 3.0, 1.0),
+                                    QualifierRecord("q", 0, "t", parse_code("b280"), 2.0, 1.0)])
+    assert (tree.slot_codes, tree.slots, tree.parent_slots, tree.child_slots,
+            tree.bottom_up) == tables
     assert first.tree is second.tree is tree
-    assert set(first.qualifiers) == {parse_code("b2801")}
-    assert set(second.qualifiers) == {parse_code("d450"), parse_code("b280")}
-    assert [q.value for q in first.qualifiers[parse_code("b2801")]] == [1.0]
+    assert set(qualifiers(first, 0, spec.gamma)) == {parse_code("b2801")}
+    assert set(qualifiers(second, 0, spec.gamma)) == {parse_code("d450"), parse_code("b280")}
+    assert [q.value for q in qualifiers(first, 0, spec.gamma)[parse_code("b2801")]] == [1.0]

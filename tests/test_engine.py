@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,16 +8,15 @@ from icfhi import (
     EvaluationError,
     QualifierRecord,
     apply_curve,
-    attach,
     build_tree,
-    evaluate,
-    evaluate_profile,
-    evaluate_report,
+    compile_records,
+    evaluate_table,
     evaluate_trajectory,
     make_spec,
     nint,
     parse_code,
     parse_gamma,
+    qualifiers,
     scale_index,
 )
 
@@ -26,6 +26,7 @@ from conftest import (
     WORKED_NODE_ALPHA,
     WORKED_NODE_R,
     WORKED_NODE_X,
+    report_on,
     worked_example_records,
 )
 import oracle
@@ -43,9 +44,11 @@ def _records(*triples, reliability=1.0):
     return out
 
 
-def _attach(records, reference_day, spec):
-    tree = build_tree({r.code for r in records})
-    return attach(tree, records, reference_day, spec)
+def _qualifiers(records, day, spec, tree=None):
+    """The qualifiers of ``records`` as seen on ``day`` (see engine.qualifiers)."""
+    if tree is None:
+        tree = build_tree({r.code for r in records})
+    return qualifiers(compile_records(tree, records), day, spec.gamma)
 
 
 def test_nint_half_away_from_zero():
@@ -75,30 +78,29 @@ def test_scale_index_empirical_bounds():
 # attachment
 
 def test_attach_worked_example_alphas(worked_records, worked_tree, linear_spec_third):
-    at = attach(worked_tree, worked_records, 30, linear_spec_third)
-    b28010 = at.qualifiers[parse_code("b28010")]
+    quals = _qualifiers(worked_records, 30, linear_spec_third, worked_tree)
+    b28010 = quals[parse_code("b28010")]
     assert [(q.value, q.reliability) for q in b28010] == [(2.0, 1.0), (1.0, 0.8)]
     assert b28010[0].alpha == pytest.approx(1.0, abs=1e-15)
     assert b28010[1].alpha == pytest.approx(1.0 / 3.0, abs=1e-12)
-    b28013 = at.qualifiers[parse_code("b28013")]
+    b28013 = quals[parse_code("b28013")]
     assert b28013[0].alpha == pytest.approx(1.0 / 3.0, abs=1e-12)
-    b2801 = at.qualifiers[parse_code("b2801")]
+    b2801 = quals[parse_code("b2801")]
     assert b2801[0].alpha == pytest.approx(1.0, abs=1e-15)
     assert b2801[1].alpha == pytest.approx(GAMMA_THIRD_30 ** 15, abs=1e-12)
-    assert at.reference_day == 30
 
 
 def test_attach_shared_source_uniqueness(worked_records, worked_tree, linear_spec_third):
-    at = attach(worked_tree, worked_records, 30, linear_spec_third)
+    quals = _qualifiers(worked_records, 30, linear_spec_third, worked_tree)
     shared = [
         q
         for code in ("b28010", "b28013")
-        for q in at.qualifiers[parse_code(code)]
+        for q in quals[parse_code(code)]
         if q.source_id == "srcB"
     ]
     assert len(shared) == 2
     assert all(q.uniqueness == 0.5 for q in shared)
-    solo = [q for q in at.qualifiers[parse_code("b28010")] if q.source_id == "srcA"]
+    solo = [q for q in quals[parse_code("b28010")] if q.source_id == "srcA"]
     assert solo[0].uniqueness == 1.0
 
 
@@ -109,9 +111,9 @@ def test_uniqueness_scales_with_fanout():
         records = [
             QualifierRecord("p", 0, "shared", parse_code(c), 2.0, 1.0) for c in codes
         ]
-        at = _attach(records, 0, spec)
+        quals = _qualifiers(records, 0, spec)
         for code in codes:
-            (qual,) = at.qualifiers[parse_code(code)]
+            (qual,) = quals[parse_code(code)]
             assert qual.uniqueness == pytest.approx(1.0 / z, abs=1e-15)
 
 
@@ -122,25 +124,24 @@ def test_uniqueness_only_counts_siblings():
         QualifierRecord("p", 0, "s", parse_code("b280"), 2.0, 1.0),
         QualifierRecord("p", 0, "s", parse_code("d430"), 2.0, 1.0),
     ]
-    at = _attach(records, 0, spec)
+    quals = _qualifiers(records, 0, spec)
     for code in ("b280", "d430"):
-        assert at.qualifiers[parse_code(code)][0].uniqueness == 1.0
+        assert quals[parse_code(code)][0].uniqueness == 1.0
 
 
-def test_attach_rejects_future_and_unknown(worked_records, worked_tree, linear_spec_third):
-    with pytest.raises(EvaluationError):
-        attach(worked_tree, worked_records, 20, linear_spec_third)
+def test_attach_rejects_future_and_unknown(worked_tree):
+    # a record on a code outside the tree cannot be compiled; records newer
+    # than an evaluated day are simply not visible on it
     stranger = [QualifierRecord("p", 0, "s", parse_code("e120"), 1.0, 1.0)]
     with pytest.raises(EvaluationError):
-        attach(worked_tree, stranger, 30, linear_spec_third)
+        compile_records(worked_tree, stranger)
 
 
 # ---------------------------------------------------------------------------
 # node aggregation and the worked example
 
 def test_worked_example_node_value(worked_records, worked_tree, linear_spec_third):
-    at = attach(worked_tree, worked_records, 30, linear_spec_third)
-    report = evaluate_report(at, linear_spec_third, audit=True)
+    report = report_on(worked_records, 30, linear_spec_third, tree=worked_tree, audit=True)
     by_code = {a.code: a.result for a in report.audits}
     node = by_code["b2801"]
     assert node.x == pytest.approx(WORKED_NODE_X, abs=1e-9)
@@ -148,9 +149,17 @@ def test_worked_example_node_value(worked_records, worked_tree, linear_spec_thir
     assert node.reliability == pytest.approx(WORKED_NODE_R, abs=1e-9)
 
 
+def test_audits_only_on_request(worked_records, worked_tree, linear_spec_third):
+    table = compile_records(worked_tree, worked_records)
+    [(_, plain)] = evaluate_table(table, [30], linear_spec_third)
+    [(_, audited)] = evaluate_table(table, [30], linear_spec_third, audit=True)
+    assert plain.audits is None
+    assert [a.code for a in audited.audits] == ["b2801", "b280", "b2", "b", ""]
+    assert dataclasses.replace(audited, audits=None) == plain
+
+
 def test_worked_example_health_index(worked_records, worked_tree, linear_spec_third):
-    at = attach(worked_tree, worked_records, 30, linear_spec_third)
-    index = evaluate(at, linear_spec_third)
+    index = report_on(worked_records, 30, linear_spec_third, tree=worked_tree).index
     assert index.raw == pytest.approx(WORKED_NODE_X, abs=1e-9)
     assert index.value == WORKED_HI
     assert index.evaluated_at == 30
@@ -162,23 +171,20 @@ def test_worked_example_health_index(worked_records, worked_tree, linear_spec_th
 
 def test_single_direct_qualifier_passes_through():
     spec = make_spec(2.0, 1.0)
-    at = _attach(_records(("b280", 3, 0)), 0, spec)
-    assert evaluate(at, spec).raw == pytest.approx(3.0, abs=1e-12)
+    assert report_on(_records(("b280", 3, 0)), 0, spec).index.raw == pytest.approx(3.0, abs=1e-12)
 
 
 def test_two_equal_children_average():
     spec = make_spec(2.0, 1.0)
     records = _records(("b2800", 2, 0), ("b2801", 2, 0))
-    at = _attach(records, 0, spec)
-    assert evaluate(at, spec).raw == pytest.approx(2.0, abs=1e-12)
+    assert report_on(records, 0, spec).index.raw == pytest.approx(2.0, abs=1e-12)
 
 
 def test_two_equal_children_nonlinear_curve_at_node():
     # equal weights mean the parent's value is exactly f(2) = y
     spec = make_spec(0.75, 1.0)
     records = _records(("b2800", 2, 0), ("b2801", 2, 0))
-    at = _attach(records, 0, spec)
-    report = evaluate_report(at, spec, audit=True)
+    report = report_on(records, 0, spec, audit=True)
     parent = next(a.result for a in report.audits if a.code == "b280")
     assert parent.x == pytest.approx(0.75, abs=1e-9)
 
@@ -186,7 +192,7 @@ def test_two_equal_children_nonlinear_curve_at_node():
 def test_component_without_data_has_no_audit_or_score():
     spec = make_spec(2.0, 1.0)
     tree = build_tree({"b280", "d450"})
-    report = evaluate_report(attach(tree, _records(("b280", 2, 0)), 0, spec), spec, audit=True)
+    report = report_on(_records(("b280", 2, 0)), 0, spec, tree=tree, audit=True)
     assert [a.code for a in report.audits] == ["b2", "b", ""]
     assert set(report.profile.scores) == {"b"}
 
@@ -194,36 +200,32 @@ def test_component_without_data_has_no_audit_or_score():
 def test_all_zero_qualifiers_score_100():
     spec = make_spec(2.0, GAMMA_THIRD_30)
     records = _records(("b28013", 0, 0), ("d450", 0, 3), ("b780", 0, 5))
-    at = _attach(records, 5, spec)
-    assert evaluate(at, spec).value == 100
+    assert report_on(records, 5, spec).index.value == 100
 
 
 def test_all_four_qualifiers_score_0():
     spec = make_spec(2.0, GAMMA_THIRD_30)
     records = _records(("b28013", 4, 0), ("d450", 4, 3), ("b780", 4, 5))
-    at = _attach(records, 5, spec)
-    assert evaluate(at, spec).value == 0
+    assert report_on(records, 5, spec).index.value == 0
 
 
 def test_raw_two_scores_50():
     spec = make_spec(2.0, 1.0)
-    at = _attach(_records(("b280", 2, 0)), 0, spec)
-    assert evaluate(at, spec).value == 50
+    assert report_on(_records(("b280", 2, 0)), 0, spec).index.value == 50
 
 
 def test_empty_tree_evaluation_fails():
     spec = make_spec(2.0, 1.0)
     tree = build_tree({"b280"})
-    at = attach(tree, [], 0, spec)
-    with pytest.raises(EvaluationError):
-        evaluate(at, spec)
+    # no record is visible, so there is no report
+    assert report_on([], 0, spec, tree=tree) is None
 
 
 def test_all_zero_reliability_is_degenerate():
     spec = make_spec(2.0, 1.0)
-    at = _attach(_records(("b280", 2, 0, 0.0), ("b2800", 1, 0, 0.0)), 0, spec)
+    records = _records(("b280", 2, 0, 0.0), ("b2800", 1, 0, 0.0))
     with pytest.raises(EvaluationError) as err:
-        evaluate(at, spec)
+        report_on(records, 0, spec)
     assert "zero" in str(err.value)
 
 
@@ -232,8 +234,7 @@ def test_interior_node_direct_qualifiers_not_double_counted():
     # grandparent must see the node only through its calculated value
     spec = make_spec(2.0, 1.0)
     records = _records(("b2801", 4, 0), ("b28010", 0, 0))
-    at = _attach(records, 0, spec)
-    raw = evaluate(at, spec).raw
+    raw = report_on(records, 0, spec).index.raw
     plain = [("b2801", 4.0, 0, 1.0, "a"), ("b28010", 0.0, 0, 1.0, "b")]
     expected, *_ = brute_force_evaluate(plain, 1.0, 0)
     assert raw == pytest.approx(expected, abs=1e-12)
@@ -241,16 +242,15 @@ def test_interior_node_direct_qualifiers_not_double_counted():
 
 
 def test_repeat_evaluation_is_identical(worked_records, worked_tree, linear_spec_third):
-    at = attach(worked_tree, worked_records, 30, linear_spec_third)
-    first = evaluate_report(at, linear_spec_third)
-    second = evaluate_report(at, linear_spec_third)
+    table = compile_records(worked_tree, worked_records)
+    first = evaluate_table(table, [30], linear_spec_third)
+    second = evaluate_table(table, [30], linear_spec_third)
     assert first == second
 
 
 def test_nonlinear_curve_applied_at_every_node():
     spec = make_spec(0.75, 1.0)
-    at = _attach(_records(("b28010", 2, 0)), 0, spec)
-    raw = evaluate(at, spec).raw
+    raw = report_on(_records(("b28010", 2, 0)), 0, spec).index.raw
     # leaf flows raw value 2 to b2801; each computed ancestor applies f
     f = lambda x: 0.225 * math.exp(math.log(13 / 3) / 2 * x) - 0.225
     expected = 2.0
@@ -263,8 +263,7 @@ def test_nonlinear_curve_applied_at_every_node():
 # profiles
 
 def test_profile_single_component(worked_records, worked_tree, linear_spec_third):
-    at = attach(worked_tree, worked_records, 30, linear_spec_third)
-    profile = evaluate_profile(at, linear_spec_third)
+    profile = report_on(worked_records, 30, linear_spec_third, tree=worked_tree).profile
     assert set(profile.scores) == {"b"}
     assert profile["b"].value == WORKED_HI
     assert profile["b"].raw == pytest.approx(WORKED_NODE_X, abs=1e-9)
@@ -273,20 +272,19 @@ def test_profile_single_component(worked_records, worked_tree, linear_spec_third
 def test_profile_components_scored_independently():
     spec = make_spec(2.0, 1.0)
     records = _records(("b280", 0, 0), ("d450", 4, 0))
-    at = _attach(records, 0, spec)
-    profile = evaluate_profile(at, spec)
+    report = report_on(records, 0, spec)
+    profile = report.profile
     assert profile["b"].value == 100
     assert profile["d"].value == 0
     assert "s" not in profile and "e" not in profile
-    assert evaluate(at, spec).value == 50
+    assert report.index.value == 50
 
 
 def test_profile_leaf_component_reported():
     # data attached directly on a bare component letter
     spec = make_spec(2.0, 1.0)
     records = _records(("b", 1, 0), ("d450", 3, 0))
-    at = _attach(records, 0, spec)
-    profile = evaluate_profile(at, spec)
+    profile = report_on(records, 0, spec).profile
     assert profile["b"].raw == pytest.approx(1.0, abs=1e-12)
     assert profile["d"].raw == pytest.approx(3.0, abs=1e-12)
 
@@ -355,17 +353,17 @@ def test_uniqueness_counts_a_source_reused_on_a_later_day():
                        ("b2809", 0, 0, 1.0, "solo"), ("b2802", 1, 10, 1.0, "s"))
     tree = build_tree({r.code for r in records})
     early = [r for r in records if r.day <= 5]
-    assert [q.uniqueness for q in attach(tree, early, 5, spec).qualifiers[parse_code("b2800")]] \
+    assert [q.uniqueness for q in _qualifiers(early, 5, spec, tree)[parse_code("b2800")]] \
         == [0.5]
-    later = attach(tree, records, 10, spec)
-    assert [later.qualifiers[parse_code(c)][0].uniqueness for c in ("b2800", "b2801", "b2802")] \
+    later = _qualifiers(records, 10, spec, tree)
+    assert [later[parse_code(c)][0].uniqueness for c in ("b2800", "b2801", "b2802")] \
         == [1.0 / 3.0] * 3
     trajectory = evaluate_trajectory(records, [5, 10], spec, tree=tree)
     # the shared source keeps half of the weight at b280, spread over its
     # records: (4 + 4) / 2 / 2 on day 5, (4 + 4 + 1) / 3 / 2 on day 10
     assert trajectory[0][1].index.raw == pytest.approx(2.0, abs=1e-12)
     assert trajectory[1][1].index.raw == pytest.approx(1.5, abs=1e-12)
-    assert trajectory[1][1] == evaluate_report(later, spec)
+    assert trajectory[1][1] == report_on(records, 10, spec, tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +419,7 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
                     if not visible:
                         assert report is None
                         continue
-                    assert report == evaluate_report(attach(tree, visible, day, spec), spec)
+                    assert report == report_on(visible, day, spec, tree=tree)
                     plain = [(r.code.text, r.value, r.day, r.reliability, r.source_id)
                              for r in visible]
                     raw, alpha, rel, _ = brute_force_evaluate(
@@ -443,8 +441,7 @@ def test_oracle_equivalence_on_random_trees():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        at = _attach(qrecords, ref, spec)
-        report = evaluate_report(at, spec, audit=True)
+        report = report_on(qrecords, ref, spec, audit=True)
         raw, alpha, rel_, per_node = brute_force_evaluate(records, gamma, ref)
         assert report.index.raw == pytest.approx(raw, abs=1e-9), f"seed {seed}"
         assert report.alpha == pytest.approx(alpha, abs=1e-9), f"seed {seed}"
@@ -472,10 +469,10 @@ def test_processing_is_input_order_independent():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        baseline = evaluate(_attach(qrecords, ref, spec), spec).raw
+        baseline = report_on(qrecords, ref, spec).index.raw
         shuffled = qrecords[:]
         rng.shuffle(shuffled)
-        assert evaluate(_attach(shuffled, ref, spec), spec).raw == pytest.approx(
+        assert report_on(shuffled, ref, spec).index.raw == pytest.approx(
             baseline, abs=1e-12
         )
 
@@ -488,7 +485,7 @@ def test_monotonic_in_qualifier_values():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        base = evaluate(_attach(base_records, ref, spec), spec)
+        base = report_on(base_records, ref, spec).index
         rng = random.Random(seed)
         i = rng.randrange(len(base_records))
         bumped = base_records[:]
@@ -498,7 +495,7 @@ def test_monotonic_in_qualifier_values():
         bumped[i] = QualifierRecord(
             old.person_id, old.day, old.source_id, old.code, old.value + 1.0, old.reliability
         )
-        assert evaluate(_attach(bumped, ref, spec), spec).value <= base.value, f"seed {seed}"
+        assert report_on(bumped, ref, spec).index.value <= base.value, f"seed {seed}"
 
 
 def test_gamma_one_is_day_permutation_invariant():
@@ -510,14 +507,14 @@ def test_gamma_one_is_day_permutation_invariant():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        baseline = evaluate(_attach(qrecords, ref, spec), spec).raw
+        baseline = report_on(qrecords, ref, spec).index.raw
         days = [r.day for r in qrecords]
         rng.shuffle(days)
         permuted = [
             QualifierRecord(r.person_id, d, r.source_id, r.code, r.value, r.reliability)
             for r, d in zip(qrecords, days)
         ]
-        assert evaluate(_attach(permuted, ref, spec), spec).raw == pytest.approx(
+        assert report_on(permuted, ref, spec).index.raw == pytest.approx(
             baseline, abs=1e-12
         )
 
@@ -530,6 +527,6 @@ def test_linear_raw_bounded_by_contributions():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        raw = evaluate(_attach(qrecords, ref, spec), spec).raw
+        raw = report_on(qrecords, ref, spec).index.raw
         values = [r.value for r in qrecords]
         assert min(values) - 1e-9 <= raw <= max(values) + 1e-9
