@@ -13,7 +13,9 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 from pathlib import Path
 
 from . import analysis, cohort, engine, linkage, weighting
@@ -248,23 +250,24 @@ def cmd_link(args) -> int:
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
     records = []
+    records_per_code: Counter[str] = Counter()
+    persons_per_code: Counter[str] = Counter()
     for person in store:
-        records.extend(linkage.apply_rules(person.answers, rules))
+        linked = linkage.apply_rules(person.answers, rules)
+        records.extend(linked)
+        per_code = Counter(map(attrgetter("code.text"), linked))
+        records_per_code.update(per_code)
+        persons_per_code.update(per_code.keys())
     linkage.records_to_csv(records, out / "records.csv")
 
-    persons_per_code: dict[str, set] = {}
-    records_per_code: dict[str, int] = {}
-    for record in records:
-        persons_per_code.setdefault(record.code.text, set()).add(record.person_id)
-        records_per_code[record.code.text] = records_per_code.get(record.code.text, 0) + 1
     counts = sorted(
         persons_per_code,
-        key=lambda code: (-len(persons_per_code[code]), -records_per_code[code], code),
+        key=lambda code: (-persons_per_code[code], -records_per_code[code], code),
     )
     _write_csv(
         out / "code_counts.csv",
         ["code", "n_persons", "n_records"],
-        [[code, len(persons_per_code[code]), records_per_code[code]] for code in counts],
+        [[code, persons_per_code[code], records_per_code[code]] for code in counts],
     )
     if not records:
         print("warning: no records produced (empty input data)", file=sys.stderr)

@@ -11,6 +11,7 @@ slot, and the bottom-up order in which the engine rolls values up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CodeParseError, DataError
@@ -45,8 +46,10 @@ class IcfCode:
                 "valid digit counts are 0, 1, 3, 4 or 5"
             )
 
-    @property
+    @cached_property
     def text(self) -> str:
+        # kept in the instance __dict__, outside the fields that eq, hash,
+        # order and repr use
         return self.component + self.digits
 
     @property

@@ -15,6 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,7 +32,7 @@ ANSWER_COLUMNS = ("person_id", "day", "instrument", "item", "value")
 _DAY_HEADERS = ("day", "date", "day_or_date")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawAnswer:
     """One raw instrument answer on one measurement day."""
 
@@ -135,32 +136,33 @@ def _read_answer_rows(path: Path):
             log.warning("input file %s is empty", path)
             return
         header = [h.strip().lower() for h in header]
-        day_col = next((h for h in header if h in _DAY_HEADERS), None)
+        day_name = next((h for h in header if h in _DAY_HEADERS), None)
         required = {"person_id", "instrument", "item", "value"}
-        if day_col is None or not required.issubset(header):
+        if day_name is None or not required.issubset(header):
             raise DataError(
                 f"{path}: expected columns person_id, day (or date), instrument, item, value; "
                 f"got {header}"
             )
-        idx = {name: header.index(name) for name in required}
-        idx["day"] = header.index(day_col)
+        width = len(header)
+        pid_col, day_col, instrument_col, item_col, value_col = map(
+            header.index, ("person_id", day_name, "instrument", "item", "value"))
         errors: list[str] = []
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             try:
-                if len(row) < len(header):
-                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-                person_id = row[idx["person_id"]].strip()
+                if len(row) < width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                person_id = row[pid_col].strip()
                 if not person_id:
                     raise ValueError("empty person_id")
-                day_kind, day_raw = _parse_day_cell(row[idx["day"]])
-                instrument = row[idx["instrument"]].strip().lower()
-                item = row[idx["item"]].strip().lower()
+                day_kind, day_raw = _parse_day_cell(row[day_col])
+                instrument = row[instrument_col].strip().lower()
+                item = row[item_col].strip().lower()
                 if not instrument or not item:
                     raise ValueError("empty instrument or item")
-                value = float(row[idx["value"]])
+                value = float(row[value_col])
             except ValueError as exc:
                 errors.append(f"{path}:{lineno}: {exc}")
                 continue
@@ -179,16 +181,20 @@ def _read_eqvas_rows(path: Path):
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
             return
-        day_col = next((h for h in header if h in _DAY_HEADERS), None)
-        if day_col is None or "person_id" not in header or "value" not in header:
+        day_name = next((h for h in header if h in _DAY_HEADERS), None)
+        if day_name is None or "person_id" not in header or "value" not in header:
             raise DataError(f"{path}: expected columns person_id, day, value; got {header}")
+        width = len(header)
+        pid_col, day_col, value_col = map(header.index, ("person_id", day_name, "value"))
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             try:
-                person_id = row[header.index("person_id")].strip()
-                day_kind, day_raw = _parse_day_cell(row[header.index(day_col)])
-                value = float(row[header.index("value")])
+                if len(row) < width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                person_id = row[pid_col].strip()
+                day_kind, day_raw = _parse_day_cell(row[day_col])
+                value = float(row[value_col])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             yield lineno, person_id, day_kind, day_raw, EQVAS_INSTRUMENT, "overall_health", value
@@ -225,9 +231,11 @@ def ingest(path) -> CohortStore:
         log.warning("no usable rows ingested from %s: cohort is empty", path)
         return CohortStore([])
 
-    # duplicate detection and per-person day-kind consistency on raw values
+    # one pass on raw values: duplicate detection, per-person day-kind
+    # consistency and each person's first day
     seen: dict[tuple, int] = {}
     day_kinds: dict[str, str] = {}
+    first_day: dict[str, int] = {}
     dup_errors = []
     for lineno, pid, kind, day_raw, instrument, item, value in raw_rows:
         key = (pid, kind, day_raw, instrument, item)
@@ -238,19 +246,24 @@ def ingest(path) -> CohortStore:
             )
         else:
             seen[key] = lineno
-        if day_kinds.setdefault(pid, kind) != kind:
-            raise DataError(
-                f"person {pid!r} mixes integer day offsets and calendar dates"
-            )
+        if pid in day_kinds:
+            if day_kinds[pid] != kind:
+                raise DataError(
+                    f"person {pid!r} mixes integer day offsets and calendar dates"
+                )
+            if day_raw < first_day[pid]:
+                first_day[pid] = day_raw
+        else:
+            day_kinds[pid] = kind
+            first_day[pid] = day_raw
     if dup_errors:
         raise DataError("duplicate rows:\n  " + "\n  ".join(dup_errors))
 
     persons: dict[str, Person] = {pid: Person(pid) for pid in person_order}
-    first_day: dict[str, int] = {}
-    for _, pid, _, day_raw, *_ in raw_rows:
-        first_day[pid] = min(first_day.get(pid, day_raw), day_raw)
     for _, pid, _, day_raw, instrument, item, value in raw_rows:
-        person = persons.setdefault(pid, Person(pid))
+        person = persons.get(pid)
+        if person is None:
+            person = persons[pid] = Person(pid)
         day = day_raw - first_day[pid]
         if instrument == EQVAS_INSTRUMENT:
             if not 0.0 <= value <= 100.0:
@@ -259,7 +272,7 @@ def ingest(path) -> CohortStore:
         else:
             person.answers.append(RawAnswer(pid, day, instrument, item, value))
     for person in persons.values():
-        person.answers.sort(key=lambda a: (a.day, a.instrument, a.item))
+        person.answers.sort(key=attrgetter("day", "instrument", "item"))
         person.eqvas = dict(sorted(person.eqvas.items()))
     return CohortStore(persons.values())
 

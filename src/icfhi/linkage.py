@@ -14,6 +14,7 @@ import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .codes import IcfCode, parse_code
@@ -186,7 +187,7 @@ class LinkageRule:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualifierRecord:
     """One linked measurement: a qualifier value on one ICF code."""
 
@@ -296,6 +297,7 @@ def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Qualifie
     the evaluation engine.  Validation-only sources (EQ-VAS) emit nothing.
     """
     records: list[QualifierRecord] = []
+    append = records.append
     for answer in answers:
         rule = rules.get(answer.source_item_id)
         if rule is None:
@@ -309,17 +311,11 @@ def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Qualifie
                 f"cannot translate {answer.source_item_id!r} answer for person "
                 f"{answer.person_id} on day {answer.day}: {exc}"
             ) from None
+        # shared by every target of the answer
+        person_id, day, source_id = answer.person_id, answer.day, answer.source_id
+        reliability = rule.reliability
         for code in rule.targets:
-            records.append(
-                QualifierRecord(
-                    person_id=answer.person_id,
-                    day=answer.day,
-                    source_id=answer.source_id,
-                    code=code,
-                    value=value,
-                    reliability=rule.reliability,
-                )
-            )
+            append(QualifierRecord(person_id, day, source_id, code, value, reliability))
     return records
 
 
@@ -328,15 +324,18 @@ RECORD_COLUMNS = ("person_id", "day", "source_id", "code", "value", "reliability
 
 def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
     """Write qualifier records in canonical (person, day, source, code) order."""
-    ordered = sorted(records, key=lambda r: (r.person_id, r.day, r.source_id, r.code))
+    # a code is one letter plus digits, so its text sorts as the code does
+    ordered = sorted(records, key=attrgetter("person_id", "day", "source_id", "code.text"))
+    # few distinct numbers occur, so each is formatted once
+    cells = {x: format_cell(x) for x in {*map(attrgetter("value"), ordered),
+                                          *map(attrgetter("reliability"), ordered)}}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(RECORD_COLUMNS))
-        for r in ordered:
-            writer.writerow(
-                [r.person_id, r.day, r.source_id, r.code.text,
-                 format_cell(r.value), format_cell(r.reliability)]
-            )
+        writer.writerow(RECORD_COLUMNS)
+        writer.writerows(
+            (r.person_id, r.day, r.source_id, r.code.text, cells[r.value], cells[r.reliability])
+            for r in ordered
+        )
 
 
 def records_from_csv(path) -> list[QualifierRecord]:
@@ -356,18 +355,18 @@ def records_from_csv(path) -> list[QualifierRecord]:
         if header != list(RECORD_COLUMNS):
             raise DataError(f"{path}: expected columns {RECORD_COLUMNS}, got {header}")
         records = []
+        codes: dict[str, IcfCode] = {}  # few distinct codes occur, so each is parsed once
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             try:
-                record = QualifierRecord(
-                    person_id=row[0].strip(),
-                    day=int(row[1]),
-                    source_id=row[2].strip(),
-                    code=parse_code(row[3].strip()),
-                    value=float(row[4]),
-                    reliability=float(row[5]),
-                )
+                person_id, day, source_id = row[0].strip(), int(row[1]), row[2].strip()
+                text = row[3].strip()
+                code = codes.get(text)
+                if code is None:
+                    code = codes[text] = parse_code(text)
+                record = QualifierRecord(person_id, day, source_id, code,
+                                         float(row[4]), float(row[5]))
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             # the comparisons are False for nan, so nan is rejected too

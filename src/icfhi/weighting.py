@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lt
 from typing import Sequence
 
 from .errors import ConfigError, FitError
@@ -147,7 +149,8 @@ def time_weight(te: int, gamma: float) -> float:
 
 def normalize_weights(weights: Sequence[float]) -> list[float]:
     """Scale non-negative weights so they sum to one, preserving ratios."""
-    if any(w < 0 for w in weights):
+    # w < 0 for each weight (False for nan), without a Python frame per weight
+    if any(map(lt, weights, repeat(0))):
         raise ValueError("weights must be non-negative")
     total = math.fsum(weights)
     if total <= 0.0:

@@ -274,6 +274,31 @@ def test_index_out_of_range_record_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _cohort_with_short_eqvas_row(tmp_path):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    (cohort / "answers.csv").write_text("person_id,day,instrument,item,value\n"
+                                        "p1,0,pain_vas,back,5\n")
+    (cohort / "eqvas.csv").write_text("person_id,day,value\np1,0\n")
+    return cohort
+
+
+@pytest.mark.parametrize("command", ["link", "validate"])
+def test_short_eqvas_row_is_data_error(tmp_path, capsys, command):
+    cohort = _cohort_with_short_eqvas_row(tmp_path)
+    assert run(command, "--data", str(cohort), "--out", str(tmp_path / "out")) == 3
+    assert f"{cohort / 'eqvas.csv'}:2: expected 3 columns, got 2" in capsys.readouterr().err
+
+
+def test_short_eqvas_row_exits_3_without_traceback(tmp_path):
+    cohort = _cohort_with_short_eqvas_row(tmp_path)
+    proc = run_python("-m", "icfhi.cli", "link", "--data", str(cohort),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    assert f"{cohort / 'eqvas.csv'}:2: expected 3 columns, got 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_index_per_person_failure_logged_run_continues(tmp_path, capsys):
     records = tmp_path / "records.csv"
     records.write_text(

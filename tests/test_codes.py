@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,3 +152,22 @@ def test_attach_leaves_tree_unchanged():
     assert set(qualifiers(first, 0, spec.gamma)) == {parse_code("b2801")}
     assert set(qualifiers(second, 0, spec.gamma)) == {parse_code("d450"), parse_code("b280")}
     assert [q.value for q in qualifiers(first, 0, spec.gamma)[parse_code("b2801")]] == [1.0]
+
+
+@given(st.lists(_code_texts, max_size=30))
+def test_codes_sort_by_text_as_by_code(texts):
+    # records_to_csv sorts on code text: one letter plus digits orders as the code
+    codes = [parse_code(t) for t in texts]
+    assert sorted(codes, key=lambda c: c.text) == sorted(codes)
+
+
+def test_cached_text_leaves_eq_hash_order_and_repr_alone():
+    fresh, read = parse_code("b280"), parse_code("b280")
+    assert read.text == "b280"
+    assert "text" in vars(read) and "text" not in vars(fresh)
+    assert fresh == read and hash(fresh) == hash(read)
+    assert repr(fresh) == repr(read) == "IcfCode(component='b', digits='280')"
+    assert not fresh < read and not read < fresh
+    assert sorted([parse_code("d4"), read, parse_code("b2")]) == [
+        parse_code("b2"), fresh, parse_code("d4")]
+    assert pickle.loads(pickle.dumps(read)) == fresh

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,35 @@ def test_ingest_rejects_mixed_day_kinds_per_person(tmp_path):
     path = _write(tmp_path / "a.csv", HEADER + "p1,0,odi,lifting,2\np1,2019-01-05,odi,walking,1\n")
     with pytest.raises(DataError):
         ingest(path)
+
+
+def test_ingest_error_texts_and_first_day_across_files(tmp_path):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    _write(cohort / "answers.csv", HEADER + "p1,5,odi,lifting,2\n \t, ,,,\n,,,,\n"
+                                            "p1,9,odi,lifting,3\np1,5,odi,lifting,1\n")
+    with pytest.raises(DataError, match=re.escape(
+            "duplicate rows:\n  line 6: duplicate answer for (p1, day 5, odi:lifting); "
+            "first seen on line 2")):
+        ingest(cohort)
+    _write(cohort / "answers.csv", HEADER + "p1,5,odi,lifting,2\np1,9,odi,lifting,3\n")
+    _write(cohort / "eqvas.csv", "person_id,day,value\np1,3,70\n")
+    person = ingest(cohort).person("p1")
+    assert [a.day for a in person.answers] == [2, 6]  # day 0 is the EQ-VAS day
+    assert person.eqvas == {0: 70.0}
+    _write(cohort / "eqvas.csv", "person_id,day,value\np1,2019-01-05,70\n")
+    with pytest.raises(DataError, match="^person 'p1' mixes integer day offsets and calendar "
+                                        "dates$"):
+        ingest(cohort)
+
+
+def test_ingest_short_eqvas_row_is_data_error(tmp_path):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    _write(cohort / "answers.csv", HEADER + "p1,0,pain_vas,back,5\n")
+    eqvas = _write(cohort / "eqvas.csv", "person_id,day,value\np1,0\n")
+    with pytest.raises(DataError, match=re.escape(f"{eqvas}:2: expected 3 columns, got 2")):
+        ingest(cohort)
 
 
 def test_ingest_empty_file_warns_and_returns_empty(tmp_path, caplog):

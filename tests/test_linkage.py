@@ -1,4 +1,8 @@
+import csv
+import dataclasses
 import json
+import pickle
+import random
 import re
 
 import pytest
@@ -6,13 +10,17 @@ import pytest
 from icfhi import (
     ConfigError,
     DataError,
+    QualifierRecord,
     RawAnswer,
     RuleSet,
+    SynthConfig,
     apply_rules,
     default_rules,
     load_rules,
+    parse_code,
     records_from_csv,
     records_to_csv,
+    synthesize,
 )
 
 from conftest import shipped_translation
@@ -271,6 +279,57 @@ def test_records_csv_round_trip(tmp_path):
     assert sorted(loaded, key=lambda r: (r.person_id, r.code)) == sorted(
         records, key=lambda r: (r.person_id, r.code)
     )
+
+
+def _linked_cohort(persons=12):
+    rules = default_rules()
+    store = synthesize(SynthConfig(seed=7, n_persons=persons))
+    return [r for person in store for r in apply_rules(person.answers, rules)]
+
+
+def test_records_to_csv_ignores_input_order(tmp_path):
+    records = _linked_cohort()
+    canonical = sorted(records, key=lambda r: (r.person_id, r.day, r.source_id, r.code))
+    shuffled = records[:]
+    random.Random(3).shuffle(shuffled)
+    records_to_csv(canonical, tmp_path / "sorted.csv")
+    records_to_csv(shuffled, tmp_path / "shuffled.csv")
+    assert (tmp_path / "shuffled.csv").read_bytes() == (tmp_path / "sorted.csv").read_bytes()
+    assert records_from_csv(tmp_path / "shuffled.csv") == canonical
+
+
+def test_multi_target_answer_rows_are_contiguous_in_code_order(tmp_path):
+    # f120 links to five codes, the lifting item to three, and the custom
+    # item to codes whose digits alone would order them differently
+    custom = RuleSet.from_json({"rules": [{
+        "source_item_id": "custom:item", "targets": ["d1", "b280", "s7"],
+        "translation": {"kind": "discrete_map", "map": {"0": 0, "1": 4}}}]})
+    rules = RuleSet([*default_rules(), *custom])
+    answers = [RawAnswer("p", 0, "machine", "f120", 20.0),
+               RawAnswer("p", 0, "odi", "lifting", 4),
+               RawAnswer("p", 0, "custom", "item", 1),
+               RawAnswer("p", 0, "pain_vas", "back", 3)]
+    records = apply_rules(answers, rules)
+    random.Random(5).shuffle(records)
+    records_to_csv(records, tmp_path / "records.csv")
+    with open(tmp_path / "records.csv", newline="") as fh:
+        sources = [(row["source_id"], row["code"]) for row in csv.DictReader(fh)]
+    for answer in answers:
+        rows = [i for i, (source, _) in enumerate(sources) if source == answer.source_id]
+        assert rows == list(range(rows[0], rows[0] + len(rows)))
+        targets = rules.get(answer.source_item_id).targets
+        assert [sources[i][1] for i in rows] == [c.text for c in sorted(targets)]
+
+
+def test_records_and_answers_are_slotted_and_pickle():
+    record = QualifierRecord("p", 0, "p:0:odi:lifting", parse_code("b7305"), 3.0, 1.0)
+    answer = RawAnswer("p", 0, "odi", "lifting", 4.0)
+    for obj in (record, answer):
+        assert not hasattr(obj, "__dict__")
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and hash(copy) == hash(obj)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.day = 1
 
 
 def _one_record_csv(tmp_path, value, reliability):

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -127,8 +129,16 @@ def test_normalize_weights():
 def test_normalize_weights_errors():
     with pytest.raises(ValueError):
         normalize_weights([0.0, 0.0])
-    with pytest.raises(ValueError):
-        normalize_weights([1.0, -0.1])
+    for negative in ([1.0, -0.1], [2, -1], [1.0, -1e-300], [-0.5], np.array([3, -1])):
+        with pytest.raises(ValueError, match="non-negative"):
+            normalize_weights(negative)
+    # nan is not negative: it passes the check and spreads, as before
+    assert all(map(math.isnan, normalize_weights([float("nan"), 1.0])))
+    assert normalize_weights([-0.0, 1.0]) == [-0.0, 1.0]
+    # numpy scalars and fractions compare as before
+    assert normalize_weights(np.array([3, 1])) == [0.75, 0.25]
+    assert normalize_weights(np.array([3, 1], dtype=np.float32)) == [0.75, 0.25]
+    assert normalize_weights([Fraction(1, 4), Fraction(3, 4)]) == [0.25, 0.75]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20)
