@@ -86,8 +86,6 @@ from .weighting import (
     make_spec,
     normalize_weights,
     parse_gamma,
-    time_elapsed,
-    time_weight,
 )
 
 __version__ = "0.1.0"

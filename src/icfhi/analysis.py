@@ -10,7 +10,6 @@ sweeps.  All outputs are deterministic given the cohort and grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import RecordTable, compile_records, evaluate_table
-from .errors import InsufficientDataError
+from .engine import RecordTable, compile_records, evaluate_cohort, evaluate_table, scale_index
+from .errors import IcfHiError, InsufficientDataError
 from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
 
@@ -181,27 +180,22 @@ class CohortEvaluator:
         return self._cache[key]
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],
-                   workers: int = 1) -> None:
-        """Fill the cache for every (person, measurement day, spec) in
-        parallel; results are identical for any worker count."""
-        if workers <= 1 or self.tree is None:
-            return
-        payloads = []
-        for pid in person_ids:
-            table = self.tables.get(pid)
-            if table is None:
+                   workers: int = 1) -> dict[str, str]:
+        """Fill the cache for every (person, measurement day, spec), with
+        the values ``hi`` would compute, for any worker count; return the
+        error message of each person whose evaluation fails."""
+        jobs = ((pid, self.tables[pid], self.store.person(pid).days)
+                for pid in person_ids if pid in self.tables)
+        failures = {}
+        for pid, outcome in evaluate_cohort(jobs, specs, workers):
+            if isinstance(outcome, IcfHiError):
+                failures[pid] = str(outcome)
                 continue
-            days = sorted({row[0] for row in table.rows} | set(self.store.person(pid).eqvas))
-            payloads.append((pid, table, days, specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for entries in pool.map(_trajectory_task, payloads, chunksize=4):
-                self._cache.update(entries)
-
-
-def _trajectory_task(payload):
-    pid, table, days, specs = payload
-    return [((pid, day, spec.gamma, spec.y), None if report is None else report.index.value)
-            for spec in specs for day, report in evaluate_table(table, days, spec)]
+            for spec, rows in zip(specs, outcome):
+                for day, value in rows:
+                    self._cache[(pid, day, spec.gamma, spec.y)] = (
+                        None if value is None else scale_index(value[0]))
+        return failures
 
 
 def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 from pathlib import Path
 
@@ -278,21 +277,10 @@ def cmd_link(args) -> int:
 # ---------------------------------------------------------------------------
 # index / profile
 
-def _index_rows_for_person(payload):
-    """Evaluate one person's full trajectory; returns raw values so scaling
-    can be applied afterwards (needed for the empirical mode)."""
-    pid, records, tree, y, gamma = payload
-    trajectory = engine.evaluate_table(engine.compile_records(tree, records),
-                                       sorted({r.day for r in records}),
-                                       weighting.make_spec(y, gamma))
-    rows = []
-    for day, report in trajectory:
-        comp_raws = {c: s.raw for c, s in report.profile.scores.items()}
-        rows.append((day, report.index.raw, report.alpha, report.reliability, comp_raws))
-    return pid, rows
-
-
 def _evaluate_cohort_rows(args, records):
+    """Each person's (day, (raw, alpha, r, {component: raw})) rows under
+    the one --gamma and --y, raw so that scaling can follow (the empirical
+    mode needs every value first), and the persons that failed."""
     by_person: dict[str, list] = {}
     for record in records:
         by_person.setdefault(record.person_id, []).append(record)
@@ -301,30 +289,24 @@ def _evaluate_cohort_rows(args, records):
     gammas = _parse_gammas(_require(args, "gamma"))
     if len(gammas) != 1:
         raise ConfigError("index/profile take exactly one --gamma value")
-    weighting.make_spec(y, gammas[0])  # validate early
-    payloads = [(pid, recs, tree, y, gammas[0]) for pid, recs in sorted(by_person.items())]
-    workers = int(getattr(args, "workers", 1) or 1)
-    results, failures = [], []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_index_task_safe, payloads, chunksize=4))
-    else:
-        outcomes = [_index_task_safe(payload) for payload in payloads]
-    for pid, value in outcomes:
-        if isinstance(value, Exception):
-            failures.append((pid, str(value)))
+    spec = weighting.make_spec(y, gammas[0])
+    # compiled here, one person at a time, so that a worker gets a table
+    jobs = ((pid, engine.compile_records(tree, recs), sorted({r.day for r in recs}))
+            for pid, recs in sorted(by_person.items()))
+    results, failures = [], {}
+    for pid, outcome in engine.evaluate_cohort(jobs, [spec], int(args.workers or 1)):
+        if isinstance(outcome, IcfHiError):
+            failures[pid] = str(outcome)
         else:
-            results.append((pid, value))
-    for pid, message in failures:
-        print(f"error (data): person {pid}: {message}", file=sys.stderr)
+            results.append((pid, outcome[0]))
+    _report_failures(failures)
     return results, failures
 
 
-def _index_task_safe(payload):
-    try:
-        return _index_rows_for_person(payload)
-    except IcfHiError as exc:
-        return payload[0], exc
+def _report_failures(failures: dict[str, str]) -> None:
+    """Name each person whose evaluation failed; the run goes on without them."""
+    for pid, message in failures.items():
+        print(f"error (data): person {pid}: {message}", file=sys.stderr)
 
 
 def cmd_index(args) -> int:
@@ -340,7 +322,7 @@ def cmd_index(args) -> int:
 
     lo, hi = 0.0, 4.0
     if args.scaling == "empirical":
-        raws = [row[1] for _, rows in results for row in rows]
+        raws = [value[0] for _, rows in results for _, value in rows]
         if not raws:
             raise DataError("empirical scaling impossible: no evaluations succeeded")
         lo, hi = min(raws), max(raws)
@@ -349,8 +331,8 @@ def cmd_index(args) -> int:
                 f"empirical scaling impossible: all raw values equal {lo!r}"
             )
     table = []
-    for pid, rows in sorted(results, key=lambda t: t[0]):
-        for day, raw, alpha, rel, comp_raws in rows:
+    for pid, rows in results:
+        for day, (raw, alpha, rel, comp_raws) in rows:
             scores = {
                 c: engine.scale_index(v, lo, hi) for c, v in comp_raws.items()
             }
@@ -374,8 +356,8 @@ def cmd_profile(args) -> int:
         return 0
     results, failures = _evaluate_cohort_rows(args, records)
     table = []
-    for pid, rows in sorted(results, key=lambda t: t[0]):
-        for day, _, _, _, comp_raws in rows:
+    for pid, rows in results:
+        for day, (_, _, _, comp_raws) in rows:
             for comp in sorted(comp_raws):
                 raw = comp_raws[comp]
                 table.append([pid, day, comp, engine.scale_index(raw), raw])
@@ -404,8 +386,9 @@ def cmd_validate(args) -> int:
     if grid is not None:
         specs.extend(weighting.make_spec(gy, gg) for gg in grid[0] for gy in grid[1])
     eligible = sorted({pid for pids in groups.values() for pid in pids})
-    workers = int(getattr(args, "workers", 1) or 1)
-    evaluator.precompute(eligible, specs, workers)
+    failures = evaluator.precompute(eligible, specs, int(args.workers or 1))
+    _report_failures(failures)
+    groups = {g: [pid for pid in pids if pid not in failures] for g, pids in groups.items()}
 
     eqvas_rows, summary_rows, person_rows, bin_rows, sweep_rows = [], [], [], [], []
     for spec_def in group_specs:
@@ -475,7 +458,7 @@ def cmd_validate(args) -> int:
         json.dump(info, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote validation tables to {out}")
-    return 0
+    return 3 if failures else 0
 
 
 # ---------------------------------------------------------------------------

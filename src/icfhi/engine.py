@@ -23,20 +23,24 @@ health index.
 There is one way to evaluate: ``compile_records`` once per person and
 tree, then ``evaluate_table`` for any days and weighting specs, with
 per-node audits on request; ``evaluate_trajectory`` does both in one call
-and ``qualifiers`` shows the alpha, r and u of each record on a day.  Every
-step is pure: the tree and the table are never changed, so repeated
-evaluations are identical.
+and ``qualifiers`` shows the alpha, r and u of each record on a day.
+``evaluate_cohort`` runs many persons' compiled tables under many specs,
+in this process or in a process pool, and reports a person whose
+evaluation fails instead of stopping.  Every step is pure: the tree and
+the table are never changed, so repeated evaluations are identical.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codes import ROOT_SLOT, IcfCode, IcfTree, build_tree
-from .errors import EvaluationError
+from .errors import EvaluationError, IcfHiError
 from .linkage import QualifierRecord
 from .weighting import WeightingSpec, apply_curve, normalize_weights
 
@@ -314,3 +318,36 @@ def evaluate_trajectory(
     if tree is None:
         tree = build_tree({r.code for r in records})
     return evaluate_table(compile_records(tree, records), days, spec)
+
+
+def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple):
+    """One person's rows per spec, each (day, None | (raw, alpha, r,
+    {component: raw})), or the error that stopped the evaluation.  At
+    module level and private, so that it pickles as itself."""
+    pid, table, days = job
+    try:
+        return pid, [
+            [(day, None if report is None else
+              (report.index.raw, report.alpha, report.reliability,
+               {c: score.raw for c, score in report.profile.scores.items()}))
+             for day, report in evaluate_table(table, days, spec)]
+            for spec in specs
+        ]
+    except IcfHiError as exc:
+        return pid, exc
+
+
+def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
+                    specs: Sequence[WeightingSpec],
+                    workers: int) -> Iterator[tuple[str, list | IcfHiError]]:
+    """Evaluate each (person id, table, days) job under every spec, in job
+    order: (person id, rows per spec), or (person id, error) when the
+    person's evaluation raises.  One worker takes one job at a time from
+    ``jobs``; more share them out over a process pool.  The results are the
+    same for any worker count."""
+    task = partial(_evaluate_job, tuple(specs))
+    if workers <= 1:
+        yield from map(task, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(task, jobs, chunksize=4)

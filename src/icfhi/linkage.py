@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .codes import IcfCode, parse_code
-from .errors import ConfigError, DataError
+from .errors import CodeParseError, ConfigError, DataError
 from .formatting import format_cell
 
 if TYPE_CHECKING:
@@ -367,7 +367,7 @@ def records_from_csv(path) -> list[QualifierRecord]:
                     code = codes[text] = parse_code(text)
                 record = QualifierRecord(person_id, day, source_id, code,
                                          float(row[4]), float(row[5]))
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, CodeParseError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             # the comparisons are False for nan, so nan is rejected too
             if not QUALIFIER_MIN <= record.value <= QUALIFIER_MAX:

@@ -1,8 +1,8 @@
-"""Value-weighting curves, time-decay weighting and weight normalization.
+"""Value-weighting curves, time-decay constants and weight normalization.
 
 The value curve is pinned at (0,0) and (4,4) and tuned through (2,y):
 exponential for y in (0,2), the identity for y=2, logarithmic for y in
-(2,4).  Time weighting discounts a qualifier of age TE days by gamma**TE.
+(2,4).  The engine discounts a qualifier of age TE days by gamma**TE.
 """
 
 from __future__ import annotations
@@ -127,24 +127,6 @@ def make_spec(y: float = LINEAR_Y, gamma: float = 1.0) -> WeightingSpec:
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"time decay constant gamma must lie in (0, 1], got {gamma}")
     return WeightingSpec(y=y, gamma=gamma, curve=fit_curve(y))
-
-
-def time_elapsed(day_of_qualifier: int, reference_day: int) -> int:
-    """Age of a qualifier in full days relative to the evaluation reference day."""
-    if reference_day < day_of_qualifier:
-        raise ValueError(
-            f"qualifier day {day_of_qualifier} is newer than reference day {reference_day}"
-        )
-    return reference_day - day_of_qualifier
-
-
-def time_weight(te: int, gamma: float) -> float:
-    """Raw time weight gamma**TE for a qualifier aged TE days."""
-    if te < 0:
-        raise ValueError(f"time elapsed must be non-negative, got {te}")
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"time decay constant gamma must lie in (0, 1], got {gamma}")
-    return gamma**te
 
 
 def normalize_weights(weights: Sequence[float]) -> list[float]:

@@ -13,6 +13,7 @@ from icfhi import (
     evaluate_table,
     make_spec,
     parse_code,
+    qualifiers,
 )
 
 # gamma giving a 30-day-old qualifier one third of its weight
@@ -35,6 +36,12 @@ WORKED_NODE_X = 49.0 / (34.0 + 13.5 / math.sqrt(3.0))
 WORKED_NODE_ALPHA = 0.8573751569165503
 WORKED_NODE_R = 0.9622095462692938
 WORKED_HI = 71
+
+# a linkage rule whose records carry reliability 0: a person whose only
+# instrument it is cannot be evaluated
+UNRATED_RULE = {"source_item_id": "unrated:item", "targets": ["b280"],
+                "translation": {"kind": "affine", "scale": 1.0, "offset": 0.0, "domain": [0, 4]},
+                "reliability": 0.0}
 
 
 def worked_example_records():
@@ -70,6 +77,17 @@ def report_on(records, day, spec, *, tree=None, audit=False):
         tree = build_tree({r.code for r in records})
     [(_, report)] = evaluate_table(compile_records(tree, records), [day], spec, audit=audit)
     return report
+
+
+def engine_alphas(ages, gamma):
+    """The time weights the engine gives records of the given ages (days),
+    one record per age on one code, read through ``qualifiers``."""
+    today = max(ages)
+    records = [QualifierRecord("p", today - age, f"s{i}", parse_code("b280"), 2.0, 1.0)
+               for i, age in enumerate(ages)]
+    table = compile_records(build_tree({parse_code("b280")}), records)
+    [quals] = qualifiers(table, today, gamma).values()
+    return [q.alpha for q in quals]
 
 
 @functools.cache

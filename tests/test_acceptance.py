@@ -28,7 +28,6 @@ from icfhi import (
     qualifiers,
     scale_index,
     synthesize,
-    time_weight,
 )
 from icfhi.cli import main as cli_main
 
@@ -37,6 +36,7 @@ from conftest import (
     GAMMA_TWENTIETH_30,
     WORKED_HI,
     WORKED_NODE_X,
+    engine_alphas,
     report_on,
     shipped_translation,
     worked_example_records,
@@ -142,8 +142,11 @@ def test_curve_fitting():
 
 @criterion("time decay constants and gamma=1 day-permutation invariance")
 def test_time_decay():
-    assert abs(time_weight(30, GAMMA_THIRD_30) - 1.0 / 3.0) < 1e-12
-    assert abs(time_weight(30, GAMMA_TWENTIETH_30) - 0.05) < 1e-12
+    # the engine's own time weight of a record 30 days old
+    [third] = engine_alphas([30], GAMMA_THIRD_30)
+    [twentieth] = engine_alphas([30], GAMMA_TWENTIETH_30)
+    assert abs(third - 1.0 / 3.0) < 1e-12
+    assert abs(twentieth - 0.05) < 1e-12
     rng = random.Random(99)
     for seed in range(100):
         plain, _, ref = random_case(seed)

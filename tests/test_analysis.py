@@ -9,6 +9,7 @@ from icfhi import (
     InsufficientDataError,
     Person,
     RawAnswer,
+    RuleSet,
     SynthConfig,
     apply_rules,
     bin_by_sequence_length,
@@ -24,7 +25,7 @@ from icfhi import (
     synthesize,
 )
 
-from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30
+from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, UNRATED_RULE
 
 
 def _person_with_days(pid, days):
@@ -310,13 +311,28 @@ def test_hi_equals_the_trajectory_value():
 
 
 def test_precompute_matches_serial_hi():
-    # the workers get the specs themselves and fill the cache with what hi
-    # computes one value at a time
+    # at every worker count the cache gets what hi computes one value at a time
     store = synthesize(SynthConfig(seed=5, n_persons=6, max_visits=6))
     specs = [make_spec(y, gamma) for y in (0.75, 3.25) for gamma in (GAMMA_THIRD_30, 1.0)]
-    parallel = CohortEvaluator(store, default_rules())
-    parallel.precompute(store.person_ids, specs, workers=2)
     serial = CohortEvaluator(store, default_rules())
-    assert len(parallel._cache) == len(specs) * sum(len(person.days) for person in store)
-    for (pid, day, gamma, y), value in parallel._cache.items():
-        assert serial.hi(pid, day, make_spec(y, gamma)) == value
+    for workers in (1, 2):
+        evaluator = CohortEvaluator(store, default_rules())
+        assert evaluator.precompute(store.person_ids, specs, workers=workers) == {}
+        assert len(evaluator._cache) == len(specs) * sum(len(person.days) for person in store)
+        for (pid, day, gamma, y), value in evaluator._cache.items():
+            assert serial.hi(pid, day, make_spec(y, gamma)) == value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_precompute_reports_a_failed_person(workers):
+    # "bad" answers one instrument only, and its rule has reliability 0
+    good = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
+    bad = Person("bad", [RawAnswer("bad", day, "unrated", "item", 3.0) for day in (0, 5)])
+    rules = default_rules().to_json()
+    rules["rules"].append(UNRATED_RULE)
+    evaluator = CohortEvaluator(CohortStore([bad, *good]), RuleSet.from_json(rules))
+    failures = evaluator.precompute(["bad", *good.person_ids], [make_spec()], workers)
+    assert list(failures) == ["bad"]
+    assert failures["bad"].startswith("all contribution weights at node")
+    assert len(evaluator._cache) == sum(len(person.days) for person in good)
+    assert "bad" not in {pid for pid, _, _, _ in evaluator._cache}

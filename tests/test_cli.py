@@ -11,7 +11,7 @@ import pytest
 import icfhi
 from icfhi.cli import main
 
-from conftest import GAMMA_THIRD_30
+from conftest import GAMMA_THIRD_30, UNRATED_RULE
 
 
 def run(*argv):
@@ -129,10 +129,17 @@ def test_index_gamma_spellings_equivalent(cohort_dir, tmp_path):
     assert read(a) == read(b)
 
 
-def test_index_workers_identical(cohort_dir, tmp_path):
-    seq = _link_and_index(cohort_dir, tmp_path / "w1", "--workers", "1")
-    par = _link_and_index(cohort_dir, tmp_path / "w2", "--workers", "4")
-    assert read(seq) == read(par)
+@pytest.mark.parametrize("command", ["index", "profile"])
+def test_index_workers_identical(cohort_dir, tmp_path, command):
+    linked = tmp_path / "linked"
+    assert run("link", "--data", str(cohort_dir), "--out", str(linked)) == 0
+    outputs = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"w{workers}"
+        assert run(command, "--records", str(linked / "records.csv"), "--out", str(out),
+                   "--workers", workers) == 0
+        outputs.append(read(out / f"{command}.csv"))
+    assert outputs[0] == outputs[1]
 
 
 def test_index_empirical_scaling(cohort_dir, tmp_path):
@@ -299,7 +306,8 @@ def test_short_eqvas_row_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_index_per_person_failure_logged_run_continues(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_index_per_person_failure_logged_run_continues(tmp_path, capsys, workers):
     records = tmp_path / "records.csv"
     records.write_text(
         "person_id,day,source_id,code,value,reliability\n"
@@ -307,13 +315,52 @@ def test_index_per_person_failure_logged_run_continues(tmp_path, capsys):
         "good,0,s2,b280,2,1\n"
     )
     out = tmp_path / "out"
-    assert run("index", "--records", str(records), "--out", str(out)) == 3
+    assert run("index", "--records", str(records), "--out", str(out), "--workers", workers) == 3
     err = capsys.readouterr().err
-    assert "bad" in err
+    assert "error (data): person bad: all contribution weights" in err
     with open(out / "index.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["person_id"] for r in rows] == ["good"]
     assert rows[0]["health_index"] == "50"
+    assert run("profile", "--records", str(records), "--out", str(out), "--workers", workers) == 3
+    assert "error (data): person bad: all contribution weights" in capsys.readouterr().err
+    with open(out / "profile.csv") as fh:
+        assert [r["person_id"] for r in csv.DictReader(fh)] == ["good"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_validate_per_person_failure_logged_run_continues(tmp_path, capsys, workers):
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, persons=60)) == 0
+    ref = tmp_path / "ref"
+    assert run("validate", "--data", str(cohort), "--out", str(ref), "--groups", "30:5") == 0
+    # one more person, whose only instrument links with reliability 0
+    with open(cohort / "answers.csv", "a") as answers, open(cohort / "eqvas.csv", "a") as eqvas:
+        for day in range(0, 50, 10):
+            answers.write(f"zbad,{day},unrated,item,3\n")
+            eqvas.write(f"zbad,{day},50\n")
+    rules = icfhi.default_rules().to_json()
+    rules["rules"].append(UNRATED_RULE)
+    rule_file = tmp_path / "rules.json"
+    rule_file.write_text(json.dumps(rules))
+    out = tmp_path / "val"
+    assert run("validate", "--data", str(cohort), "--out", str(out), "--rules", str(rule_file),
+               "--groups", "30:5", "--workers", workers) == 3
+    assert "error (data): person zbad: all contribution weights" in capsys.readouterr().err
+    # the others give the tables they give without that person
+    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                 "sequence_bins.csv"):
+        assert read(out / name) == read(ref / name)
+    assert (out / "run_info.json").exists()
+
+
+def test_unparsable_code_in_records_names_file_and_line(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("person_id,day,source_id,code,value,reliability\n"
+                       "p,0,s1,b280,2,1\n"
+                       "p,1,s2,x99,2,1\n")
+    assert run("index", "--records", str(records), "--out", str(tmp_path / "out")) == 3
+    assert f"error (data): {records}:3: unknown ICF component letter" in capsys.readouterr().err
 
 
 def test_index_reproduces_worked_example(tmp_path):

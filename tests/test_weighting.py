@@ -14,11 +14,9 @@ from icfhi import (
     make_spec,
     normalize_weights,
     parse_gamma,
-    time_elapsed,
-    time_weight,
 )
 
-from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30
+from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, engine_alphas
 from oracle import bisect_log_fit
 
 FIT_TOL = 1e-9
@@ -88,34 +86,20 @@ def test_apply_curve_domain():
     assert apply_curve(params, 4.0 + 1e-12) == 4.0
 
 
-def test_time_elapsed():
-    assert time_elapsed(0, 30) == 30
-    assert time_elapsed(15, 15) == 0
-    assert time_elapsed(10, 25) == 15
-    with pytest.raises(ValueError):
-        time_elapsed(5, 4)
-
-
 def test_time_weight_reference_decays():
-    assert time_weight(30, GAMMA_THIRD_30) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert time_weight(30, GAMMA_TWENTIETH_30) == pytest.approx(0.05, abs=1e-12)
-    assert time_weight(0, GAMMA_THIRD_30) == 1.0
-    for te in (0, 7, 123):
-        assert time_weight(te, 1.0) == 1.0
+    # the time weight the engine gives a record: gamma**age
+    [third] = engine_alphas([30], GAMMA_THIRD_30)
+    [twentieth] = engine_alphas([30], GAMMA_TWENTIETH_30)
+    assert third == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert twentieth == pytest.approx(0.05, abs=1e-12)
+    assert engine_alphas([0], GAMMA_THIRD_30) == [1.0]
+    assert engine_alphas([0, 7, 123], 1.0) == [1.0, 1.0, 1.0]
 
 
 @given(st.integers(min_value=0, max_value=400), st.floats(min_value=0.01, max_value=1.0))
 def test_time_weight_monotone_in_age(te, gamma):
-    assert time_weight(te + 1, gamma) <= time_weight(te, gamma) + 1e-15
-
-
-def test_time_weight_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        time_weight(-1, 0.9)
-    with pytest.raises(ValueError):
-        time_weight(3, 0.0)
-    with pytest.raises(ValueError):
-        time_weight(3, 1.5)
+    older, newer = engine_alphas([te + 1, te], gamma)
+    assert older <= newer + 1e-15
 
 
 def test_normalize_weights():
