@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import IcfTree, build_tree
+from .codes import ROOT_SLOT, IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import RecordTable, compile_records, evaluate_cohort, evaluate_table, scale_index
+from .engine import (RecordTable, _Plan, _plan, _value_pass, compile_records, evaluate_cohort,
+                     scale_index)
 from .errors import IcfHiError, InsufficientDataError
 from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
@@ -76,14 +77,18 @@ def pearson(xs: Sequence[float], ys: Sequence[float]):
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     if sxx == 0.0 or syy == 0.0:
         return None
-    r = sxy / math.sqrt(sxx * syy)
-    r = max(-1.0, min(1.0, r))
+    denominator = math.sqrt(sxx * syy)
+    if not 0.0 < denominator < math.inf:  # the product under- or overflowed
+        denominator = math.sqrt(sxx) * math.sqrt(syy)
+    r = max(-1.0, min(1.0, sxy / denominator))
     if abs(r) == 1.0:
         return r, 0.0
-    from scipy.stats import t as student_t  # imported here: slow, and only needed here
+    # the Student t survival function as scipy.stats.t.sf evaluates it,
+    # without importing scipy.stats, which takes about a second
+    from scipy.special import stdtr  # imported here: slow, and only needed here
 
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(student_t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, min(p, 1.0)
 
 
@@ -155,7 +160,9 @@ class SweepCell:
 class CohortEvaluator:
     """Links a cohort once, holds the cohort-wide tree skeleton and every
     person's records compiled against it, and caches per (person, day,
-    gamma, y) index evaluations."""
+    gamma, y) index evaluations.  The weight plans of one gamma at a time
+    are kept per (person, day), so that each y of that gamma only runs the
+    value pass."""
 
     def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store
@@ -166,6 +173,9 @@ class CohortEvaluator:
             pid: compile_records(self.tree, recs) for pid, recs in records.items() if recs
         }
         self._cache: dict[tuple, "int | None"] = {}
+        # built on demand in hi, and dropped when hi is asked for another gamma
+        self._plans: dict[tuple[str, int], _Plan | None] = {}
+        self._plans_gamma: float | None = None
 
     def hi(self, person_id: str, day: int, spec: WeightingSpec) -> "int | None":
         """Index value at ``day`` from records up to that day; None when the
@@ -173,10 +183,16 @@ class CohortEvaluator:
         key = (person_id, day, spec.gamma, spec.y)
         if key not in self._cache:
             table = self.tables.get(person_id)
-            report = None
+            plan = None
             if table is not None:
-                [(_, report)] = evaluate_table(table, [day], spec)
-            self._cache[key] = None if report is None else report.index.value
+                if spec.gamma != self._plans_gamma:
+                    self._plans, self._plans_gamma = {}, spec.gamma
+                plan_key = (person_id, day)
+                if plan_key not in self._plans:
+                    self._plans[plan_key] = _plan(table, day, spec.gamma)
+                plan = self._plans[plan_key]
+            self._cache[key] = (None if plan is None
+                                else scale_index(_value_pass(plan, spec)[0][ROOT_SLOT]))
         return self._cache[key]
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],

@@ -20,24 +20,37 @@ node only through its value, so every record reaches the root along exactly
 one path.  The raw root value in [0, 4] is inverted and scaled to the 0-100
 health index.
 
+A node's normalized weights come from alpha, r and u alone, never from a
+value, and only the values depend on the curve parameter y.  So a day is
+evaluated in two steps.  The weight plan (``_plan``) depends on the day and
+gamma: the visible rows, alpha per record day, the fanout u, and per
+calculated node its normalized weights, its record values, the children
+whose values fill in, and its alpha and r.  The value pass (``_value_pass``)
+depends on y: bottom-up, each node's value is the curve at the weighted
+mean of its values.  One plan serves every y of its gamma.  When every
+weight at a node is zero because old time weights underflowed, the node is
+weighed again from log time weights, (day - d)*log(gamma).
+
 There is one way to evaluate: ``compile_records`` once per person and
 tree, then ``evaluate_table`` for any days and weighting specs, with
 per-node audits on request; ``evaluate_trajectory`` does both in one call
 and ``qualifiers`` shows the alpha, r and u of each record on a day.
 ``evaluate_cohort`` runs many persons' compiled tables under many specs,
-in this process or in a process pool, and reports a person whose
-evaluation fails instead of stopping.  Every step is pure: the tree and
-the table are never changed, so repeated evaluations are identical.
+weighing each day once per gamma, in this process or in a process pool,
+and reports a person whose evaluation fails instead of stopping.  Every
+step is pure: the tree and the table are never changed, so repeated
+evaluations are identical.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .codes import ROOT_SLOT, IcfCode, IcfTree, build_tree
 from .errors import EvaluationError, IcfHiError
@@ -140,6 +153,16 @@ class RecordTable:
     keys: tuple[tuple[int, str], ...]
     nodes: tuple[tuple[int, tuple[int, ...]], ...]
 
+    # derived once per table, for every day's weighing; kept in the
+    # instance __dict__, outside the fields
+    @cached_property
+    def _days(self) -> tuple[int, ...]:
+        return tuple(sorted({row[0] for row in self.rows}))
+
+    @cached_property
+    def _calculated(self) -> frozenset[int]:
+        return frozenset(slot for slot, _ in self.nodes)
+
 
 def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> RecordTable:
     """Resolve each record against ``tree`` once, for any number of
@@ -174,7 +197,7 @@ def _visible(table: RecordTable, day: int, gamma: float):
     fanout = [0] * len(table.keys)
     for row in visible:
         fanout[row[2]] += 1
-    alphas = {d: gamma ** (day - d) for d in {row[0] for row in visible}}
+    alphas = {d: gamma ** (day - d) for d in table._days if d <= day}
     return visible, alphas, fanout
 
 
@@ -192,91 +215,205 @@ def qualifiers(table: RecordTable, day: int,
     return {code: tuple(quals) for code, quals in out.items()}
 
 
-def _aggregate(tree: IcfTree, slot: int, contributions: list[tuple], spec: WeightingSpec):
-    """The (x, alpha, r) of one node from its (value, alpha, r, weight)
-    contributions, and the normalized weights."""
-    values, alphas, rels, weights = zip(*contributions)
+class _Day(NamedTuple):
+    """One day's visible rows, fanouts and steps weighed so far under one
+    gamma: what ``_normalize`` reads when it has to work in log space."""
+
+    table: RecordTable
+    visible: list
+    fanout: list
+    day: int
+    gamma: float
+    steps: dict
+
+
+def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[float]):
+    """The normalized contribution weights of one node.
+
+    When every weight is zero, they are recomputed from log time weights,
+    so that time weights that underflow to zero on a long horizon still
+    rank as they should; only a node whose contributions all have r*u = 0
+    cannot be aggregated.
+    """
     try:
-        normed = normalize_weights(weights)
+        return normalize_weights(weights)
     except ValueError:
-        label = "root" if slot == ROOT_SLOT else tree.slot_codes[slot].text
+        # any(weights): a weight is negative or nan, not underflowed
+        normed = None if any(weights) else _log_normalize(
+            _log_terms(ctx, dict(ctx.table.nodes), slot, children))
+    if normed is None:
+        label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot].text
         raise EvaluationError(
             f"all contribution weights at node {label} are zero (reliability and/or "
             "time weights vanish); the node cannot be aggregated"
-        ) from None
-    x = apply_curve(spec, math.fsum(map(mul, normed, values)))
-    # convex combinations of values in [0, 1]; clip float dust at the ends
-    alpha_q = min(max(math.fsum(map(mul, normed, alphas)), 0.0), 1.0)
-    r_q = min(max(math.fsum(map(mul, normed, rels)), 0.0), 1.0)
-    return (x, alpha_q, r_q), tuple(normed)
+        )
+    return normed
 
 
-def _roll_up(table: RecordTable, day: int, spec: WeightingSpec,
-             audit: bool) -> EvaluationReport | None:
-    """Roll the records visible on ``day`` up to the root and report the
-    index, the root alpha/r and the profile; None when no record is
-    visible.
+def _log_terms(ctx: _Day, children_of: dict, slot: int, children: Sequence[int]) -> list:
+    """(log alpha, weight over alpha) of each contribution of a node, in the
+    order ``_plan`` gives them: (day - d)*log(gamma) for a record, the
+    logsumexp of its weighted contributions for a calculated child."""
+    _, visible, fanout, day, gamma, steps = ctx
+    log_gamma = math.log(gamma)
+    terms = [((day - d) * log_gamma, r) for d, s, _, _, r in visible if s == slot]
+    for child in children:
+        step = steps.get(child)
+        if step is not None:
+            child_terms = _log_terms(ctx, children_of, child, children_of[child])
+            terms.append((_logsumexp([math.log(w) + log_alpha for w, (log_alpha, _)
+                                      in zip(step[1], child_terms) if w > 0.0]), step[5]))
+        else:
+            terms += [((day - d) * log_gamma, r * (1.0 / fanout[key]))
+                      for d, s, key, _, r in visible if s == child]
+    return terms
+
+
+def _logsumexp(logs: Sequence[float]) -> float:
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def _log_normalize(terms: list) -> list[float] | None:
+    """Normalized weights from (log alpha, weight over alpha) terms, with
+    the largest log weight subtracted first; None when every term has
+    weight zero."""
+    logs = [log_alpha + math.log(k) if k > 0.0 else -math.inf for log_alpha, k in terms]
+    top = max(logs)
+    if top == -math.inf:
+        return None
+    return normalize_weights([math.exp(x - top) for x in logs])
+
+
+class _Plan(NamedTuple):
+    """What one day's evaluation under one gamma needs beyond y.
+
+    ``steps`` holds one (slot, normalized weights, values, fills, alpha, r)
+    per calculated node in bottom-up order: ``values`` are the
+    contribution values, with 0.0 where a calculated child's value goes,
+    and ``fills`` the (position, child slot) of each such child.
+    ``components`` holds (component, slot, bare) per scored component in
+    the order of the tree, where ``bare`` is the (normalized weights,
+    values) of a component with data on the bare letter alone, else None.
+    Nothing in a plan is changed after ``_plan`` returns it.
+    """
+
+    tree: IcfTree
+    day: int
+    steps: tuple
+    components: tuple
+    alpha: float
+    reliability: float
+
+
+def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
+    """Weigh the records visible on ``day`` under ``gamma``: everything an
+    evaluation needs but the values of calculated nodes, which alone
+    depend on y.  None when no record is visible.
 
     A node with children is calculated in the tree's bottom-up order; a
     leaf never is, its qualifiers flow into its parent.  A component with
     data on the bare letter alone is scored from its own qualifiers.
     """
-    visible, alphas, fanout = _visible(table, day, spec.gamma)
+    visible, alphas, fanout = _visible(table, day, gamma)
     if not visible:
         return None
-    tree = table.tree
     # a calculated node's qualifiers are direct, with weight alpha*r; a
     # leaf's flow into its parent with weight alpha*r*u
-    calculated = {slot for slot, _ in table.nodes}
-    direct: dict[int, list[tuple]] = {}
-    as_leaf: dict[int, list[tuple]] = {}
+    calculated = table._calculated
+    direct: defaultdict[int, list[tuple]] = defaultdict(list)
+    as_leaf: defaultdict[int, list[tuple]] = defaultdict(list)
     for d, slot, key, value, r in visible:
         alpha = alphas[d]
         if slot in calculated:
-            direct.setdefault(slot, []).append((value, alpha, r, alpha * r))
+            direct[slot].append((value, alpha, r, alpha * r))
         else:
             u = 1.0 / fanout[key]
-            as_leaf.setdefault(slot, []).append((value, alpha, r, alpha * r * u))
-    results = [None] * len(tree)  # slot -> (x, alpha, r)
-    audits: list[NodeAudit] = []
+            as_leaf[slot].append((value, alpha, r, alpha * r * u))
+    # slot -> (slot, normed, values, fills, alpha, r), in bottom-up order
+    steps: dict[int, tuple] = {}
+    ctx = _Day(table, visible, fanout, day, gamma, steps)
     for slot, children in table.nodes:
         contributions = direct.get(slot, [])
+        fills = []
         for child in children:
-            res = results[child]
-            if res is not None:
-                contributions.append((*res, res[1] * res[2]))
+            step = steps.get(child)
+            if step is not None:
+                fills.append((len(contributions), child))
+                contributions.append((0.0, step[4], step[5], step[4] * step[5]))
             elif child in as_leaf:
                 contributions += as_leaf[child]
         if not contributions:
             continue
-        res, normed = _aggregate(tree, slot, contributions, spec)
-        results[slot] = res
-        if audit:
-            audits.append(NodeAudit(code="" if slot == ROOT_SLOT else tree.slot_codes[slot].text,
-                                    normalized_weights=normed, result=NodeResult(*res)))
+        values, alphas_c, rels, weights = zip(*contributions)
+        normed = _normalize(ctx, slot, children, weights)
+        # convex combinations of values in [0, 1]; clip float dust at the ends
+        steps[slot] = (slot, normed, values, fills or (),
+                       min(max(math.fsum(map(mul, normed, alphas_c)), 0.0), 1.0),
+                       min(max(math.fsum(map(mul, normed, rels)), 0.0), 1.0))
 
-    scores = {}
+    tree = table.tree
+    components = []
     for child in table.nodes[-1][1]:  # the components, in the order of the tree
-        res = results[child]
-        if res is None and child in as_leaf:  # data on the bare letter alone
-            res, _ = _aggregate(tree, child, [(v, a, r, a * r) for v, a, r, _ in as_leaf[child]],
-                                spec)
-        if res is not None:
-            comp = tree.slot_codes[child].component
-            scores[comp] = ComponentScore(comp, scale_index(res[0]), res[0])
-    x, alpha, r = results[ROOT_SLOT]  # every visible record reaches the root
+        bare = None
+        if child not in steps:
+            if child not in as_leaf:
+                continue
+            # data on the bare letter alone, with weight alpha*r
+            values, alphas_c, rels, _ = zip(*as_leaf[child])
+            bare = (_normalize(ctx, child, (), list(map(mul, alphas_c, rels))), values)
+        components.append((tree.slot_codes[child].component, child, bare))
+    root = steps[ROOT_SLOT]  # every visible record reaches the root
+    return _Plan(tree, day, tuple(steps.values()), tuple(components), root[4], root[5])
+
+
+def _value_pass(plan: _Plan, spec: WeightingSpec) -> tuple[dict[int, float], dict[str, float]]:
+    """Each calculated node's value under ``spec``'s curve, bottom-up from
+    the plan's weights, and the raw value of each scored component."""
+    xs = {}  # slot -> x
+    for slot, normed, values, fills, _, _ in plan.steps:
+        if fills:
+            values = list(values)
+            for i, child in fills:
+                values[i] = xs[child]
+        xs[slot] = apply_curve(spec, math.fsum(map(mul, normed, values)))
+    components = {comp: xs[slot] if bare is None else apply_curve(spec, math.fsum(map(mul, *bare)))
+                  for comp, slot, bare in plan.components}
+    return xs, components
+
+
+def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationReport:
+    """The report of a plan under ``spec``: the index, the profile and,
+    with ``audit``, every calculated node's weights and result."""
+    xs, components = _value_pass(plan, spec)
+    audits = None
+    if audit:
+        codes = plan.tree.slot_codes
+        audits = tuple(NodeAudit(code="" if slot == ROOT_SLOT else codes[slot].text,
+                                 normalized_weights=tuple(normed),
+                                 result=NodeResult(xs[slot], alpha, r))
+                       for slot, normed, _, _, alpha, r in plan.steps)
+    x = xs[ROOT_SLOT]
     return EvaluationReport(
-        index=HealthIndex(value=scale_index(x), raw=x, evaluated_at=day),
-        alpha=alpha,
-        reliability=r,
-        profile=HealthProfile(scores),
-        audits=tuple(audits) if audit else None,
+        index=HealthIndex(value=scale_index(x), raw=x, evaluated_at=plan.day),
+        alpha=plan.alpha,
+        reliability=plan.reliability,
+        profile=HealthProfile({comp: ComponentScore(comp, scale_index(raw), raw)
+                               for comp, raw in components.items()}),
+        audits=audits,
     )
 
 
 def _check_days(days: Sequence[int]) -> None:
     if list(days) != sorted(days):
         raise EvaluationError("trajectory days must be sorted ascending")
+
+
+def _plans(table: RecordTable, days: Sequence[int], gamma: float) -> Iterator[tuple]:
+    """The plan of each day, in order: (day, plan or None), one at a time."""
+    _check_days(days)
+    for day in days:
+        yield day, _plan(table, day, gamma)
 
 
 def evaluate_table(
@@ -291,8 +428,8 @@ def evaluate_table(
     reference; the report is None on a day before the first record.  With
     ``audit`` each report also carries every calculated node's normalized
     weights and result."""
-    _check_days(days)
-    return [(day, _roll_up(table, day, spec, audit)) for day in days]
+    return [(day, None if plan is None else _score(plan, spec, audit))
+            for day, plan in _plans(table, days, spec.gamma)]
 
 
 def evaluate_trajectory(
@@ -322,19 +459,27 @@ def evaluate_trajectory(
 
 def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple):
     """One person's rows per spec, each (day, None | (raw, alpha, r,
-    {component: raw})), or the error that stopped the evaluation.  At
-    module level and private, so that it pickles as itself."""
+    {component: raw})), or the error that stopped the evaluation.  The
+    days are weighed once per gamma and scored under each spec of that
+    gamma.  At module level and private, so that it pickles as itself."""
     pid, table, days = job
+    by_gamma: dict[float, list[int]] = {}
+    for i, spec in enumerate(specs):
+        by_gamma.setdefault(spec.gamma, []).append(i)
+    rows: list[list] = [[] for _ in specs]
     try:
-        return pid, [
-            [(day, None if report is None else
-              (report.index.raw, report.alpha, report.reliability,
-               {c: score.raw for c, score in report.profile.scores.items()}))
-             for day, report in evaluate_table(table, days, spec)]
-            for spec in specs
-        ]
+        for gamma, indices in by_gamma.items():
+            for day, plan in _plans(table, days, gamma):
+                for i in indices:
+                    rows[i].append((day, None if plan is None else _row(plan, specs[i])))
     except IcfHiError as exc:
         return pid, exc
+    return pid, rows
+
+
+def _row(plan: _Plan, spec: WeightingSpec) -> tuple:
+    xs, components = _value_pass(plan, spec)
+    return xs[ROOT_SLOT], plan.alpha, plan.reliability, components
 
 
 def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],

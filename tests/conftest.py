@@ -2,8 +2,15 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+import icfhi
 
 from icfhi import (
     QualifierRecord,
@@ -15,6 +22,13 @@ from icfhi import (
     parse_code,
     qualifiers,
 )
+
+# On CI (GitHub Actions sets CI) every run tries the same examples, and none
+# fails for taking long: property tests that evaluate trees must not flake on
+# a slow runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # gamma giving a 30-day-old qualifier one third of its weight
 GAMMA_THIRD_30 = (1.0 / 3.0) ** (1.0 / 30.0)
@@ -97,3 +111,11 @@ def shipped_translation(instrument):
     rules = [rule for rule in default_rules() if rule.source_item_id.startswith(f"{instrument}:")]
     assert rules and all(rule.translation == rules[0].translation for rule in rules)
     return rules[0].translation.translate
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package on its path."""
+    src = str(Path(icfhi.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import pearsonr
+from scipy.stats import t as student_t
 
 from icfhi import (
     CohortEvaluator,
@@ -25,7 +30,7 @@ from icfhi import (
     synthesize,
 )
 
-from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, UNRATED_RULE
+from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, UNRATED_RULE, run_python
 
 
 def _person_with_days(pid, days):
@@ -82,9 +87,36 @@ def test_pearson_matches_textbook_two_pass():
         assert r == pytest.approx(two_pass_pearson(xs, ys), abs=1e-12)
 
 
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=3,
+                max_size=60))
+def test_pearson_p_is_the_student_t_survival_function(pairs):
+    xs, ys = zip(*pairs)
+    result = pearson(xs, ys)
+    if result is None or abs(result[0]) == 1.0:
+        return
+    r, p = result
+    n = len(pairs)
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    assert p == min(2.0 * float(student_t.sf(abs(t), n - 2)), 1.0)
+
+
+def test_pearson_loads_no_scipy_stats():
+    proc = run_python("-c", "import sys; from icfhi.analysis import pearson; "
+                            "pearson([1, 2, 3, 4], [1, 3, 2, 4]); "
+                            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_pearson_zero_variance_is_undefined():
     assert pearson([1, 1, 1], [1, 2, 3]) is None
     assert pearson([1, 2, 3], [5, 5, 5]) is None
+
+
+def test_pearson_of_tiny_values_is_scale_free():
+    # sxx * syy underflows to zero although neither series is constant
+    r, p = pearson([0.0, 0.0, 1e-125], [0.0, 1e-120, 0.0])
+    assert (r, p) == pytest.approx(pearson([0, 0, 1], [0, 1, 0]), abs=1e-12)
 
 
 def test_pearson_preconditions():
@@ -308,6 +340,22 @@ def test_hi_equals_the_trajectory_value():
                 for day, report in trajectory:
                     want = None if report is None else report.index.value
                     assert evaluator.hi(person.person_id, day, spec) == want
+
+
+def test_hi_across_gamma_switches_matches_a_fresh_evaluator():
+    # the plans of one gamma are kept and dropped at the switch to another
+    store = synthesize(SynthConfig(seed=5, n_persons=8, max_visits=6))
+    evaluator = CohortEvaluator(store, default_rules())
+    for gamma in (GAMMA_THIRD_30, GAMMA_TWENTIETH_30, GAMMA_THIRD_30):
+        for y in (0.75, 3.25):
+            spec = make_spec(y, gamma)
+            fresh = CohortEvaluator(store, default_rules())
+            for person in store:
+                for day in [-1, *person.days]:
+                    assert evaluator.hi(person.person_id, day, spec) \
+                        == fresh.hi(person.person_id, day, spec)
+        # so that a gamma seen before is scored again, from fresh plans
+        evaluator._cache.clear()
 
 
 def test_precompute_matches_serial_hi():

@@ -1,9 +1,6 @@
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,19 +8,11 @@ import pytest
 import icfhi
 from icfhi.cli import main
 
-from conftest import GAMMA_THIRD_30, UNRATED_RULE
+from conftest import GAMMA_THIRD_30, UNRATED_RULE, run_python
 
 
 def run(*argv):
     return main(list(argv))
-
-
-def run_python(*args):
-    """Run a fresh interpreter with the package on its path."""
-    src = str(Path(icfhi.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
 
 
 def read(path):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icfhi import (
     EvaluationError,
@@ -30,6 +32,7 @@ from conftest import (
     worked_example_records,
 )
 import oracle
+from icfhi.engine import _evaluate_job, _plans, _score
 from oracle import brute_force_evaluate, brute_force_hi, random_case
 
 
@@ -229,6 +232,30 @@ def test_all_zero_reliability_is_degenerate():
     assert "zero" in str(err.value)
 
 
+def test_long_horizon_underflow_is_evaluated():
+    # the b280 record is 8000 days old: its time weight 20**(-8000/30)
+    # underflows to zero, which alone must not stop the evaluation
+    spec = make_spec(2.0, parse_gamma("1/20@30"))
+    records = _records(("b280", 3, 0), ("d450", 1, 8000))
+    tree = build_tree({r.code for r in records})
+    report = report_on(records, 8000, spec, tree=tree)
+    assert report is not None
+    assert report.index.raw == report_on(records[1:], 8000, spec, tree=tree).index.raw
+    assert report.profile["b"].raw == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("y", [0.75, 2.0, 3.25])
+def test_old_records_alone_keep_their_day_zero_raw(y):
+    # every time weight underflows at day 8000; the weights still rank as
+    # they do on day 0, where the records are new
+    spec = make_spec(y, parse_gamma("1/20@30"))
+    records = _records(("b28010", 3, 0, 0.7, "a"), ("b28013", 1, 0, 0.9, "b"))
+    tree = build_tree({r.code for r in records})
+    old = report_on(records, 8000, spec, tree=tree)
+    assert old.index.raw == pytest.approx(report_on(records, 0, spec, tree=tree).index.raw,
+                                          abs=1e-12)
+
+
 def test_interior_node_direct_qualifiers_not_double_counted():
     # a mid-tree node with its own qualifier and a child qualifier: the
     # grandparent must see the node only through its calculated value
@@ -369,7 +396,7 @@ def test_uniqueness_counts_a_source_reused_on_a_later_day():
 # ---------------------------------------------------------------------------
 # the compiled trajectory kernel against the single-day path and the oracle
 
-KERNEL_YS = (0.75, 2.0, 3.25)
+KERNEL_YS = (0.2, 0.75, 2.0, 3.25, 3.8)
 KERNEL_GAMMAS = ("1/20@30", "1/3@30", "1")
 
 
@@ -407,13 +434,20 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
     children_map = oracle.children_map
     monkeypatch.setattr(oracle, "children_map", lambda _texts: children_map(cohort_texts))
     for records in persons:
+        table = compile_records(tree, records)
         record_days = sorted({r.day for r in records})
         days = [record_days[0] - 1, *record_days, record_days[-1] + 7]
-        for y in KERNEL_YS:
-            for gamma_text in KERNEL_GAMMAS:
+        for gamma_text in KERNEL_GAMMAS:
+            # one weight plan per day serves every y of its gamma
+            plans = list(_plans(table, days, parse_gamma(gamma_text)))
+            for y in KERNEL_YS:
                 spec = make_spec(y, parse_gamma(gamma_text))
                 trajectory = evaluate_trajectory(records, days, spec, tree=tree)
                 assert [day for day, _ in trajectory] == days
+                for audit in (False, True):
+                    assert [(day, None if plan is None else _score(plan, spec, audit))
+                            for day, plan in plans] \
+                        == evaluate_table(table, days, spec, audit=audit)
                 for day, report in trajectory:
                     visible = [r for r in records if r.day <= day]
                     if not visible:
@@ -428,6 +462,65 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
                     assert report.index.raw == pytest.approx(raw, abs=1e-9), label
                     assert report.alpha == pytest.approx(alpha, abs=1e-9), label
                     assert report.reliability == pytest.approx(rel, abs=1e-9), label
+
+
+def test_cohort_job_groups_specs_by_gamma_in_spec_order():
+    persons, tree = _random_cohort(3)
+    gammas = [parse_gamma(text) for text in KERNEL_GAMMAS]
+    # gamma interleaved, so that grouping must restore the spec order
+    specs = [make_spec(y, gammas[i % 3]) for i, y in enumerate((0.75, 2.0, 3.25, 2.0, 0.2, 3.8,
+                                                                 1.4))]
+    for records in persons:
+        job = ("p", compile_records(tree, records), sorted({r.day for r in records}))
+        pid, rows = _evaluate_job(specs, job)
+        assert pid == "p"
+        assert rows == [_evaluate_job([spec], job)[1][0] for spec in specs]
+
+
+def _case_records(seed, shift=0):
+    records, gamma, ref = random_case(seed, int_values=False)
+    return ([QualifierRecord("p", day + shift, src, parse_code(code), value, rel)
+             for code, value, day, rel, src in records], gamma, ref + shift)
+
+
+@given(st.integers(0, 10_000), st.integers(-5_000, 100_000))
+def test_shifting_every_day_leaves_the_evaluation_bit_identical(seed, k):
+    records, gamma, ref = _case_records(seed)
+    shifted, _, shifted_ref = _case_records(seed, k)
+    spec = make_spec(2.0, gamma)
+    base, moved = report_on(records, ref, spec), report_on(shifted, shifted_ref, spec)
+    assert (moved.index.raw, moved.alpha, moved.reliability) \
+        == (base.index.raw, base.alpha, base.reliability)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 2_000), st.sampled_from((0.75, 2.0, 3.25)))
+def test_moving_the_reference_day_alone_leaves_raw(seed, k, y):
+    # every time weight is multiplied by gamma**k, which normalization cancels
+    records, gamma, ref = _case_records(seed)
+    spec = make_spec(y, gamma)
+    moved = report_on(records, ref + k, spec)
+    assert moved.index.raw == pytest.approx(report_on(records, ref, spec).index.raw, abs=1e-12)
+
+
+@given(st.integers(0, 10_000), st.floats(700.0, 2_000.0), st.data())
+def test_an_underflowing_record_changes_raw_by_at_most_its_weight(seed, decay, data):
+    # one record old enough that gamma**age = exp(-decay) < 1e-300, which is
+    # zero in floats beyond decay 745, next to the recent records of a
+    # random case: on one of their codes, or alone on a branch of its own
+    records, gamma, ref = random_case(seed, int_values=False)
+    age = math.ceil(decay / -math.log(gamma))
+    codes = sorted(oracle.closure({code for code, *_ in records})) + ["b1", "d4500", "s750"]
+    old = QualifierRecord("p", 0, "old", parse_code(data.draw(st.sampled_from(codes))),
+                          data.draw(st.floats(0.0, 4.0)), data.draw(st.floats(0.2, 1.0)))
+    assert gamma ** age < 1e-300
+    recent = [QualifierRecord("p", day + age, src, parse_code(code), value, rel)
+              for code, value, day, rel, src in records]
+    # one tree for both evaluations, so that leaves stay leaves
+    tree = build_tree({r.code for r in recent} | {old.code})
+    spec = make_spec(data.draw(st.sampled_from((0.75, 2.0, 3.25))), gamma)
+    with_old = report_on([old, *recent], ref + age, spec, tree=tree)
+    without = report_on(recent, ref + age, spec, tree=tree)
+    assert with_old.index.raw == pytest.approx(without.index.raw, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
