@@ -197,10 +197,14 @@ class CohortEvaluator:
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],
                    workers: int = 1) -> dict[str, str]:
-        """Fill the cache for every (person, measurement day, spec), with
-        the values ``hi`` would compute, for any worker count; return the
-        error message of each person whose evaluation fails."""
-        jobs = ((pid, self.tables[pid], self.store.person(pid).days)
+        """Fill the cache for every (person, statistic day, spec), with the
+        values ``hi`` would compute, for any worker count; return the error
+        message of each person whose evaluation fails.
+
+        The statistic days of a person are the days the statistics read:
+        EQ-VAS days and pain days.  A person whose evaluation would fail
+        only on another day is not reported."""
+        jobs = ((pid, self.tables[pid], _statistic_days(self.store.person(pid)))
                 for pid in person_ids if pid in self.tables)
         failures = {}
         for pid, outcome in evaluate_cohort(jobs, specs, workers):
@@ -240,6 +244,12 @@ def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     return CorrelationReport(
         n=len(eqvas_values), coefficient=r, p_value=p, bonferroni_significant=p < alpha
     )
+
+
+def _statistic_days(person: Person) -> list[int]:
+    """The days on which the statistics read a person's index: EQ-VAS
+    days and maximum-pain days, sorted."""
+    return sorted(set(person.eqvas).union(max_pain_by_day(person)))
 
 
 def max_pain_by_day(person: Person) -> dict[int, float]:

@@ -248,16 +248,29 @@ def cmd_link(args) -> int:
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
-    records = []
+    n_records = 0
     records_per_code: Counter[str] = Counter()
     persons_per_code: Counter[str] = Counter()
-    for person in store:
-        linked = linkage.apply_rules(person.answers, rules)
-        records.extend(linked)
-        per_code = Counter(map(attrgetter("code.text"), linked))
-        records_per_code.update(per_code)
-        persons_per_code.update(per_code.keys())
-    linkage.records_to_csv(records, out / "records.csv")
+    # the store holds the persons in person-id order and each answer carries
+    # its person's id, so writing one person at a time keeps records.csv in
+    # canonical order without holding every record
+    records_csv = out / "records.csv"
+    partial = out / "records.csv.partial"
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            writer = linkage.RecordWriter(fh)
+            for person in store:
+                linked = linkage.apply_rules(person.answers, rules)
+                writer.write(linked)
+                n_records += len(linked)
+                per_code = Counter(map(attrgetter("code.text"), linked))
+                records_per_code.update(per_code)
+                persons_per_code.update(per_code.keys())
+    except BaseException:
+        # a person that cannot be linked leaves no records.csv, not part of one
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(records_csv)
 
     counts = sorted(
         persons_per_code,
@@ -268,9 +281,9 @@ def cmd_link(args) -> int:
         ["code", "n_persons", "n_records"],
         [[code, persons_per_code[code], records_per_code[code]] for code in counts],
     )
-    if not records:
+    if not n_records:
         print("warning: no records produced (empty input data)", file=sys.stderr)
-    print(f"wrote {len(records)} records for {len(store)} persons to {out / 'records.csv'}")
+    print(f"wrote {n_records} records for {len(store)} persons to {records_csv}")
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,9 +32,8 @@ ANSWER_COLUMNS = ("person_id", "day", "instrument", "item", "value")
 _DAY_HEADERS = ("day", "date", "day_or_date")
 
 
-@dataclass(frozen=True, slots=True)
-class RawAnswer:
-    """One raw instrument answer on one measurement day."""
+class RawAnswer(NamedTuple):
+    """One raw instrument answer on one measurement day (a named tuple)."""
 
     person_id: str
     day: int
@@ -148,6 +147,9 @@ def _read_answer_rows(path: Path):
             header.index, ("person_id", day_name, "instrument", "item", "value"))
         errors: list[str] = []
         rows = []
+        # one string object per distinct text, shared by every row that has it
+        strings: dict[str, str] = {}
+        share = strings.setdefault
         for lineno, row in enumerate(reader, start=2):
             if not "".join(row).strip():
                 continue
@@ -157,9 +159,12 @@ def _read_answer_rows(path: Path):
                 person_id = row[pid_col].strip()
                 if not person_id:
                     raise ValueError("empty person_id")
+                person_id = share(person_id, person_id)
                 day_kind, day_raw = _parse_day_cell(row[day_col])
                 instrument = row[instrument_col].strip().lower()
+                instrument = share(instrument, instrument)
                 item = row[item_col].strip().lower()
+                item = share(item, item)
                 if not instrument or not item:
                     raise ValueError("empty instrument or item")
                 value = float(row[value_col])

@@ -28,8 +28,8 @@ calculated node its normalized weights, its record values, the children
 whose values fill in, and its alpha and r.  The value pass (``_value_pass``)
 depends on y: bottom-up, each node's value is the curve at the weighted
 mean of its values.  One plan serves every y of its gamma.  When every
-weight at a node is zero because old time weights underflowed, the node is
-weighed again from log time weights, (day - d)*log(gamma).
+weight at a node is zero or subnormal because old time weights underflowed,
+the node is weighed again from log time weights, (day - d)*log(gamma).
 
 There is one way to evaluate: ``compile_records`` once per person and
 tree, then ``evaluate_table`` for any days and weighting specs, with
@@ -45,6 +45,7 @@ evaluations are identical.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ from .linkage import QualifierRecord
 from .weighting import WeightingSpec, apply_curve, normalize_weights
 
 RAW_MIN, RAW_MAX = 0.0, 4.0
+
+# below it a float is subnormal and keeps fewer significant bits
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -230,17 +234,19 @@ class _Day(NamedTuple):
 def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[float]):
     """The normalized contribution weights of one node.
 
-    When every weight is zero, they are recomputed from log time weights,
-    so that time weights that underflow to zero on a long horizon still
-    rank as they should; only a node whose contributions all have r*u = 0
-    cannot be aggregated.
+    When every weight is zero or subnormal, they are recomputed from log
+    time weights, so that time weights that underflow on a long horizon,
+    to zero or to a few significant bits, still rank as they should; only
+    a node whose contributions all have r*u = 0 cannot be aggregated.
     """
-    try:
-        return normalize_weights(weights)
-    except ValueError:
-        # any(weights): a weight is negative or nan, not underflowed
-        normed = None if any(weights) else _log_normalize(
-            _log_terms(ctx, dict(ctx.table.nodes), slot, children))
+    normed = None
+    if max(weights) >= _SMALLEST_NORMAL:
+        try:
+            return normalize_weights(weights)
+        except ValueError:  # a weight is negative
+            pass
+    elif min(weights) >= 0.0:
+        normed = _log_normalize(_log_terms(ctx, dict(ctx.table.nodes), slot, children))
     if normed is None:
         label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot].text
         raise EvaluationError(

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .codes import IcfCode, parse_code
 from .errors import CodeParseError, ConfigError, DataError
@@ -187,9 +187,11 @@ class LinkageRule:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class QualifierRecord:
-    """One linked measurement: a qualifier value on one ICF code."""
+class QualifierRecord(NamedTuple):
+    """One linked measurement: a qualifier value on one ICF code.
+
+    A named tuple, so building one is a single tuple allocation; it equals
+    a plain tuple of the same fields."""
 
     person_id: str
     day: int
@@ -321,21 +323,38 @@ def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Qualifie
 
 RECORD_COLUMNS = ("person_id", "day", "source_id", "code", "value", "reliability")
 
+# a code is one letter plus digits, so its text sorts as the code does
+_CANONICAL = attrgetter("person_id", "day", "source_id", "code.text")
 
-def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
-    """Write qualifier records in canonical (person, day, source, code) order."""
-    # a code is one letter plus digits, so its text sorts as the code does
-    ordered = sorted(records, key=attrgetter("person_id", "day", "source_id", "code.text"))
-    # few distinct numbers occur, so each is formatted once
-    cells = {x: format_cell(x) for x in {*map(attrgetter("value"), ordered),
-                                          *map(attrgetter("reliability"), ordered)}}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerows(
+
+class RecordWriter:
+    """Writes a record CSV: the header, then each batch of records in
+    canonical (person, day, source, code) order.  The file is in canonical
+    order when every batch sorts after the one before it, as the records
+    of one person after another in person-id order do."""
+
+    def __init__(self, fh):
+        self._writer = csv.writer(fh)
+        self._writer.writerow(RECORD_COLUMNS)
+        self._cells: dict[float, str] = {}  # few distinct numbers occur
+
+    def write(self, records: Iterable[QualifierRecord]) -> None:
+        ordered = sorted(records, key=_CANONICAL)
+        cells = self._cells
+        numbers = {*map(attrgetter("value"), ordered), *map(attrgetter("reliability"), ordered)}
+        for x in numbers - cells.keys():
+            cells[x] = format_cell(x)
+        self._writer.writerows(
             (r.person_id, r.day, r.source_id, r.code.text, cells[r.value], cells[r.reliability])
             for r in ordered
         )
+
+
+def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
+    """Write qualifier records, in any order, in canonical (person, day,
+    source, code) order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        RecordWriter(fh).write(records)
 
 
 def records_from_csv(path) -> list[QualifierRecord]:

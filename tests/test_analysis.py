@@ -359,28 +359,47 @@ def test_hi_across_gamma_switches_matches_a_fresh_evaluator():
 
 
 def test_precompute_matches_serial_hi():
-    # at every worker count the cache gets what hi computes one value at a time
-    store = synthesize(SynthConfig(seed=5, n_persons=6, max_visits=6))
+    # at every worker count the cache gets what hi computes one value at a
+    # time, on exactly the days the statistics read: EQ-VAS and pain days
+    # (at seed 6 some measurement days have neither)
+    store = synthesize(SynthConfig(seed=6, n_persons=6, max_visits=6))
     specs = [make_spec(y, gamma) for y in (0.75, 3.25) for gamma in (GAMMA_THIRD_30, 1.0)]
+    read = {(person.person_id, day) for person in store
+            for day in {*person.eqvas, *max_pain_by_day(person)}}
+    assert read < {(person.person_id, day) for person in store for day in person.days}
     serial = CohortEvaluator(store, default_rules())
     for workers in (1, 2):
         evaluator = CohortEvaluator(store, default_rules())
         assert evaluator.precompute(store.person_ids, specs, workers=workers) == {}
-        assert len(evaluator._cache) == len(specs) * sum(len(person.days) for person in store)
+        assert sorted(evaluator._cache) == sorted(
+            (pid, day, spec.gamma, spec.y) for pid, day in read for spec in specs)
         for (pid, day, gamma, y), value in evaluator._cache.items():
             assert serial.hi(pid, day, make_spec(y, gamma)) == value
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_precompute_reports_a_failed_person(workers):
-    # "bad" answers one instrument only, and its rule has reliability 0
+    # "bad" answers one instrument only, and its rule has reliability 0;
+    # its EQ-VAS answers make the statistics read those days
     good = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
-    bad = Person("bad", [RawAnswer("bad", day, "unrated", "item", 3.0) for day in (0, 5)])
+    bad = Person("bad", [RawAnswer("bad", day, "unrated", "item", 3.0) for day in (0, 5)],
+                 {0: 50.0, 5: 60.0})
     rules = default_rules().to_json()
     rules["rules"].append(UNRATED_RULE)
     evaluator = CohortEvaluator(CohortStore([bad, *good]), RuleSet.from_json(rules))
     failures = evaluator.precompute(["bad", *good.person_ids], [make_spec()], workers)
     assert list(failures) == ["bad"]
     assert failures["bad"].startswith("all contribution weights at node")
-    assert len(evaluator._cache) == sum(len(person.days) for person in good)
+    assert len(evaluator._cache) == sum(len({*person.eqvas, *max_pain_by_day(person)})
+                                        for person in good)
     assert "bad" not in {pid for pid, _, _, _ in evaluator._cache}
+
+
+def test_precompute_skips_a_failure_on_days_no_statistic_reads():
+    # without EQ-VAS or pain answers no statistic reads the failing days
+    bad = Person("bad", [RawAnswer("bad", day, "unrated", "item", 3.0) for day in (0, 5)])
+    rules = default_rules().to_json()
+    rules["rules"].append(UNRATED_RULE)
+    evaluator = CohortEvaluator(CohortStore([bad]), RuleSet.from_json(rules))
+    assert evaluator.precompute(["bad"], [make_spec()]) == {}
+    assert evaluator._cache == {}

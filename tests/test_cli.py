@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,31 @@ def test_link_produces_records_and_counts(cohort_dir, tmp_path):
     assert [int(r["n_persons"]) for r in counts] == sorted(
         (int(r["n_persons"]) for r in counts), reverse=True
     )
+
+
+def test_link_writes_what_records_to_csv_writes_for_any_order(cohort_dir, tmp_path):
+    # link writes one person at a time; records_to_csv sorts all records at once
+    out = tmp_path / "linked"
+    assert run("link", "--data", str(cohort_dir), "--out", str(out)) == 0
+    rules = icfhi.default_rules()
+    records = [r for person in icfhi.ingest(cohort_dir)
+               for r in icfhi.apply_rules(person.answers, rules)]
+    random.Random(11).shuffle(records)
+    icfhi.records_to_csv(records, tmp_path / "shuffled.csv")
+    assert read(out / "records.csv") == read(tmp_path / "shuffled.csv")
+
+
+def test_link_failure_leaves_no_partial_records(cohort_dir, tmp_path, capsys):
+    out = tmp_path / "linked"
+    assert run("link", "--data", str(cohort_dir), "--out", str(out)) == 0
+    before = read(out / "records.csv")
+    # a person between others in id order has an answer outside the pain scale
+    with open(cohort_dir / "answers.csv", "a") as fh:
+        fh.write("p0010x,0,pain_vas,back,11\n")
+    assert run("link", "--data", str(cohort_dir), "--out", str(out)) == 3
+    assert "person p0010x" in capsys.readouterr().err
+    assert read(out / "records.csv") == before
+    assert sorted(p.name for p in out.iterdir()) == ["code_counts.csv", "records.csv"]
 
 
 def test_link_missing_rule_file_is_config_error(cohort_dir, tmp_path, capsys):

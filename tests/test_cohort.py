@@ -36,6 +36,22 @@ def test_ingest_day_offsets(tmp_path):
     assert (stats(person).duration, stats(person).sequence_length) == (21, 3)
 
 
+def test_ingest_shares_one_string_per_distinct_text(tmp_path):
+    path = _write(tmp_path / "a.csv", HEADER + "\n".join([
+        "p1,0,pain_vas,back,5",
+        " p1,0,pain_vas,neck,4",
+        "p2,0,PAIN_VAS,back,2",
+        "p1,7,pain_vas,back,3",
+    ]))
+    store = ingest(path)
+    answers = [a for person in store for a in person.answers]
+    for field in ("person_id", "instrument", "item"):
+        by_text = {}
+        for answer in answers:
+            text = getattr(answer, field)
+            assert by_text.setdefault(text, text) is text
+
+
 def test_ingest_three_weeks_four_visits(tmp_path):
     path = _write(tmp_path / "a.csv", HEADER + "\n".join(
         f"p1,{d},pain_vas,back,3" for d in (0, 7, 14, 21)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -252,6 +253,19 @@ def test_old_records_alone_keep_their_day_zero_raw(y):
     records = _records(("b28010", 3, 0, 0.7, "a"), ("b28013", 1, 0, 0.9, "b"))
     tree = build_tree({r.code for r in records})
     old = report_on(records, 8000, spec, tree=tree)
+    assert old.index.raw == pytest.approx(report_on(records, 0, spec, tree=tree).index.raw,
+                                          abs=1e-12)
+
+
+@pytest.mark.parametrize("day", [7300, 7379, 7409])
+def test_subnormal_time_weights_keep_the_day_zero_raw(day):
+    # 20**(-day/30) is subnormal on these days: normalized as they are,
+    # such weights keep a few significant bits and move raw in the fourth digit
+    spec = make_spec(2.0, parse_gamma("1/20@30"))
+    records = _records(("b28010", 3, 0, 0.7, "a"), ("b28013", 1, 0, 0.9, "b"))
+    assert 0.0 < spec.gamma ** day < sys.float_info.min
+    tree = build_tree({r.code for r in records})
+    old = report_on(records, day, spec, tree=tree)
     assert old.index.raw == pytest.approx(report_on(records, 0, spec, tree=tree).index.raw,
                                           abs=1e-12)
 

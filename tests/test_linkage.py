@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import pickle
 import random
@@ -324,11 +323,15 @@ def test_multi_target_answer_rows_are_contiguous_in_code_order(tmp_path):
 def test_records_and_answers_are_slotted_and_pickle():
     record = QualifierRecord("p", 0, "p:0:odi:lifting", parse_code("b7305"), 3.0, 1.0)
     answer = RawAnswer("p", 0, "odi", "lifting", 4.0)
+    assert QualifierRecord._fields == ("person_id", "day", "source_id", "code", "value",
+                                       "reliability")
+    assert RawAnswer._fields == ("person_id", "day", "instrument", "item", "value")
+    assert (answer.source_item_id, answer.source_id) == ("odi:lifting", "p:0:odi:lifting")
     for obj in (record, answer):
         assert not hasattr(obj, "__dict__")
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and hash(copy) == hash(obj)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             obj.day = 1
 
 
