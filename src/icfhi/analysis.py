@@ -147,14 +147,20 @@ class SequenceBin:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (gamma, y) cell.  A statistic that is undefined for the cell has
+    None values, and ``status`` names the reason of the first undefined
+    one, EQ-VAS before maximum pain ("ok" when both are defined)."""
+
     gamma: float
     y: float
-    eqvas_n: int
-    eqvas_coefficient: float
-    eqvas_p: float
-    maxpain_n: int
-    maxpain_median: float
-    maxpain_significant_portion: float
+    eqvas_n: int | None
+    eqvas_coefficient: float | None
+    eqvas_p: float | None
+    maxpain_n: int | None
+    maxpain_median: float | None
+    maxpain_significant_portion: float | None
+    distinct_index_values: int
+    status: str
 
 
 class CohortEvaluator:
@@ -223,6 +229,12 @@ def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     """Pooled correlation between every EQ-VAS answer in the group and the
     index evaluated at that answer's day.  Answers given before a person has
     any linkable record are skipped."""
+    return _pooled_correlation(*_eqvas_pairs(evaluator, person_ids, spec), alpha)
+
+
+def _eqvas_pairs(evaluator: CohortEvaluator, person_ids: Sequence[str],
+                 spec: WeightingSpec) -> tuple[list[float], list[float]]:
+    """The pooled (EQ-VAS answer, index on its day) series of the group."""
     eqvas_values: list[float] = []
     hi_values: list[float] = []
     for pid in person_ids:
@@ -233,13 +245,20 @@ def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
                 continue
             eqvas_values.append(value)
             hi_values.append(float(hi))
+    return eqvas_values, hi_values
+
+
+def _pooled_correlation(eqvas_values: Sequence[float], hi_values: Sequence[float],
+                        alpha: float) -> CorrelationReport:
     if len(eqvas_values) < 3:
         raise InsufficientDataError(
-            f"only {len(eqvas_values)} EQ-VAS/index pairs in the group; need at least 3"
+            f"only {len(eqvas_values)} EQ-VAS/index pairs in the group; need at least 3",
+            "too_few_pairs",
         )
     result = pearson(eqvas_values, hi_values)
     if result is None:
-        raise InsufficientDataError("pooled EQ-VAS/index series has zero variance")
+        raise InsufficientDataError("pooled EQ-VAS/index series has zero variance",
+                                    "zero_variance")
     r, p = result
     return CorrelationReport(
         n=len(eqvas_values), coefficient=r, p_value=p, bonferroni_significant=p < alpha
@@ -289,7 +308,7 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
         raw.append((pid, len(series), result[0], result[1]))
     if not raw:
         raise InsufficientDataError("no person in the group has a computable "
-                                    "maximum-pain/index correlation")
+                                    "maximum-pain/index correlation", "no_correlations")
     threshold = alpha / len(raw)
     correlations = tuple(
         PersonCorrelation(pid, n_days, r, p, p < threshold) for pid, n_days, r, p in raw
@@ -329,7 +348,8 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
     person's treatment sequence length (ties broken by person id)."""
     if len(report.correlations) < k:
         raise InsufficientDataError(
-            f"cannot form {k} bins from {len(report.correlations)} correlations"
+            f"cannot form {k} bins from {len(report.correlations)} correlations",
+            "too_few_correlations",
         )
     keyed = sorted(
         ((stats(store.person(c.person_id)).sequence_length, c.person_id, c)
@@ -357,23 +377,28 @@ def sweep(evaluator: CohortEvaluator, person_ids: Sequence[str],
           gammas: Sequence[float], ys: Sequence[float],
           alpha: float = DEFAULT_ALPHA) -> list[SweepCell]:
     """One row per (gamma, y): the pooled EQ-VAS correlation and the
-    maximum-pain median correlation for the group."""
+    maximum-pain median correlation for the group, and the number of
+    distinct index values in the pooled EQ-VAS series.  A cell whose
+    statistic is undefined is reported with its status, not raised."""
     cells: list[SweepCell] = []
     for gamma in gammas:
         for y in ys:
             spec = make_spec(y, gamma)
-            eq = eqvas_vs_hi(evaluator, person_ids, spec, alpha)
-            mp = maxpain_vs_hi(evaluator, person_ids, spec, alpha)
-            cells.append(
-                SweepCell(
-                    gamma=gamma,
-                    y=y,
-                    eqvas_n=eq.n,
-                    eqvas_coefficient=eq.coefficient,
-                    eqvas_p=eq.p_value,
-                    maxpain_n=mp.n,
-                    maxpain_median=mp.median,
-                    maxpain_significant_portion=mp.significant_portion,
-                )
-            )
+            eqvas_values, hi_values = _eqvas_pairs(evaluator, person_ids, spec)
+            reasons = []
+            try:
+                eq = _pooled_correlation(eqvas_values, hi_values, alpha)
+                eq_values = (eq.n, eq.coefficient, eq.p_value)
+            except InsufficientDataError as exc:
+                reasons.append(exc.reason)
+                eq_values = (None, None, None)
+            try:
+                mp = maxpain_vs_hi(evaluator, person_ids, spec, alpha)
+                mp_values = (mp.n, mp.median, mp.significant_portion)
+            except InsufficientDataError as exc:
+                reasons.append(exc.reason)
+                mp_values = (None, None, None)
+            cells.append(SweepCell(gamma, y, *eq_values, *mp_values,
+                                   distinct_index_values=len(set(hi_values)),
+                                   status=reasons[0] if reasons else "ok"))
     return cells

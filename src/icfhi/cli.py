@@ -435,7 +435,12 @@ def cmd_validate(args) -> int:
                     spec_def.label, cell.gamma, cell.y, cell.eqvas_n,
                     cell.eqvas_coefficient, cell.eqvas_p, cell.maxpain_n,
                     cell.maxpain_median, cell.maxpain_significant_portion,
+                    cell.distinct_index_values, cell.status,
                 ])
+                if cell.status != "ok":
+                    print(f"warning: sweep cell group={spec_def.label} "
+                          f"gamma={format_cell(cell.gamma)} y={format_cell(cell.y)} "
+                          f"is undefined: {cell.status}", file=sys.stderr)
 
     _write_csv(out / "eqvas_correlations.csv",
                ["group", "gamma", "y", "n", "coefficient", "p_value", "significant"],
@@ -455,7 +460,8 @@ def cmd_validate(args) -> int:
     if grid is not None:
         _write_csv(out / "sweep.csv",
                    ["group", "gamma", "y", "eqvas_n", "eqvas_coefficient", "eqvas_p",
-                    "maxpain_n", "maxpain_median", "maxpain_significant_portion"],
+                    "maxpain_n", "maxpain_median", "maxpain_significant_portion",
+                    "distinct_index_values", "status"],
                    sweep_rows)
 
     info = {

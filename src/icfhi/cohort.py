@@ -198,6 +198,8 @@ def _read_eqvas_rows(path: Path):
                 if len(row) < width:
                     raise ValueError(f"expected {width} columns, got {len(row)}")
                 person_id = row[pid_col].strip()
+                if not person_id:
+                    raise ValueError("empty person_id")
                 day_kind, day_raw = _parse_day_cell(row[day_col])
                 value = float(row[value_col])
             except ValueError as exc:

@@ -31,4 +31,11 @@ class EvaluationError(DataError):
 
 
 class InsufficientDataError(DataError):
-    """A statistic was requested with too little data to compute it."""
+    """A statistic was requested with too little data to compute it.
+
+    ``reason`` names why in one word, such as ``zero_variance``; a sweep
+    cell reports it as its status."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason

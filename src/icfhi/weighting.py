@@ -74,8 +74,6 @@ def _fit_logarithmic(y: float) -> CurveParams:
         b = math.exp(u)
         return y * math.log1p(4.0 * b) / math.log1p(2.0 * b) - 4.0
 
-    from scipy.optimize import brentq  # imported here: slow, and only needed here
-
     lo_u, hi_u = math.log(1e-12), 700.0
     if residual(hi_u) > 0.0:
         raise FitError(
@@ -83,7 +81,10 @@ def _fit_logarithmic(y: float) -> CurveParams:
             f"precision (residual {residual(hi_u):.3e} at b=e^700); choose y "
             "further from 4"
         )
-    u = brentq(residual, lo_u, hi_u, xtol=1e-13, rtol=8.9e-16, maxiter=300)
+    u = _brentq(residual, lo_u, hi_u, xtol=1e-13, rtol=8.9e-16, maxiter=300)
+    if u is None:
+        raise FitError(f"logarithmic fit for y={y}: the residual has the same sign at "
+                       f"both ends of the bracket e^({lo_u:.1f}, {hi_u:.1f})")
     if abs(residual(u)) > _FIT_TOL:
         raise FitError(
             f"logarithmic fit for y={y} did not converge: residual {residual(u):.3e} "
@@ -92,6 +93,52 @@ def _fit_logarithmic(y: float) -> CurveParams:
     b = math.exp(u)
     a = y / math.log1p(2.0 * b)
     return CurveParams("logarithmic", a=a, b=b)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> "float | None":
+    """Brent's root finder, step for step as scipy.optimize.brentq runs it
+    (its C ``brentq.c``), so every iterate is bit-identical to scipy's
+    without importing scipy.optimize, which takes about 0.3 s.  Returns
+    None when f has the same sign at both ends and the last iterate when
+    maxiter runs out; the caller checks the residual."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur
 
 
 def _check_fit(params: CurveParams, y: float) -> None:

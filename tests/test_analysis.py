@@ -304,6 +304,33 @@ def test_sweep_contains_linear_row_matching_direct_results():
     assert linear_cell.eqvas_n == direct_eq.n
 
 
+def test_sweep_reports_undefined_statistics_as_status():
+    lone = CohortStore([Person("p", [RawAnswer("p", 0, "pain_vas", "back", 3.0)], {0: 70.0})])
+    [cell] = sweep(CohortEvaluator(lone, default_rules()), ["p"], [1.0], [2.0])
+    assert (cell.status, cell.distinct_index_values) == ("too_few_pairs", 1)
+    assert (cell.eqvas_n, cell.eqvas_coefficient, cell.eqvas_p) == (None, None, None)
+    assert (cell.maxpain_n, cell.maxpain_median, cell.maxpain_significant_portion) == (
+        None, None, None)
+    # two pain days per person: the pooled EQ-VAS correlation is defined, but
+    # no person has the three days a maximum-pain correlation needs
+    persons = [Person(pid, [RawAnswer(pid, d, "pain_vas", "back", float(2 + i + d))
+                            for d in (0, 1)], {0: 40.0 + i, 1: 90.0 - 7 * i})
+               for i, pid in enumerate(("a", "b", "c"))]
+    store = CohortStore(persons)
+    evaluator = CohortEvaluator(store, default_rules())
+    [cell] = sweep(evaluator, store.person_ids, [1.0], [2.0])
+    direct = eqvas_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
+    assert cell.status == "no_correlations"
+    assert (cell.eqvas_n, cell.eqvas_coefficient, cell.eqvas_p) == (
+        direct.n, direct.coefficient, direct.p_value)
+    assert cell.maxpain_n is None
+    assert cell.distinct_index_values == len({evaluator.hi(p.person_id, day, make_spec(2.0, 1.0))
+                                             for p in persons for day in p.eqvas}) > 1
+    with pytest.raises(InsufficientDataError) as raised:
+        maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
+    assert raised.value.reason == "no_correlations"
+
+
 def test_summaries_deterministic():
     def run():
         store = synthesize(SynthConfig(seed=13, n_persons=50, max_visits=10))

@@ -8,6 +8,7 @@ import pytest
 
 import icfhi
 from icfhi.cli import main
+from icfhi.formatting import format_cell
 
 from conftest import GAMMA_THIRD_30, UNRATED_RULE, run_python
 
@@ -217,6 +218,39 @@ def test_validate_grid_flag_honored(tmp_path):
     assert {r["y"] for r in rows} == {"1", "2"}
 
 
+def test_validate_reports_undefined_sweep_cells_and_goes_on(tmp_path, capsys):
+    # at y = 3.8 the curve, applied at every tree level, maps every pooled
+    # index value of this cohort to one value
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, seed=42, persons=60)) == 0
+    out = tmp_path / "val"
+    assert run("validate", "--data", str(cohort), "--out", str(out),
+               "--groups", "30:5", "--grid", "y=2,3.8;gamma=1") == 0
+    assert capsys.readouterr().err == (
+        "warning: sweep cell group=30d_5v gamma=1 y=3.8 is undefined: zero_variance\n")
+    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                 "sequence_bins.csv", "sweep.csv", "run_info.json"):
+        assert (out / name).exists()
+    with open(out / "sweep.csv") as fh:
+        linear, steep = csv.DictReader(fh)
+    assert (steep["y"], steep["status"], steep["distinct_index_values"]) == ("3.8", "zero_variance",
+                                                                            "1")
+    assert steep["eqvas_n"] == steep["eqvas_coefficient"] == steep["eqvas_p"] == ""
+    assert linear["status"] == "ok" and int(linear["distinct_index_values"]) > 1
+
+    store = icfhi.ingest(cohort)
+    evaluator = icfhi.CohortEvaluator(store, icfhi.default_rules())
+    group = icfhi.GroupSpec(30, 5)
+    pids = icfhi.form_groups(store, [group])[group]
+    spec = icfhi.make_spec(2.0, 1.0)
+    eq = icfhi.eqvas_vs_hi(evaluator, pids, spec)
+    mp = icfhi.maxpain_vs_hi(evaluator, pids, spec)
+    assert [linear[k] for k in ("eqvas_n", "eqvas_coefficient", "eqvas_p", "maxpain_n",
+                                "maxpain_median", "maxpain_significant_portion")] == [
+        format_cell(v) for v in (eq.n, eq.coefficient, eq.p_value, mp.n, mp.median,
+                                 mp.significant_portion)]
+
+
 def test_validate_deterministic_across_runs_and_workers(tmp_path):
     cohort = tmp_path / "cohort"
     assert run(*synth_args(cohort, seed=42, persons=120)) == 0
@@ -266,11 +300,35 @@ def test_missing_records_file_is_data_error(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy serves only curve fitting and p-values; link and index never need it
+    # scipy serves only the p-values of validate; link and index never need it
     proc = run_python("-c", "import sys, icfhi.cli; "
                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _scipy_modules_after(*argv):
+    """The scipy modules a fresh interpreter holds after ``icfhi ARGV``."""
+    proc = run_python("-c", "import sys; from icfhi.cli import main; code = main(sys.argv[1:]); "
+                            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))",
+                      *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    return modules
+
+
+def test_index_with_a_logarithmic_curve_loads_no_scipy(cohort_dir, tmp_path):
+    assert run("link", "--data", str(cohort_dir), "--out", str(tmp_path / "link")) == 0
+    assert _scipy_modules_after("index", "--records", str(tmp_path / "link" / "records.csv"),
+                                "--out", str(tmp_path / "idx"), "--y", "3.25") == "[]"
+
+
+def test_validate_loads_no_scipy_optimize(cohort_dir, tmp_path):
+    modules = _scipy_modules_after("validate", "--data", str(cohort_dir),
+                                   "--out", str(tmp_path / "val"), "--groups", "30:5",
+                                   "--grid", "y=2,3.25;gamma=1")
+    assert "scipy.special" in modules and "scipy.optimize" not in modules
 
 
 @pytest.mark.parametrize("value, reliability", [("7", "1"), ("nan", "1"), ("2", "-1")])

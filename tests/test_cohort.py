@@ -155,6 +155,15 @@ def test_ingest_short_eqvas_row_is_data_error(tmp_path):
         ingest(cohort)
 
 
+def test_ingest_eqvas_row_without_person_id_is_data_error(tmp_path):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    _write(cohort / "answers.csv", HEADER + "p1,0,pain_vas,back,5\n")
+    eqvas = _write(cohort / "eqvas.csv", "person_id,day,value\np1,0,70\n ,1,60\n")
+    with pytest.raises(DataError, match=re.escape(f"{eqvas}:3: empty person_id")):
+        ingest(cohort)
+
+
 def test_ingest_empty_file_warns_and_returns_empty(tmp_path, caplog):
     path = _write(tmp_path / "a.csv", HEADER)
     with caplog.at_level("WARNING"):

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.optimize import brentq
+
 from icfhi import (
     ConfigError,
+    CurveParams,
+    FitError,
     apply_curve,
     fit_curve,
     gamma_from_fraction,
@@ -16,7 +20,9 @@ from icfhi import (
     parse_gamma,
 )
 
-from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, engine_alphas
+from icfhi.weighting import _brentq, _check_fit
+
+from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, engine_alphas, run_python
 from oracle import bisect_log_fit
 
 FIT_TOL = 1e-9
@@ -154,3 +160,77 @@ def test_make_spec_validates_gamma():
         make_spec(2.0, 0.0)
     spec = make_spec(0.75, 0.9)
     assert spec.curve.kind == "exponential"
+
+
+# the logarithmic fit's root finder is a port of scipy.optimize.brentq
+
+LOG_BRACKET = (math.log(1e-12), 700.0)
+
+
+def _log_residual(y):
+    def residual(u):
+        b = math.exp(u)
+        return y * math.log1p(4.0 * b) / math.log1p(2.0 * b) - 4.0
+    return residual
+
+
+def _scipy_log_fit(y):
+    """fit_curve's logarithmic branch with scipy.optimize.brentq as its root
+    finder: the fitted params, or FitError where fit_curve must raise it."""
+    residual = _log_residual(y)
+    if residual(LOG_BRACKET[1]) > 0.0:
+        return FitError
+    u = brentq(residual, *LOG_BRACKET, xtol=1e-13, rtol=8.9e-16, maxiter=300)
+    if abs(residual(u)) > FIT_TOL:
+        return FitError
+    b = math.exp(u)
+    params = CurveParams("logarithmic", a=y / math.log1p(2.0 * b), b=b)
+    try:
+        _check_fit(params, y)
+    except FitError:
+        return FitError
+    return params
+
+
+def test_log_fit_is_bit_identical_to_scipy_brentq():
+    ys = [(2000 + i) / 1000 for i in range(1, 2000)] + [2.6, 3.25, 3.8]
+    mismatches, raised = [], 0
+    for y in ys:
+        want = _scipy_log_fit(y)
+        try:
+            got = fit_curve(y)
+        except FitError:
+            got = FitError
+        raised += got is FitError
+        if want is FitError or got is FitError:
+            same = want is got
+        else:
+            same = (got.kind, got.a.hex(), got.b.hex(), got.c) == (want.kind, want.a.hex(),
+                                                                   want.b.hex(), want.c)
+        if not same:
+            mismatches.append((y, got, want))
+    assert not mismatches, mismatches[:5]
+    assert 0 < raised < 10  # only y within about 0.004 of 4 needs b beyond e^700
+
+
+def test_brentq_port_returns_scipys_last_iterate_when_maxiter_runs_out():
+    for y in (2.3, 3.25, 3.9):
+        residual = _log_residual(y)
+        for maxiter in range(12):
+            want = brentq(residual, *LOG_BRACKET, xtol=1e-13, rtol=8.9e-16, maxiter=maxiter,
+                          disp=False)
+            got = _brentq(residual, *LOG_BRACKET, xtol=1e-13, rtol=8.9e-16, maxiter=maxiter)
+            assert got.hex() == want.hex(), (y, maxiter)
+
+
+def test_brentq_port_rejects_a_bracket_without_a_sign_change():
+    assert _brentq(lambda u: u * u + 1.0, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16,
+                   maxiter=300) is None
+    assert _brentq(lambda u: u, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16, maxiter=300) == 0.0
+
+
+def test_log_fit_loads_no_scipy():
+    proc = run_python("-c", "import sys; from icfhi import fit_curve; fit_curve(3.25); "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
