@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis, cohort, engine, linkage, weighting
 from .codes import build_tree
-from .errors import ConfigError, DataError, IcfHiError
+from .errors import ConfigError, DataError, IcfHiError, InsufficientDataError
 from .formatting import format_cell
 
 CONFIG_ENV = "ICFHI_CONFIG"
@@ -382,6 +382,15 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 # validate
 
+def _defined(where: str, name: str, statistic, *args):
+    """``statistic(*args)``, or None after a warning if it is undefined."""
+    try:
+        return statistic(*args)
+    except InsufficientDataError as exc:
+        print(f"warning: {where} {name} is undefined: {exc.reason}", file=sys.stderr)
+        return None
+
+
 def cmd_validate(args) -> int:
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
@@ -408,12 +417,17 @@ def cmd_validate(args) -> int:
         pids = groups[spec_def]
         for gamma in gammas:
             wspec = weighting.make_spec(y, gamma)
-            eq = analysis.eqvas_vs_hi(evaluator, pids, wspec, alpha)
-            eqvas_rows.append([
-                spec_def.label, gamma, y, eq.n, eq.coefficient, eq.p_value,
-                int(eq.bonferroni_significant),
-            ])
-            mp = analysis.maxpain_vs_hi(evaluator, pids, wspec, alpha)
+            where = f"group {spec_def.label} gamma={format_cell(gamma)} y={format_cell(y)}"
+            eq = _defined(where, "eqvas", analysis.eqvas_vs_hi, evaluator, pids, wspec, alpha)
+            if eq is not None:
+                eqvas_rows.append([
+                    spec_def.label, gamma, y, eq.n, eq.coefficient, eq.p_value,
+                    int(eq.bonferroni_significant),
+                ])
+            mp = _defined(where, "maxpain", analysis.maxpain_vs_hi, evaluator, pids, wspec,
+                          alpha)
+            if mp is None:
+                continue
             summary_rows.append([
                 spec_def.label, gamma, y, mp.n, mp.median, mp.significant_portion,
                 mp.omitted_constant_trajectories, mp.boxplot.q1, mp.boxplot.q3,
@@ -424,7 +438,8 @@ def cmd_validate(args) -> int:
                     spec_def.label, gamma, y, c.person_id, c.n_days,
                     c.coefficient, c.p_value, int(c.significant),
                 ])
-            for b in analysis.bin_by_sequence_length(store, mp):
+            bins = _defined(where, "sequence_bins", analysis.bin_by_sequence_length, store, mp)
+            for b in bins or ():
                 bin_rows.append([
                     spec_def.label, gamma, y, b.index, b.min_length, b.max_length,
                     b.n, b.significant_portion, b.median_correlation,

@@ -30,6 +30,7 @@ EQVAS_INSTRUMENT = "eqvas"
 
 ANSWER_COLUMNS = ("person_id", "day", "instrument", "item", "value")
 _DAY_HEADERS = ("day", "date", "day_or_date")
+_ANSWER_ORDER = attrgetter("day", "instrument", "item")
 
 
 class RawAnswer(NamedTuple):
@@ -125,28 +126,30 @@ def _parse_day_cell(cell: str):
         raise ValueError(f"cannot parse day/date {cell!r}") from None
 
 
-def _read_answer_rows(path: Path):
-    """Yield (line_number, person_id, day_kind, day_raw, instrument, item, value)."""
+def _read_rows(path: Path, eqvas: bool):
+    """Yield (line_number, person_id, day_kind, day_raw, instrument, item,
+    value) for every valid row of an answers CSV or, with ``eqvas``, an
+    EQ-VAS CSV (person_id, day, value).  Malformed rows are reported
+    together, in one error raised after the last row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             log.warning("input file %s is empty", path)
             return
         header = [h.strip().lower() for h in header]
         day_name = next((h for h in header if h in _DAY_HEADERS), None)
-        required = {"person_id", "instrument", "item", "value"}
-        if day_name is None or not required.issubset(header):
-            raise DataError(
-                f"{path}: expected columns person_id, day (or date), instrument, item, value; "
-                f"got {header}"
-            )
+        names = ("person_id", day_name, "value") if eqvas else \
+            ("person_id", day_name, "value", "instrument", "item")
+        if day_name is None or not set(names).issubset(header):
+            expected = "person_id, day, value" if eqvas else \
+                "person_id, day (or date), instrument, item, value"
+            raise DataError(f"{path}: expected columns {expected}; got {header}")
         width = len(header)
-        pid_col, day_col, instrument_col, item_col, value_col = map(
-            header.index, ("person_id", day_name, "instrument", "item", "value"))
+        pid_col, day_col, value_col, *text_cols = map(header.index, names)
+        instrument_col, item_col = text_cols or (None, None)
+        instrument, item = EQVAS_INSTRUMENT, "overall_health"
         errors: list[str] = []
-        rows = []
         # one string object per distinct text, shared by every row that has it
         strings: dict[str, str] = {}
         share = strings.setdefault
@@ -159,52 +162,23 @@ def _read_answer_rows(path: Path):
                 person_id = row[pid_col].strip()
                 if not person_id:
                     raise ValueError("empty person_id")
-                person_id = share(person_id, person_id)
                 day_kind, day_raw = _parse_day_cell(row[day_col])
-                instrument = row[instrument_col].strip().lower()
-                instrument = share(instrument, instrument)
-                item = row[item_col].strip().lower()
-                item = share(item, item)
-                if not instrument or not item:
-                    raise ValueError("empty instrument or item")
+                if not eqvas:
+                    instrument = row[instrument_col].strip().lower()
+                    instrument = share(instrument, instrument)
+                    item = row[item_col].strip().lower()
+                    item = share(item, item)
+                    if not instrument or not item:
+                        raise ValueError("empty instrument or item")
                 value = float(row[value_col])
             except ValueError as exc:
                 errors.append(f"{path}:{lineno}: {exc}")
                 continue
-            rows.append((lineno, person_id, day_kind, day_raw, instrument, item, value))
+            yield lineno, person_id, day_kind, day_raw, instrument, item, value
         if errors:
             shown = "\n  ".join(errors[:20])
             more = "" if len(errors) <= 20 else f"\n  ... and {len(errors) - 20} more"
             raise DataError(f"malformed rows in {path}:\n  {shown}{more}")
-        yield from rows
-
-
-def _read_eqvas_rows(path: Path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            return
-        day_name = next((h for h in header if h in _DAY_HEADERS), None)
-        if day_name is None or "person_id" not in header or "value" not in header:
-            raise DataError(f"{path}: expected columns person_id, day, value; got {header}")
-        width = len(header)
-        pid_col, day_col, value_col = map(header.index, ("person_id", day_name, "value"))
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            try:
-                if len(row) < width:
-                    raise ValueError(f"expected {width} columns, got {len(row)}")
-                person_id = row[pid_col].strip()
-                if not person_id:
-                    raise ValueError("empty person_id")
-                day_kind, day_raw = _parse_day_cell(row[day_col])
-                value = float(row[value_col])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            yield lineno, person_id, day_kind, day_raw, EQVAS_INSTRUMENT, "overall_health", value
 
 
 def ingest(path) -> CohortStore:
@@ -213,75 +187,86 @@ def ingest(path) -> CohortStore:
     path = Path(path)
     if not path.exists():
         raise DataError(f"input data not found: {path}")
-    raw_rows = []
-    person_order: list[str] = []
+    persons: dict[str, Person] = {}
+    sources = [(path, False)]
     if path.is_dir():
-        answers_file = path / "answers.csv"
-        if not answers_file.exists():
+        if not (path / "answers.csv").exists():
             raise DataError(f"cohort directory {path} has no answers.csv")
-        raw_rows.extend(_read_answer_rows(answers_file))
-        eqvas_file = path / "eqvas.csv"
-        if eqvas_file.exists():
-            raw_rows.extend(_read_eqvas_rows(eqvas_file))
-        persons_file = path / "persons.csv"
-        if persons_file.exists():
-            with open(persons_file, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                for row in reader:
+        sources = [(path / "answers.csv", False)]
+        if (path / "eqvas.csv").exists():
+            sources.append((path / "eqvas.csv", True))
+        if (path / "persons.csv").exists():
+            with open(path / "persons.csv", newline="", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
                     pid = (row.get("person_id") or "").strip()
                     if pid:
-                        person_order.append(pid)
-    else:
-        raw_rows.extend(_read_answer_rows(path))
+                        persons.setdefault(pid, Person(pid))
 
-    if not raw_rows and not person_order:
+    # each row goes straight to its person; mixed day kinds, duplicates and
+    # the EQ-VAS range are checked on the way and raised, in that order,
+    # after reading
+    day_kinds: dict[str, str] = {}
+    mixed = out_of_range = None
+    duplicated = False
+    for source, eqvas in sources:
+        for _, pid, kind, day, instrument, item, value in _read_rows(source, eqvas):
+            person = persons.get(pid)
+            if person is None:
+                person = persons[pid] = Person(pid)
+            if day_kinds.setdefault(pid, kind) != kind and mixed is None:
+                mixed = f"person {pid!r} mixes integer day offsets and calendar dates"
+            if instrument == EQVAS_INSTRUMENT:
+                if not 0.0 <= value <= 100.0 and out_of_range is None:
+                    out_of_range = f"EQ-VAS answer {value} for person {pid} outside 0-100"
+                duplicated = duplicated or day in person.eqvas
+                person.eqvas[day] = value
+            else:
+                person.answers.append(RawAnswer(person.person_id, day, instrument, item, value))
+
+    if not persons:
         log.warning("no usable rows ingested from %s: cohort is empty", path)
         return CohortStore([])
-
-    # one pass on raw values: duplicate detection, per-person day-kind
-    # consistency and each person's first day
-    seen: dict[tuple, int] = {}
-    day_kinds: dict[str, str] = {}
-    first_day: dict[str, int] = {}
-    dup_errors = []
-    for lineno, pid, kind, day_raw, instrument, item, value in raw_rows:
-        key = (pid, kind, day_raw, instrument, item)
-        if key in seen:
-            dup_errors.append(
-                f"line {lineno}: duplicate answer for ({pid}, day {day_raw}, "
-                f"{instrument}:{item}); first seen on line {seen[key]}"
-            )
-        else:
-            seen[key] = lineno
-        if pid in day_kinds:
-            if day_kinds[pid] != kind:
-                raise DataError(
-                    f"person {pid!r} mixes integer day offsets and calendar dates"
-                )
-            if day_raw < first_day[pid]:
-                first_day[pid] = day_raw
-        else:
-            day_kinds[pid] = kind
-            first_day[pid] = day_raw
-    if dup_errors:
-        raise DataError("duplicate rows:\n  " + "\n  ".join(dup_errors))
-
-    persons: dict[str, Person] = {pid: Person(pid) for pid in person_order}
-    for _, pid, _, day_raw, instrument, item, value in raw_rows:
-        person = persons.get(pid)
-        if person is None:
-            person = persons[pid] = Person(pid)
-        day = day_raw - first_day[pid]
-        if instrument == EQVAS_INSTRUMENT:
-            if not 0.0 <= value <= 100.0:
-                raise DataError(f"EQ-VAS answer {value} for person {pid} outside 0-100")
-            person.eqvas[day] = value
-        else:
-            person.answers.append(RawAnswer(pid, day, instrument, item, value))
+    if mixed:
+        raise DataError(mixed)
     for person in persons.values():
-        person.answers.sort(key=attrgetter("day", "instrument", "item"))
-        person.eqvas = dict(sorted(person.eqvas.items()))
+        _start_at_day_zero(person)
+        answers = person.answers
+        duplicated = duplicated or len(set(map(_ANSWER_ORDER, answers))) < len(answers)
+    if duplicated:
+        raise DataError(_duplicate_rows(sources))
+    if out_of_range:
+        raise DataError(out_of_range)
     return CohortStore(persons.values())
+
+
+def _start_at_day_zero(person: Person) -> None:
+    """Shift a person's days so that the first day with data is day 0 (a
+    visit may emit nothing) and sort the answers and EQ-VAS by day."""
+    days = person.days
+    first = days[0] if days else 0
+    if first:
+        person.answers = [RawAnswer(a.person_id, a.day - first, a.instrument, a.item, a.value)
+                          for a in person.answers]
+        person.eqvas = {d - first: v for d, v in person.eqvas.items()}
+    person.answers.sort(key=_ANSWER_ORDER)
+    person.eqvas = dict(sorted(person.eqvas.items()))
+
+
+def _duplicate_rows(sources) -> str:
+    """The duplicate-rows error, read again from the files so that it can
+    name lines: an answer repeats its (person, day, instrument, item), an
+    EQ-VAS answer its (person, day)."""
+    seen: dict[tuple, int] = {}
+    errors = []
+    for source, eqvas in sources:
+        for lineno, pid, _, day, instrument, item, _ in _read_rows(source, eqvas):
+            key = (pid, day) if instrument == EQVAS_INSTRUMENT else (pid, day, instrument, item)
+            if key in seen:
+                errors.append(f"line {lineno}: duplicate answer for ({pid}, day {day}, "
+                              f"{instrument}:{item}); first seen on line {seen[key]}")
+            else:
+                seen[key] = lineno
+    return "duplicate rows:\n  " + "\n  ".join(errors)
 
 
 def serialize(store: CohortStore, out_dir) -> None:
@@ -413,21 +398,9 @@ def synthesize(config: SynthConfig) -> CohortStore:
             # guarantee at least one linkable answer per person
             person.answers.append(RawAnswer(pid, 0, "pain_vas", "back",
                                             float(round(10 * start))))
-        _rebase_to_day_zero(person)
-        person.answers.sort(key=lambda a: (a.day, a.instrument, a.item))
+        _start_at_day_zero(person)
         persons.append(person)
     return CohortStore(persons)
-
-
-def _rebase_to_day_zero(person: Person) -> None:
-    """A visit may emit nothing, so the first day with data defines day 0."""
-    first = min({a.day for a in person.answers} | set(person.eqvas))
-    if first:
-        person.answers = [
-            RawAnswer(a.person_id, a.day - first, a.instrument, a.item, a.value)
-            for a in person.answers
-        ]
-        person.eqvas = {d - first: v for d, v in person.eqvas.items()}
 
 
 def _draw_visit_count(rng: np.random.Generator, max_visits: int) -> int:

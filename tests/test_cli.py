@@ -251,6 +251,38 @@ def test_validate_reports_undefined_sweep_cells_and_goes_on(tmp_path, capsys):
                                  mp.significant_portion)]
 
 
+def test_validate_leaves_out_undefined_group_statistics_and_goes_on(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, seed=42, persons=60)) == 0
+    capsys.readouterr()
+    out = tmp_path / "val"
+    assert run("validate", "--data", str(cohort), "--out", str(out),
+               "--groups", "30:5", "--y", "3.8", "--gamma", "1") == 0
+    assert capsys.readouterr().err == (
+        "warning: group 30d_5v gamma=1 y=3.8 eqvas is undefined: zero_variance\n"
+        "warning: group 30d_5v gamma=1 y=3.8 maxpain is undefined: no_correlations\n")
+    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                 "sequence_bins.csv"):
+        with open(out / name) as fh:
+            assert list(csv.DictReader(fh)) == []
+    with open(out / "run_info.json") as fh:
+        assert json.load(fh)["groups"] == {"30d_5v": 38}
+
+    # two maximum-pain correlations in the 90:10 group cannot fill three bins
+    small = tmp_path / "small"
+    assert run(*synth_args(small, seed=42, persons=8)) == 0
+    capsys.readouterr()
+    assert run("validate", "--data", str(small), "--out", str(out),
+               "--groups", "30:5,90:10", "--gamma", "1") == 0
+    assert capsys.readouterr().err == (
+        "warning: group 90d_10v gamma=1 y=2 sequence_bins is undefined: too_few_correlations\n")
+    with open(out / "maxpain_summary.csv") as fh:
+        assert [(r["group"], r["n"]) for r in csv.DictReader(fh)] == [("30d_5v", "5"),
+                                                                      ("90d_10v", "2")]
+    with open(out / "sequence_bins.csv") as fh:
+        assert {r["group"] for r in csv.DictReader(fh)} == {"30d_5v"}
+
+
 def test_validate_deterministic_across_runs_and_workers(tmp_path):
     cohort = tmp_path / "cohort"
     assert run(*synth_args(cohort, seed=42, persons=120)) == 0

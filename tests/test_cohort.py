@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +184,93 @@ def test_ingest_eqvas_range_checked(tmp_path):
     path = _write(tmp_path / "a.csv", HEADER + "p1,0,eqvas,overall_health,140\n")
     with pytest.raises(DataError):
         ingest(path)
+
+
+def test_ingest_second_eqvas_answer_on_a_day_is_a_duplicate(tmp_path):
+    # whatever its item or file, a second EQ-VAS answer for (person, day)
+    path = _write(tmp_path / "a.csv", HEADER + "p1,0,eqvas,overall_health,55\n"
+                                               "p1,0,eqvas,vas,80\n")
+    with pytest.raises(DataError, match=re.escape(
+            "duplicate rows:\n  line 3: duplicate answer for (p1, day 0, eqvas:vas); "
+            "first seen on line 2")):
+        ingest(path)
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    _write(cohort / "answers.csv", HEADER + "p1,0,pain_vas,back,5\np1,4,eqvas,overall_health,60\n")
+    _write(cohort / "eqvas.csv", "person_id,day,value\np1,4,70\n")
+    with pytest.raises(DataError, match=re.escape(
+            "duplicate rows:\n  line 2: duplicate answer for (p1, day 4, eqvas:overall_health); "
+            "first seen on line 3")):
+        ingest(cohort)
+
+
+def test_ingest_reports_every_malformed_eqvas_row(tmp_path):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    _write(cohort / "answers.csv", HEADER + "p1,0,pain_vas,back,5\n")
+    eqvas = _write(cohort / "eqvas.csv", "person_id,day,value\np1,zzz,70\np1,1,60\np1,2,high\n")
+    with pytest.raises(DataError) as err:
+        ingest(cohort)
+    message = str(err.value)
+    assert message.startswith(f"malformed rows in {eqvas}:")
+    assert f"{eqvas}:2: cannot parse day/date 'zzz'" in message
+    assert f"{eqvas}:4: could not convert string to float: 'high'" in message
+
+
+def test_ingest_malformed_rows_win_over_mixed_day_kinds(tmp_path):
+    path = _write(tmp_path / "a.csv", HEADER + "p1,0,odi,lifting,2\n"
+                                               "p1,2019-01-05,odi,walking,1\n"
+                                               "p1,3,odi,sitting,lots\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"malformed rows in {path}:\n  {path}:4: could not convert string to float")):
+        ingest(path)
+
+
+def _persons(store):
+    return [(p.person_id, p.answers, list(p.eqvas.items())) for p in store]
+
+
+def test_ingest_interleaved_dated_rows_equal_the_sorted_rows(tmp_path):
+    answers = [
+        "p2,2020-02-10,pain_vas,back,4",
+        "p1,2019-03-12,machine,f110,30",
+        "p2,2020-02-03,eqvas,overall_health,55",
+        "p1,2019-03-05,pain_vas,back,5",
+        "p3,2018-12-31,odi,lifting,2",
+        "p1,2019-03-12,eqvas,overall_health,70",
+        "p2,2020-02-03,pain_vas,neck,6",
+        "p1,2019-03-05,pain_vas,neck,3",
+    ]
+    eqvas = ["p1,2019-03-01,40", "p3,2019-01-02,90", "p2,2020-02-10,65", "p1,2019-03-19,80"]
+    stores = []
+    for name, order in (("interleaved", list), ("sorted", sorted)):
+        cohort = tmp_path / name
+        cohort.mkdir()
+        _write(cohort / "answers.csv", "person_id,date,instrument,item,value\n"
+                                       + "\n".join(order(answers)) + "\n")
+        _write(cohort / "eqvas.csv", "person_id,date,value\n" + "\n".join(order(eqvas)) + "\n")
+        stores.append(ingest(cohort))
+    interleaved, ordered = stores
+    assert _persons(interleaved) == _persons(ordered)
+    p1 = interleaved.person("p1")
+    assert p1.eqvas == {0: 40.0, 11: 70.0, 18: 80.0}  # day 0 is the first EQ-VAS date
+    assert [(a.day, a.item) for a in p1.answers] == [(4, "back"), (4, "neck"), (11, "f110")]
+    assert interleaved.person("p3").days == [0, 2]
+
+
+def test_ingest_peak_memory_stays_near_what_it_keeps(tmp_path):
+    # every row lives only as its CSV cells and then as its answer: the
+    # peak traced while ingesting stays close to the memory of the result
+    serialize(synthesize(SynthConfig(seed=7, n_persons=300)), tmp_path / "cohort")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = ingest(tmp_path / "cohort")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 300
+    assert peak <= 1.5 * retained, (peak, retained)
 
 
 def test_stats_examples():
