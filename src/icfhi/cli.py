@@ -3,6 +3,11 @@
 Every command is deterministic given its inputs and seed; reruns write
 byte-identical outputs and the worker count never changes results, only
 wall time.  Exit codes: 0 success, 2 configuration error, 3 data error.
+
+A JSON config file (--config or $ICFHI_CONFIG) holds a section per
+command, whose entry "key": value acts as --key value given before the
+command's flags, so flags win; a null entry is skipped.  An unknown key or
+a bad value exits 2.  --workers must be at least 1, --alpha lie in (0, 1).
 """
 
 from __future__ import annotations
@@ -27,33 +32,16 @@ CONFIG_ENV = "ICFHI_CONFIG"
 DEFAULT_GAMMAS = "1/20@30,1/3@30,1"
 DEFAULT_GRID = "y=0.2:3.8:0.2;gamma=" + DEFAULT_GAMMAS
 
-_DEFAULTS = {
-    "link": {"rules": None, "out": "."},
-    "index": {"gamma": "1/3@30", "y": 2.0, "scaling": "theoretical", "workers": 1, "out": "."},
-    "profile": {"gamma": "1/3@30", "y": 2.0, "workers": 1, "out": "."},
-    "validate": {
-        "rules": None,
-        "gamma": DEFAULT_GAMMAS,
-        "y": 2.0,
-        "groups": "90:10,30:5",
-        "grid": None,
-        "workers": 1,
-        "alpha": 0.05,
-        "out": ".",
-    },
-    "synth": {"seed": 42, "persons": 200, "trend": "improving", "out": "."},
-    "fit-weights": {},
-}
-
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
     try:
-        _merge_config(args)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
+        args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error (configuration): {exc}", file=sys.stderr)
@@ -66,86 +54,104 @@ def main(argv=None) -> int:
         return 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An option that argparse rejects is a configuration error like any other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="icfhi",
-        description="Personal health index over the ICF hierarchy.",
-    )
-    parser.set_defaults(command=None)
+    parser = _Parser(prog="icfhi", description="Personal health index over the ICF hierarchy.")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, *names):
-        if "config" in names:
-            p.add_argument("--config", help=f"run-config JSON (default: ${CONFIG_ENV})")
+    def common(p, *names, gamma="1/3@30"):
+        p.add_argument("--config", help=f"run-config JSON (default: ${CONFIG_ENV})")
         if "rules" in names:
             p.add_argument("--rules", help="linkage rule file (default: bundled rule set)")
         if "data" in names:
             p.add_argument("--data", help="answers CSV or cohort directory")
         if "out" in names:
-            p.add_argument("--out", help="output directory")
+            p.add_argument("--out", type=Path, default=".", help="output directory")
         if "gamma" in names:
-            p.add_argument("--gamma", help="time decay: value or FRACTION@DAYS, comma list allowed")
+            p.add_argument("--gamma", type=_parse_gammas, default=gamma,
+                           help="time decay: value or FRACTION@DAYS, comma list allowed")
         if "y" in names:
-            p.add_argument("--y", type=float, help="value-weighting tuning parameter in (0,4)")
+            p.add_argument("--y", type=float, default=2.0,
+                           help="value-weighting tuning parameter in (0,4)")
         if "workers" in names:
-            p.add_argument("--workers", type=int, help="parallel workers (default 1)")
+            p.add_argument("--workers", type=_workers, default=1,
+                           help="parallel workers, at least 1 (default 1)")
 
     p = sub.add_parser("link", help="translate raw answers into qualifier records")
-    common(p, "config", "rules", "data", "out")
+    common(p, "rules", "data", "out")
 
     p = sub.add_parser("index", help="compute per-person per-day health indices")
-    common(p, "config", "out", "gamma", "y", "workers")
+    common(p, "out", "gamma", "y", "workers")
     p.add_argument("--records", help="qualifier record CSV from 'link'")
-    p.add_argument("--scaling", choices=["theoretical", "empirical"],
+    p.add_argument("--scaling", choices=["theoretical", "empirical"], default="theoretical",
                    help="index scaling bounds: 0..4 or observed raw min/max")
 
     p = sub.add_parser("profile", help="compute per-component health profiles")
-    common(p, "config", "out", "gamma", "y", "workers")
+    common(p, "out", "gamma", "y", "workers")
     p.add_argument("--records", help="qualifier record CSV from 'link'")
 
     p = sub.add_parser("validate", help="run the cohort validation statistics")
-    common(p, "config", "rules", "data", "out", "gamma", "y", "workers")
-    p.add_argument("--groups", help="group thresholds, e.g. '90:10,30:5'")
-    p.add_argument("--grid", help=f"sweep grid, e.g. '{DEFAULT_GRID}' or 'default'")
-    p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
+    common(p, "rules", "data", "out", "gamma", "y", "workers", gamma=DEFAULT_GAMMAS)
+    p.add_argument("--groups", type=_parse_groups, default="90:10,30:5",
+                   help="group thresholds, e.g. '90:10,30:5'")
+    p.add_argument("--grid", type=_parse_grid,
+                   help=f"sweep grid, e.g. '{DEFAULT_GRID}' or 'default'")
+    p.add_argument("--alpha", type=_alpha, default=0.05,
+                   help="significance level in (0, 1) (default 0.05)")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
-    common(p, "config", "out")
+    common(p, "out")
     p.add_argument("--synth-config", help="synthetic-cohort config JSON")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--persons", type=int, help="number of persons")
-    p.add_argument("--trend", choices=list(cohort.TRENDS), help="latent health trend")
+    p.add_argument("--seed", type=int, default=42, help="random seed")
+    p.add_argument("--persons", type=int, default=200, help="number of persons")
+    p.add_argument("--trend", choices=list(cohort.TRENDS), default="improving",
+                   help="latent health trend")
 
     p = sub.add_parser("fit-weights", help="print fitted curve parameters for y values")
-    common(p, "config")
-    p.add_argument("--y", required=True, help="y value or comma list, each in (0,4)")
+    common(p)
+    p.add_argument("--y", type=_parse_ys, help="y value or comma list, each in (0,4)")
 
     return parser
 
 
-def _merge_config(args) -> None:
-    """Fill missing flags from the config file, then from built-in defaults."""
-    path = args.config if getattr(args, "config", None) else os.environ.get(CONFIG_ENV)
-    section = {}
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(config, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        section = config.get(args.command, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {args.command!r} must be an object")
-    merged = dict(_DEFAULTS.get(args.command, {}))
-    merged.update(section)
-    for key, value in merged.items():
+def _apply_config(parser, args, argv):
+    """ARGV parsed again with the entries of the command's section of the
+    config file given first, each "key": value as --key=value, so that a
+    flag on the command line wins; a null entry is skipped."""
+    path = args.config or os.environ.get(CONFIG_ENV)
+    if not path:
+        return args
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    section = config.get(args.command, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {args.command!r} must be an object")
+    where = f"config file {path} section {args.command!r}"
+    flags = []
+    for key, value in section.items():
         dest = key.replace("-", "_")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        if dest in ("command", "config") or dest not in vars(args):
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if value is not None:
+            flags.append(f"--{dest.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + flags + argv[at:])
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _require(args, name: str):
@@ -156,9 +162,8 @@ def _require(args, name: str):
 
 
 def _out_dir(args) -> Path:
-    out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -170,20 +175,38 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_rules(args) -> linkage.RuleSet:
-    if getattr(args, "rules", None):
-        return linkage.load_rules(args.rules)
-    return linkage.default_rules()
+    return linkage.load_rules(args.rules) if args.rules else linkage.default_rules()
 
 
-def _parse_gammas(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    return [weighting.parse_gamma(part) for part in str(text).split(",") if part.strip()]
+def _workers(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
-def _parse_groups(text) -> list[analysis.GroupSpec]:
+def _alpha(text: str) -> float:
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a significance level in (0, 1), got {text!r}")
+
+
+def _parse_ys(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse y values {text!r}: {exc}") from None
+
+
+def _parse_gammas(text: str) -> list[float]:
+    return [weighting.parse_gamma(part) for part in text.split(",") if part.strip()]
+
+
+def _parse_groups(text: str) -> list[analysis.GroupSpec]:
     specs = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
@@ -197,12 +220,12 @@ def _parse_groups(text) -> list[analysis.GroupSpec]:
     return specs
 
 
-def _parse_grid(text):
+def _parse_grid(text: str):
     """Grid syntax: 'y=START:STOP:STEP|v1,v2,...;gamma=g1,g2,...'."""
     if text in ("default", ""):
         text = DEFAULT_GRID
     ys, gammas = None, None
-    for clause in str(text).split(";"):
+    for clause in text.split(";"):
         clause = clause.strip()
         if not clause:
             continue
@@ -290,30 +313,37 @@ def cmd_link(args) -> int:
 # ---------------------------------------------------------------------------
 # index / profile
 
-def _evaluate_cohort_rows(args, records):
-    """Each person's (day, (raw, alpha, r, {component: raw})) rows under
-    the one --gamma and --y, raw so that scaling can follow (the empirical
-    mode needs every value first), and the persons that failed."""
+def _evaluate_records(args, header, table) -> int:
+    """Evaluate each person in --records under the one --gamma and --y, then
+    write <command>.csv with the rows ``table`` builds from each person's raw
+    (day, (raw, alpha, r, {component: raw})) rows; failed persons are named."""
+    records = linkage.records_from_csv(_require(args, "records"))
+    path = _out_dir(args) / f"{args.command}.csv"
+    if not records:
+        _write_csv(path, header, [])
+        print(f"warning: record file is empty; wrote empty {args.command}", file=sys.stderr)
+        return 0
+    if len(args.gamma) != 1:
+        raise ConfigError("index/profile take exactly one --gamma value")
     by_person: dict[str, list] = {}
     for record in records:
         by_person.setdefault(record.person_id, []).append(record)
     tree = build_tree({r.code for r in records})
-    y = float(_require(args, "y"))
-    gammas = _parse_gammas(_require(args, "gamma"))
-    if len(gammas) != 1:
-        raise ConfigError("index/profile take exactly one --gamma value")
-    spec = weighting.make_spec(y, gammas[0])
+    spec = weighting.make_spec(args.y, args.gamma[0])
     # compiled here, one person at a time, so that a worker gets a table
     jobs = ((pid, engine.compile_records(tree, recs), sorted({r.day for r in recs}))
             for pid, recs in sorted(by_person.items()))
     results, failures = [], {}
-    for pid, outcome in engine.evaluate_cohort(jobs, [spec], int(args.workers or 1)):
+    for pid, outcome in engine.evaluate_cohort(jobs, [spec], args.workers):
         if isinstance(outcome, IcfHiError):
             failures[pid] = str(outcome)
         else:
             results.append((pid, outcome[0]))
     _report_failures(failures)
-    return results, failures
+    rows = table(results)
+    _write_csv(path, header, rows)
+    print(f"wrote {len(rows)} {args.command} rows to {path}")
+    return 3 if failures else 0
 
 
 def _report_failures(failures: dict[str, str]) -> None:
@@ -323,60 +353,37 @@ def _report_failures(failures: dict[str, str]) -> None:
 
 
 def cmd_index(args) -> int:
-    records = linkage.records_from_csv(_require(args, "records"))
-    out = _out_dir(args)
-    header = ["person_id", "day", "health_index", "raw",
-              "score_b", "score_d", "score_e", "score_s", "alpha_root", "r_root"]
-    if not records:
-        _write_csv(out / "index.csv", header, [])
-        print("warning: record file is empty; wrote empty index", file=sys.stderr)
-        return 0
-    results, failures = _evaluate_cohort_rows(args, records)
+    def table(results):
+        lo, hi = 0.0, 4.0
+        if args.scaling == "empirical":
+            raws = [value[0] for _, rows in results for _, value in rows]
+            if not raws:
+                raise DataError("empirical scaling impossible: no evaluations succeeded")
+            lo, hi = min(raws), max(raws)
+            if lo == hi:
+                raise DataError(f"empirical scaling impossible: all raw values equal {lo!r}")
+        index_rows = []
+        for pid, rows in results:
+            for day, (raw, alpha, rel, comp_raws) in rows:
+                scores = {c: engine.scale_index(v, lo, hi) for c, v in comp_raws.items()}
+                index_rows.append([pid, day, engine.scale_index(raw, lo, hi), raw,
+                                   scores.get("b"), scores.get("d"), scores.get("e"),
+                                   scores.get("s"), alpha, rel])
+        return index_rows
 
-    lo, hi = 0.0, 4.0
-    if args.scaling == "empirical":
-        raws = [value[0] for _, rows in results for _, value in rows]
-        if not raws:
-            raise DataError("empirical scaling impossible: no evaluations succeeded")
-        lo, hi = min(raws), max(raws)
-        if lo == hi:
-            raise DataError(
-                f"empirical scaling impossible: all raw values equal {lo!r}"
-            )
-    table = []
-    for pid, rows in results:
-        for day, (raw, alpha, rel, comp_raws) in rows:
-            scores = {
-                c: engine.scale_index(v, lo, hi) for c, v in comp_raws.items()
-            }
-            table.append([
-                pid, day, engine.scale_index(raw, lo, hi), raw,
-                scores.get("b"), scores.get("d"), scores.get("e"), scores.get("s"),
-                alpha, rel,
-            ])
-    _write_csv(out / "index.csv", header, table)
-    print(f"wrote {len(table)} index rows to {out / 'index.csv'}")
-    return 3 if failures else 0
+    return _evaluate_records(args, ["person_id", "day", "health_index", "raw", "score_b",
+                                    "score_d", "score_e", "score_s", "alpha_root", "r_root"],
+                             table)
 
 
 def cmd_profile(args) -> int:
-    records = linkage.records_from_csv(_require(args, "records"))
-    out = _out_dir(args)
-    header = ["person_id", "day", "component", "score", "raw"]
-    if not records:
-        _write_csv(out / "profile.csv", header, [])
-        print("warning: record file is empty; wrote empty profile", file=sys.stderr)
-        return 0
-    results, failures = _evaluate_cohort_rows(args, records)
-    table = []
-    for pid, rows in results:
-        for day, (_, _, _, comp_raws) in rows:
-            for comp in sorted(comp_raws):
-                raw = comp_raws[comp]
-                table.append([pid, day, comp, engine.scale_index(raw), raw])
-    _write_csv(out / "profile.csv", header, table)
-    print(f"wrote {len(table)} profile rows to {out / 'profile.csv'}")
-    return 3 if failures else 0
+    def table(results):
+        return [[pid, day, comp, engine.scale_index(comp_raws[comp]), comp_raws[comp]]
+                for pid, rows in results
+                for day, (_, _, _, comp_raws) in rows
+                for comp in sorted(comp_raws)]
+
+    return _evaluate_records(args, ["person_id", "day", "component", "score", "raw"], table)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +402,7 @@ def cmd_validate(args) -> int:
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
-    y = float(_require(args, "y"))
-    gammas = _parse_gammas(_require(args, "gamma"))
-    alpha = float(args.alpha)
-    group_specs = _parse_groups(_require(args, "groups"))
-    grid = _parse_grid(args.grid) if args.grid is not None else None
+    y, gammas, alpha, group_specs, grid = args.y, args.gamma, args.alpha, args.groups, args.grid
 
     evaluator = analysis.CohortEvaluator(store, rules)
     groups = analysis.form_groups(store, group_specs)
@@ -408,7 +411,7 @@ def cmd_validate(args) -> int:
     if grid is not None:
         specs.extend(weighting.make_spec(gy, gg) for gg in grid[0] for gy in grid[1])
     eligible = sorted({pid for pids in groups.values() for pid in pids})
-    failures = evaluator.precompute(eligible, specs, int(args.workers or 1))
+    failures = evaluator.precompute(eligible, specs, args.workers)
     _report_failures(failures)
     groups = {g: [pid for pid in pids if pid not in failures] for g, pids in groups.items()}
 
@@ -499,14 +502,10 @@ def cmd_validate(args) -> int:
 # synth / fit-weights
 
 def cmd_synth(args) -> int:
-    if getattr(args, "synth_config", None):
+    if args.synth_config:
         config = cohort.load_synth_config(args.synth_config)
     else:
-        config = cohort.SynthConfig(
-            seed=int(_require(args, "seed")),
-            n_persons=int(_require(args, "persons")),
-            trend=str(_require(args, "trend")),
-        )
+        config = cohort.SynthConfig(seed=args.seed, n_persons=args.persons, trend=args.trend)
     store = cohort.synthesize(config)
     out = _out_dir(args)
     cohort.serialize(store, out)
@@ -518,13 +517,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit_weights(args) -> int:
+    ys = _require(args, "y")
     writer = csv.writer(sys.stdout)
     writer.writerow(["y", "kind", "a", "b", "c"])
-    for part in str(_require(args, "y")).split(","):
-        try:
-            y = float(part)
-        except ValueError:
-            raise ConfigError(f"cannot parse y value {part!r}") from None
+    for y in ys:
         params = weighting.fit_curve(y)
         writer.writerow([format_cell(v) for v in (y, params.kind, params.a, params.b, params.c)])
     return 0

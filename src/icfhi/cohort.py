@@ -254,18 +254,18 @@ def _start_at_day_zero(person: Person) -> None:
 
 def _duplicate_rows(sources) -> str:
     """The duplicate-rows error, read again from the files so that it can
-    name lines: an answer repeats its (person, day, instrument, item), an
-    EQ-VAS answer its (person, day)."""
-    seen: dict[tuple, int] = {}
+    name each line as path:line: an answer repeats its (person, day,
+    instrument, item), an EQ-VAS answer its (person, day)."""
+    seen: dict[tuple, str] = {}
     errors = []
     for source, eqvas in sources:
         for lineno, pid, _, day, instrument, item, _ in _read_rows(source, eqvas):
             key = (pid, day) if instrument == EQVAS_INSTRUMENT else (pid, day, instrument, item)
             if key in seen:
-                errors.append(f"line {lineno}: duplicate answer for ({pid}, day {day}, "
-                              f"{instrument}:{item}); first seen on line {seen[key]}")
+                errors.append(f"{source}:{lineno}: duplicate answer for ({pid}, day {day}, "
+                              f"{instrument}:{item}); first seen on {seen[key]}")
             else:
-                seen[key] = lineno
+                seen[key] = f"{source}:{lineno}"
     return "duplicate rows:\n  " + "\n  ".join(errors)
 
 

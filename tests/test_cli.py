@@ -321,9 +321,58 @@ def test_config_file_supplies_defaults(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "linear" in out and "exponential" not in out
     # without the flag the config value applies: y comes from the file
+    assert run("fit-weights") == 0
+    out = capsys.readouterr().out
+    assert "exponential" in out and "linear" not in out
+
+
+def test_index_from_config_writes_what_the_flags_write(cohort_dir, tmp_path, monkeypatch):
+    linked = tmp_path / "linked"
+    assert run("link", "--data", str(cohort_dir), "--out", str(linked)) == 0
+    options = {"records": str(linked / "records.csv"), "gamma": "1/20@30", "y": 3.25,
+               "scaling": "empirical", "workers": 2}
+    flags = [f"--{key}={value}" for key, value in options.items()]
+    assert run("index", "--out", str(tmp_path / "flags"), *flags) == 0
+    assert run("index", "--out", str(tmp_path / "defaults"), "--records",
+               options["records"]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"index": {**options, "out": str(tmp_path / "config")}}))
     monkeypatch.setenv("ICFHI_CONFIG", str(config))
-    parser_code = run("fit-weights", "--y", "0.75")
-    assert parser_code == 0
+    assert run("index") == 0
+    configured = read(tmp_path / "config" / "index.csv")
+    assert configured == read(tmp_path / "flags" / "index.csv")
+    assert configured != read(tmp_path / "defaults" / "index.csv")
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ({"index": {"workers": "many"}}, ["index"], "--workers"),
+    ({"index": {"scaling": "empiricall"}}, ["index"], "--scaling"),
+    ({"index": {"worker": 4}}, ["index"], "'worker'"),
+    (None, ["validate", "--alpha", "5"], "--alpha"),
+    ({"validate": {"alpha": 5}}, ["validate"], "--alpha"),
+    (None, ["index", "--workers", "0"], "--workers"),
+    (None, ["index", "--workers", "-3"], "--workers"),
+])
+def test_bad_option_or_config_key_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        config, argv, named):
+    # each input is valid, so only the option can be at fault
+    inputs = {
+        "index": ["--records", str(tmp_path / "records.csv")],
+        "validate": ["--data", str(tmp_path / "answers.csv")],
+    }
+    (tmp_path / "records.csv").write_text("person_id,day,source_id,code,value,reliability\n"
+                                          "p,0,s1,b280,2,1\n")
+    (tmp_path / "answers.csv").write_text("person_id,day,instrument,item,value\n"
+                                          "p1,0,pain_vas,back,5\n")
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        monkeypatch.setenv("ICFHI_CONFIG", str(tmp_path / "run.json"))
+    assert run(*argv, *inputs[argv[0]], "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (configuration): ") and err.count("\n") == 1
+    assert named in err
+    if config is not None:
+        assert f"config file {tmp_path / 'run.json'} section {argv[0]!r}" in err
 
 
 def test_missing_records_file_is_data_error(tmp_path):

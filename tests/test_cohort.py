@@ -131,11 +131,12 @@ def test_ingest_rejects_mixed_day_kinds_per_person(tmp_path):
 def test_ingest_error_texts_and_first_day_across_files(tmp_path):
     cohort = tmp_path / "cohort"
     cohort.mkdir()
-    _write(cohort / "answers.csv", HEADER + "p1,5,odi,lifting,2\n \t, ,,,\n,,,,\n"
-                                            "p1,9,odi,lifting,3\np1,5,odi,lifting,1\n")
+    answers = _write(cohort / "answers.csv",
+                     HEADER + "p1,5,odi,lifting,2\n \t, ,,,\n,,,,\n"
+                              "p1,9,odi,lifting,3\np1,5,odi,lifting,1\n")
     with pytest.raises(DataError, match=re.escape(
-            "duplicate rows:\n  line 6: duplicate answer for (p1, day 5, odi:lifting); "
-            "first seen on line 2")):
+            f"duplicate rows:\n  {answers}:6: duplicate answer for (p1, day 5, odi:lifting); "
+            f"first seen on {answers}:2")):
         ingest(cohort)
     _write(cohort / "answers.csv", HEADER + "p1,5,odi,lifting,2\np1,9,odi,lifting,3\n")
     _write(cohort / "eqvas.csv", "person_id,day,value\np1,3,70\n")
@@ -191,16 +192,17 @@ def test_ingest_second_eqvas_answer_on_a_day_is_a_duplicate(tmp_path):
     path = _write(tmp_path / "a.csv", HEADER + "p1,0,eqvas,overall_health,55\n"
                                                "p1,0,eqvas,vas,80\n")
     with pytest.raises(DataError, match=re.escape(
-            "duplicate rows:\n  line 3: duplicate answer for (p1, day 0, eqvas:vas); "
-            "first seen on line 2")):
+            f"duplicate rows:\n  {path}:3: duplicate answer for (p1, day 0, eqvas:vas); "
+            f"first seen on {path}:2")):
         ingest(path)
     cohort = tmp_path / "cohort"
     cohort.mkdir()
-    _write(cohort / "answers.csv", HEADER + "p1,0,pain_vas,back,5\np1,4,eqvas,overall_health,60\n")
-    _write(cohort / "eqvas.csv", "person_id,day,value\np1,4,70\n")
+    answers = _write(cohort / "answers.csv",
+                     HEADER + "p1,0,pain_vas,back,5\np1,4,eqvas,overall_health,60\n")
+    eqvas = _write(cohort / "eqvas.csv", "person_id,day,value\np1,4,70\n")
     with pytest.raises(DataError, match=re.escape(
-            "duplicate rows:\n  line 2: duplicate answer for (p1, day 4, eqvas:overall_health); "
-            "first seen on line 3")):
+            f"duplicate rows:\n  {eqvas}:2: duplicate answer for (p1, day 4, "
+            f"eqvas:overall_health); first seen on {answers}:3")):
         ingest(cohort)
 
 
