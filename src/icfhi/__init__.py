@@ -68,11 +68,13 @@ from .errors import (
     InsufficientDataError,
 )
 from .linkage import (
+    Link,
     LinkageRule,
     QualifierRecord,
     RuleSet,
     apply_rules,
     default_rules,
+    link_answers,
     load_rules,
     records_from_csv,
     records_to_csv,

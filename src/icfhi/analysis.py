@@ -210,10 +210,10 @@ class CohortEvaluator:
         The statistic days of a person are the days the statistics read:
         EQ-VAS days and pain days.  A person whose evaluation would fail
         only on another day is not reported."""
-        jobs = ((pid, self.tables[pid], _statistic_days(self.store.person(pid)))
-                for pid in person_ids if pid in self.tables)
+        pids = [pid for pid in person_ids if pid in self.tables]
+        jobs = ((pid, self.tables[pid], _statistic_days(self.store.person(pid))) for pid in pids)
         failures = {}
-        for pid, outcome in evaluate_cohort(jobs, specs, workers):
+        for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids)):
             if isinstance(outcome, IcfHiError):
                 failures[pid] = str(outcome)
                 continue

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from collections import Counter
-from operator import attrgetter
 from pathlib import Path
 
 from . import analysis, cohort, engine, linkage, weighting
@@ -276,17 +275,17 @@ def cmd_link(args) -> int:
     persons_per_code: Counter[str] = Counter()
     # the store holds the persons in person-id order and each answer carries
     # its person's id, so writing one person at a time keeps records.csv in
-    # canonical order without holding every record
+    # canonical order without holding every link
     records_csv = out / "records.csv"
     partial = out / "records.csv.partial"
     try:
         with open(partial, "w", newline="", encoding="utf-8") as fh:
             writer = linkage.RecordWriter(fh)
             for person in store:
-                linked = linkage.apply_rules(person.answers, rules)
-                writer.write(linked)
-                n_records += len(linked)
-                per_code = Counter(map(attrgetter("code.text"), linked))
+                links = linkage.link_answers(person.answers, rules)
+                writer.write(links)
+                per_code = Counter([code.text for link in links for code in link.targets])
+                n_records += per_code.total()
                 records_per_code.update(per_code)
                 persons_per_code.update(per_code.keys())
     except BaseException:
@@ -334,7 +333,7 @@ def _evaluate_records(args, header, table) -> int:
     jobs = ((pid, engine.compile_records(tree, recs), sorted({r.day for r in recs}))
             for pid, recs in sorted(by_person.items()))
     results, failures = [], {}
-    for pid, outcome in engine.evaluate_cohort(jobs, [spec], args.workers):
+    for pid, outcome in engine.evaluate_cohort(jobs, [spec], args.workers, len(by_person)):
         if isinstance(outcome, IcfHiError):
             failures[pid] = str(outcome)
         else:

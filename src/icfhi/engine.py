@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import mul
@@ -489,16 +488,22 @@ def _row(plan: _Plan, spec: WeightingSpec) -> tuple:
 
 
 def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
-                    specs: Sequence[WeightingSpec],
-                    workers: int) -> Iterator[tuple[str, list | IcfHiError]]:
+                    specs: Sequence[WeightingSpec], workers: int,
+                    n_jobs: int | None = None) -> Iterator[tuple[str, list | IcfHiError]]:
     """Evaluate each (person id, table, days) job under every spec, in job
     order: (person id, rows per spec), or (person id, error) when the
-    person's evaluation raises.  One worker takes one job at a time from
-    ``jobs``; more share them out over a process pool.  The results are the
+    person's evaluation raises.  ``n_jobs`` is the number of jobs, by
+    default ``len(jobs)``.  One worker, or one job, takes one job at a time
+    from ``jobs`` in this process; otherwise a process pool of
+    min(workers, n_jobs) processes shares them out.  The results are the
     same for any worker count."""
     task = partial(_evaluate_job, tuple(specs))
+    workers = min(workers, len(jobs) if n_jobs is None else n_jobs)
     if workers <= 1:
         yield from map(task, jobs)
         return
+    # imported here, so that a run in one process never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(task, jobs, chunksize=4)

@@ -6,6 +6,12 @@ carries a user-defined reliability.  Rules live in a JSON file so new
 instruments can be added without code changes; the four instruments used
 for development (ODI, EQ-5D-5L, pain VAS, rehabilitation machine tests)
 ship as a bundled default rule set.
+
+``link_answers`` links each answer through its rule into one ``Link``: the
+rule's target codes, in rule order, with the answer's qualifier value and
+the rule's reliability.  ``apply_rules`` expands each link into one
+``QualifierRecord`` per code, and ``RecordWriter`` writes links as the
+record CSV rows of those records.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
-from operator import attrgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .codes import IcfCode, parse_code
@@ -291,15 +297,25 @@ def default_rules() -> RuleSet:
     return RuleSet.from_json(json.loads(text))
 
 
-def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[QualifierRecord]:
-    """Link raw answers into qualifier records.
+class Link(NamedTuple):
+    """One linked answer: its qualifier value and reliability on each of the
+    rule's target codes, in rule order.  The codes share the answer's source
+    id, which drives source-uniqueness down-weighting in the evaluation
+    engine; the links of one rule share its ``targets`` tuple."""
 
-    One answer linked to k codes yields k records sharing the answer's
-    source id; that shared id drives source-uniqueness down-weighting in
-    the evaluation engine.  Validation-only sources (EQ-VAS) emit nothing.
-    """
-    records: list[QualifierRecord] = []
-    append = records.append
+    person_id: str
+    day: int
+    source_id: str
+    targets: tuple[IcfCode, ...]
+    value: float
+    reliability: float
+
+
+def link_answers(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Link]:
+    """Link each raw answer through its rule, in answer order.
+    Validation-only sources (EQ-VAS) emit nothing."""
+    links: list[Link] = []
+    append = links.append
     for answer in answers:
         rule = rules.get(answer.source_item_id)
         if rule is None:
@@ -313,48 +329,99 @@ def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Qualifie
                 f"cannot translate {answer.source_item_id!r} answer for person "
                 f"{answer.person_id} on day {answer.day}: {exc}"
             ) from None
-        # shared by every target of the answer
-        person_id, day, source_id = answer.person_id, answer.day, answer.source_id
-        reliability = rule.reliability
-        for code in rule.targets:
-            append(QualifierRecord(person_id, day, source_id, code, value, reliability))
-    return records
+        append(Link(answer.person_id, answer.day, answer.source_id, rule.targets, value,
+                    rule.reliability))
+    return links
+
+
+def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[QualifierRecord]:
+    """Link raw answers into qualifier records: one record per target code
+    of each link of ``link_answers``, in rule order.  One answer linked to k
+    codes yields k records sharing the answer's source id."""
+    return [QualifierRecord(person_id, day, source_id, code, value, reliability)
+            for person_id, day, source_id, targets, value, reliability
+            in link_answers(answers, rules)
+            for code in targets]
 
 
 RECORD_COLUMNS = ("person_id", "day", "source_id", "code", "value", "reliability")
 
-# a code is one letter plus digits, so its text sorts as the code does
-_CANONICAL = attrgetter("person_id", "day", "source_id", "code.text")
+# a row of RecordWriter.write by (person, day, source, first code text); a
+# code is one letter plus digits, so its text sorts as the code does
+_CANONICAL = itemgetter(0, 1, 2, 3)
+
+
+def _quote(field: str) -> str:
+    """``field`` as csv.writer's excel dialect writes it within a row: as it
+    is, or in double quotes with each quote doubled when it holds a quote, a
+    comma or a line break."""
+    if '"' in field:
+        return '"' + field.replace('"', '""') + '"'
+    if "," in field or "\r" in field or "\n" in field:
+        return '"' + field + '"'
+    return field
 
 
 class RecordWriter:
-    """Writes a record CSV: the header, then each batch of records in
-    canonical (person, day, source, code) order.  The file is in canonical
-    order when every batch sorts after the one before it, as the records
-    of one person after another in person-id order do."""
+    """Writes a record CSV: the header, then each batch of ``Link``s (from
+    ``link_answers``) in canonical (person, day, source, code) order, byte
+    for byte as csv.writer writes the records of those links.
+
+    A batch is sorted by (person, day, source, first target code) and each
+    link's targets by code, so links that share a (person, day, source) must
+    have one target each, as the links of ``records_to_csv`` do.  The file
+    is in canonical order when every batch sorts after the one before it,
+    as the links of one person after another in person-id order do."""
 
     def __init__(self, fh):
-        self._writer = csv.writer(fh)
-        self._writer.writerow(RECORD_COLUMNS)
-        self._cells: dict[float, str] = {}  # few distinct numbers occur
+        self._fh = fh
+        fh.write(",".join(RECORD_COLUMNS) + "\r\n")
+        # (id of targets, value, reliability) -> (first code text, ("",
+        # "code,value,reliability\r\n", ...)), both in code order; few distinct
+        # ones occur.  The targets tuples are kept, so that their ids are not
+        # reused while the writer lives.
+        self._tails: dict[tuple[int, float, float], tuple[str, tuple[str, ...]]] = {}
+        self._targets: list[tuple[IcfCode, ...]] = []
 
-    def write(self, records: Iterable[QualifierRecord]) -> None:
-        ordered = sorted(records, key=_CANONICAL)
-        cells = self._cells
-        numbers = {*map(attrgetter("value"), ordered), *map(attrgetter("reliability"), ordered)}
-        for x in numbers - cells.keys():
-            cells[x] = format_cell(x)
-        self._writer.writerows(
-            (r.person_id, r.day, r.source_id, r.code.text, cells[r.value], cells[r.reliability])
-            for r in ordered
-        )
+    def _tail(self, targets: tuple[IcfCode, ...], value: float,
+              reliability: float) -> tuple[str, tuple[str, ...]]:
+        numbers = f",{format_cell(value)},{format_cell(reliability)}\r\n"
+        self._targets.append(targets)
+        texts = sorted(code.text for code in targets)
+        return texts[0], ("", *[text + numbers for text in texts])
+
+    def write(self, links: Iterable[Link]) -> None:
+        tails = self._tails
+        rows = []
+        append = rows.append
+        for person_id, day, source_id, targets, value, reliability in links:
+            key = (id(targets), value, reliability)
+            first_tail = tails.get(key)
+            if first_tail is None:
+                first_tail = tails[key] = self._tail(targets, value, reliability)
+            append((person_id, day, source_id, *first_tail))
+        rows.sort(key=_CANONICAL)
+        quote = _quote
+        # prefix.join(("", row, ...)) puts the prefix before every row
+        self._fh.write("".join([f"{quote(person_id)},{day},{quote(source_id)},".join(tail)
+                                for person_id, day, source_id, _, tail in rows]))
 
 
 def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
     """Write qualifier records, in any order, in canonical (person, day,
     source, code) order."""
+    by_person: dict[str, list[QualifierRecord]] = {}
+    for record in records:
+        by_person.setdefault(record.person_id, []).append(record)
+    # one shared one-code tuple per code, so that the writer's cache holds
+    one: dict[str, tuple[IcfCode]] = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        RecordWriter(fh).write(records)
+        writer = RecordWriter(fh)
+        # a batch per person, so that no more than one person's rows are held
+        for person_id in sorted(by_person):
+            writer.write(Link(r.person_id, r.day, r.source_id,
+                              one.setdefault(r.code.text, (r.code,)), r.value, r.reliability)
+                         for r in by_person[person_id])
 
 
 def records_from_csv(path) -> list[QualifierRecord]:

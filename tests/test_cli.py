@@ -388,6 +388,62 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_one_worker_never_loads_the_process_pool(cohort_dir, tmp_path):
+    # the process pool serves only evaluate_cohort with more than one worker
+    linked, indexed = tmp_path / "linked", tmp_path / "indexed"
+    proc = run_python("-c", f"""if True:
+        import sys
+        loaded = lambda: print("pool loaded:", "concurrent.futures.process" in sys.modules)
+        from icfhi.cli import main
+        loaded()
+        assert main(["link", "--data", {str(cohort_dir)!r}, "--out", {str(linked)!r}]) == 0
+        loaded()
+        assert main(["index", "--records", {str(linked / "records.csv")!r},
+                     "--out", {str(indexed)!r}, "--workers", "1"]) == 0
+        loaded()
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("pool loaded:")] == ["pool loaded: False"] * 3
+
+
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor: records what it is asked for and
+    runs the tasks in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("persons, workers, pools", [(1, "4", []), (2, "8", [2])])
+def test_index_starts_no_more_processes_than_persons(tmp_path, monkeypatch, persons, workers,
+                                                    pools):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(_PoolSpy, "max_workers", [])
+    records = [icfhi.QualifierRecord(f"p{i}", day, f"s{i}{day}", icfhi.parse_code("b280"),
+                                     2.0, 1.0)
+               for i in range(persons) for day in (0, 3)]
+    icfhi.records_to_csv(records, tmp_path / "records.csv")
+    assert run("index", "--records", str(tmp_path / "records.csv"), "--out",
+               str(tmp_path / "out"), "--workers", workers) == 0
+    assert _PoolSpy.max_workers == pools
+    with open(tmp_path / "out" / "index.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 2 * persons
+
+
 def _scipy_modules_after(*argv):
     """The scipy modules a fresh interpreter holds after ``icfhi ARGV``."""
     proc = run_python("-c", "import sys; from icfhi.cli import main; code = main(sys.argv[1:]); "

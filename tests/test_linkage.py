@@ -1,26 +1,39 @@
 import csv
+import io
 import json
 import pickle
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icfhi import (
+    CohortStore,
     ConfigError,
     DataError,
+    Link,
+    Person,
     QualifierRecord,
     RawAnswer,
     RuleSet,
     SynthConfig,
     apply_rules,
     default_rules,
+    ingest,
+    link_answers,
     load_rules,
     parse_code,
     records_from_csv,
     records_to_csv,
+    serialize,
     synthesize,
 )
+from icfhi.cli import main
+from icfhi.formatting import format_cell
+from icfhi.linkage import _quote
 
 from conftest import shipped_translation
 
@@ -322,17 +335,90 @@ def test_multi_target_answer_rows_are_contiguous_in_code_order(tmp_path):
 
 def test_records_and_answers_are_slotted_and_pickle():
     record = QualifierRecord("p", 0, "p:0:odi:lifting", parse_code("b7305"), 3.0, 1.0)
+    link = Link("p", 0, "p:0:odi:lifting", (parse_code("b7305"), parse_code("d430")), 3.0, 1.0)
     answer = RawAnswer("p", 0, "odi", "lifting", 4.0)
     assert QualifierRecord._fields == ("person_id", "day", "source_id", "code", "value",
                                        "reliability")
+    assert Link._fields == ("person_id", "day", "source_id", "targets", "value", "reliability")
     assert RawAnswer._fields == ("person_id", "day", "instrument", "item", "value")
     assert (answer.source_item_id, answer.source_id) == ("odi:lifting", "p:0:odi:lifting")
-    for obj in (record, answer):
+    for obj in (record, link, answer):
         assert not hasattr(obj, "__dict__")
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and hash(copy) == hash(obj)
         with pytest.raises(AttributeError):
             obj.day = 1
+
+
+def test_apply_rules_expands_link_answers_in_rule_order():
+    rules = default_rules()
+    for person in synthesize(SynthConfig(seed=11, n_persons=8)):
+        links = link_answers(person.answers, rules)
+        assert [link.targets for link in links] == [
+            rules.get(a.source_item_id).targets for a in person.answers
+            if not rules.get(a.source_item_id).validation_only]
+        assert apply_rules(person.answers, rules) == [
+            QualifierRecord(link.person_id, link.day, link.source_id, code, link.value,
+                            link.reliability)
+            for link in links for code in link.targets]
+
+
+def _csv_writer_field(text):
+    """``text`` as csv.writer writes it between two other fields of a row."""
+    out = io.StringIO()
+    csv.writer(out).writerow(["a", text, "b"])
+    row = out.getvalue()
+    assert row.startswith("a,") and row.endswith(",b\r\n")
+    return row[2:-4]
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from('\x00\r\n", \t\'\\'), st.characters()))
+       | st.text())
+def test_quote_matches_csv_writer(text):
+    try:
+        expected = _csv_writer_field(text)
+    except csv.Error:
+        # before Python 3.11 csv.writer cannot write a NUL at all (and
+        # csv.reader cannot read one, so no ingested id holds one)
+        assert "\x00" in text and sys.version_info < (3, 11)
+        return
+    assert _quote(text) == expected
+
+
+def test_link_writes_odd_ids_as_records_to_csv_does(tmp_path):
+    # a person id with a comma and a quote, and an item with a quote, are
+    # quoted in records.csv exactly as csv.writer quotes them
+    odd = 'p,"1'
+    custom = {"source_item_id": 'custom:it"em', "targets": ["d1", "b280", "s7"],
+              "translation": {"kind": "discrete_map", "map": {"0": 0, "1": 4}}}
+    rule_file = tmp_path / "rules.json"
+    rule_file.write_text(json.dumps({"rules": [*default_rules().to_json()["rules"], custom]}))
+    persons = []
+    for i, person in enumerate(synthesize(SynthConfig(seed=5, n_persons=4))):
+        pid = odd if i == 1 else person.person_id
+        answers = [a._replace(person_id=pid) for a in person.answers]
+        answers.append(RawAnswer(pid, answers[0].day, "custom", 'it"em', i % 2))
+        persons.append(Person(pid, answers, dict(person.eqvas)))
+    serialize(CohortStore(persons), tmp_path / "cohort")
+    assert main(["link", "--data", str(tmp_path / "cohort"), "--out", str(tmp_path / "out"),
+                 "--rules", str(rule_file)]) == 0
+
+    rules = load_rules(rule_file)
+    records = [r for person in ingest(tmp_path / "cohort")
+               for r in apply_rules(person.answers, rules)]
+    assert {r.person_id for r in records} >= {odd} and any('"' in r.source_id for r in records)
+    random.Random(9).shuffle(records)
+    records_to_csv(records, tmp_path / "expected.csv")
+    linked = tmp_path / "out" / "records.csv"
+    assert linked.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    canonical = sorted(records, key=lambda r: (r.person_id, r.day, r.source_id, r.code))
+    assert records_from_csv(linked) == canonical
+    # and what csv.writer itself writes for those rows
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([["person_id", "day", "source_id", "code", "value", "reliability"],
+                               *([*r[:3], r.code.text, format_cell(r.value),
+                                  format_cell(r.reliability)] for r in canonical)])
+    assert linked.read_bytes() == out.getvalue().encode()
 
 
 def _one_record_csv(tmp_path, value, reliability):
