@@ -45,10 +45,7 @@ from .cohort import (
 )
 from .engine import (
     AttachedQualifier,
-    ComponentScore,
     EvaluationReport,
-    HealthIndex,
-    HealthProfile,
     NodeResult,
     RecordTable,
     compile_records,

@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ROOT_SLOT, IcfTree, build_tree
+from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import (RecordTable, _Plan, _plan, _value_pass, compile_records, evaluate_cohort,
-                     scale_index)
+from .engine import RecordTable, _Plan, _plan, _score, compile_records, evaluate_cohort
 from .errors import IcfHiError, InsufficientDataError
 from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
@@ -164,11 +163,11 @@ class SweepCell:
 
 
 class CohortEvaluator:
-    """Links a cohort once, holds the cohort-wide tree skeleton and every
-    person's records compiled against it, and caches per (person, day,
-    gamma, y) index evaluations.  The weight plans of one gamma at a time
-    are kept per (person, day), so that each y of that gamma only runs the
-    value pass."""
+    """Links a cohort once, holds the cohort-wide tree skeleton, every
+    person's records compiled against it and every person's maximum pain
+    by day, and caches per (person, day, gamma, y) index evaluations.  The
+    weight plans of one gamma at a time are kept per (person, day), so that
+    each y of that gamma only runs the value pass."""
 
     def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store
@@ -178,6 +177,8 @@ class CohortEvaluator:
         self.tables: dict[str, RecordTable] = {
             pid: compile_records(self.tree, recs) for pid, recs in records.items() if recs
         }
+        self.max_pain: dict[str, dict[int, float]] = {
+            person.person_id: max_pain_by_day(person) for person in store}
         self._cache: dict[tuple, "int | None"] = {}
         # built on demand in hi, and dropped when hi is asked for another gamma
         self._plans: dict[tuple[str, int], _Plan | None] = {}
@@ -197,8 +198,7 @@ class CohortEvaluator:
                 if plan_key not in self._plans:
                     self._plans[plan_key] = _plan(table, day, spec.gamma)
                 plan = self._plans[plan_key]
-            self._cache[key] = (None if plan is None
-                                else scale_index(_value_pass(plan, spec)[0][ROOT_SLOT]))
+            self._cache[key] = None if plan is None else _score(plan, spec).index
         return self._cache[key]
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],
@@ -211,17 +211,22 @@ class CohortEvaluator:
         EQ-VAS days and pain days.  A person whose evaluation would fail
         only on another day is not reported."""
         pids = [pid for pid in person_ids if pid in self.tables]
-        jobs = ((pid, self.tables[pid], _statistic_days(self.store.person(pid))) for pid in pids)
+        jobs = ((pid, self.tables[pid], self._statistic_days(pid)) for pid in pids)
         failures = {}
         for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids)):
             if isinstance(outcome, IcfHiError):
                 failures[pid] = str(outcome)
                 continue
-            for spec, rows in zip(specs, outcome):
-                for day, value in rows:
+            for spec, reports in zip(specs, outcome):
+                for day, report in reports:
                     self._cache[(pid, day, spec.gamma, spec.y)] = (
-                        None if value is None else scale_index(value[0]))
+                        None if report is None else report.index)
         return failures
+
+    def _statistic_days(self, person_id: str) -> list[int]:
+        """The days on which the statistics read a person's index: EQ-VAS
+        days and maximum-pain days, sorted."""
+        return sorted(set(self.store.person(person_id).eqvas).union(self.max_pain[person_id]))
 
 
 def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
@@ -265,12 +270,6 @@ def _pooled_correlation(eqvas_values: Sequence[float], hi_values: Sequence[float
     )
 
 
-def _statistic_days(person: Person) -> list[int]:
-    """The days on which the statistics read a person's index: EQ-VAS
-    days and maximum-pain days, sorted."""
-    return sorted(set(person.eqvas).union(max_pain_by_day(person)))
-
-
 def max_pain_by_day(person: Person) -> dict[int, float]:
     """Highest raw pain VAS answer per measurement day."""
     out: dict[int, float] = {}
@@ -292,8 +291,7 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     raw: list[tuple[str, int, float, float]] = []
     omitted = 0
     for pid in person_ids:
-        person = evaluator.store.person(pid)
-        pain = max_pain_by_day(person)
+        pain = evaluator.max_pain[pid]
         if len(pain) < 3:
             continue
         days = list(pain)

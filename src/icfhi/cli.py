@@ -314,8 +314,8 @@ def cmd_link(args) -> int:
 
 def _evaluate_records(args, header, table) -> int:
     """Evaluate each person in --records under the one --gamma and --y, then
-    write <command>.csv with the rows ``table`` builds from each person's raw
-    (day, (raw, alpha, r, {component: raw})) rows; failed persons are named."""
+    write <command>.csv with the rows ``table`` builds from each person's
+    (day, report) pairs; failed persons are named."""
     records = linkage.records_from_csv(_require(args, "records"))
     path = _out_dir(args) / f"{args.command}.csv"
     if not records:
@@ -355,19 +355,19 @@ def cmd_index(args) -> int:
     def table(results):
         lo, hi = 0.0, 4.0
         if args.scaling == "empirical":
-            raws = [value[0] for _, rows in results for _, value in rows]
+            raws = [report.raw for _, reports in results for _, report in reports]
             if not raws:
                 raise DataError("empirical scaling impossible: no evaluations succeeded")
             lo, hi = min(raws), max(raws)
             if lo == hi:
                 raise DataError(f"empirical scaling impossible: all raw values equal {lo!r}")
         index_rows = []
-        for pid, rows in results:
-            for day, (raw, alpha, rel, comp_raws) in rows:
-                scores = {c: engine.scale_index(v, lo, hi) for c, v in comp_raws.items()}
-                index_rows.append([pid, day, engine.scale_index(raw, lo, hi), raw,
+        for pid, reports in results:
+            for day, report in reports:
+                scores = {c: engine.scale_index(v, lo, hi) for c, v in report.components.items()}
+                index_rows.append([pid, day, engine.scale_index(report.raw, lo, hi), report.raw,
                                    scores.get("b"), scores.get("d"), scores.get("e"),
-                                   scores.get("s"), alpha, rel])
+                                   scores.get("s"), report.alpha, report.reliability])
         return index_rows
 
     return _evaluate_records(args, ["person_id", "day", "health_index", "raw", "score_b",
@@ -377,10 +377,10 @@ def cmd_index(args) -> int:
 
 def cmd_profile(args) -> int:
     def table(results):
-        return [[pid, day, comp, engine.scale_index(comp_raws[comp]), comp_raws[comp]]
-                for pid, rows in results
-                for day, (_, _, _, comp_raws) in rows
-                for comp in sorted(comp_raws)]
+        return [[pid, day, comp, engine.scale_index(raw), raw]
+                for pid, reports in results
+                for day, report in reports
+                for comp, raw in sorted(report.components.items())]
 
     return _evaluate_records(args, ["person_id", "day", "component", "score", "raw"], table)
 
@@ -409,6 +409,8 @@ def cmd_validate(args) -> int:
     specs = [weighting.make_spec(y, g) for g in gammas]
     if grid is not None:
         specs.extend(weighting.make_spec(gy, gg) for gg in grid[0] for gy in grid[1])
+    # a --gamma x --y spec that is also a grid cell is evaluated once
+    specs = list(dict.fromkeys(specs))
     eligible = sorted({pid for pids in groups.values() for pid in pids})
     failures = evaluator.precompute(eligible, specs, args.workers)
     _report_failures(failures)

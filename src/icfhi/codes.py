@@ -38,8 +38,12 @@ class IcfCode:
     def __post_init__(self):
         if self.component not in COMPONENTS:
             raise CodeParseError(f"unknown ICF component letter in {self.text!r}")
-        if not self.digits.isdigit() and self.digits != "":
-            raise CodeParseError(f"non-digit characters in ICF code {self.text!r}")
+        # isdigit alone would take superscripts and non-Latin digits such as "²" or "٢"
+        if self.digits and not (self.digits.isascii() and self.digits.isdigit()):
+            raise CodeParseError(
+                f"malformed ICF code {self.text!r}: expected only digits after the "
+                "component letter (qualifier separators such as '.' or '+' are not codes)"
+            )
         if len(self.digits) not in _LEVEL_BY_DIGITS:
             raise CodeParseError(
                 f"ICF code {self.text!r} has {len(self.digits)} digits; "
@@ -77,19 +81,7 @@ def parse_code(text: str) -> IcfCode:
     """Parse ICF code text such as ``b28013``; qualifier suffixes are rejected."""
     if not isinstance(text, str) or not text:
         raise CodeParseError(f"empty or non-string ICF code: {text!r}")
-    head, tail = text[0], text[1:]
-    if head not in COMPONENTS:
-        raise CodeParseError(f"unknown ICF component letter in {text!r}")
-    if tail and not tail.isdigit():
-        raise CodeParseError(
-            f"malformed ICF code {text!r}: expected only digits after the "
-            "component letter (qualifier separators such as '.' or '+' are not codes)"
-        )
-    if len(tail) not in _LEVEL_BY_DIGITS:
-        raise CodeParseError(
-            f"ICF code {text!r} has {len(tail)} digits; valid digit counts are 0, 1, 3, 4 or 5"
-        )
-    return IcfCode(head, tail)
+    return IcfCode(text[0], text[1:])
 
 
 class IcfTree:

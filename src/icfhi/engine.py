@@ -25,7 +25,7 @@ value, and only the values depend on the curve parameter y.  So a day is
 evaluated in two steps.  The weight plan (``_plan``) depends on the day and
 gamma: the visible rows, alpha per record day, the fanout u, and per
 calculated node its normalized weights, its record values, the children
-whose values fill in, and its alpha and r.  The value pass (``_value_pass``)
+whose values fill in, and its alpha and r.  The value pass (``_score``)
 depends on y: bottom-up, each node's value is the curve at the weighted
 mean of its values.  One plan serves every y of its gamma.  When every
 weight at a node is zero or subnormal because old time weights underflowed,
@@ -38,8 +38,11 @@ and ``qualifiers`` shows the alpha, r and u of each record on a day.
 ``evaluate_cohort`` runs many persons' compiled tables under many specs,
 weighing each day once per gamma, in this process or in a process pool,
 and reports a person whose evaluation fails instead of stopping.  Every
-step is pure: the tree and the table are never changed, so repeated
-evaluations are identical.
+evaluation, on any of these paths, is one ``EvaluationReport`` from
+``_score``: the raw root value, its alpha and r, and the raw value per
+component, with the 0-100 index as ``report.index``.  Every step is pure:
+the tree and the table are never changed, so repeated evaluations are
+identical.
 """
 
 from __future__ import annotations
@@ -84,33 +87,6 @@ class NodeResult:
 
 
 @dataclass(frozen=True)
-class HealthIndex:
-    value: int
-    raw: float
-    evaluated_at: int
-
-
-@dataclass(frozen=True)
-class ComponentScore:
-    component: str
-    value: int
-    raw: float
-
-
-@dataclass(frozen=True)
-class HealthProfile:
-    """Scaled score per ICF component; components without data are absent."""
-
-    scores: dict[str, ComponentScore]
-
-    def __contains__(self, component: str) -> bool:
-        return component in self.scores
-
-    def __getitem__(self, component: str) -> ComponentScore:
-        return self.scores[component]
-
-
-@dataclass(frozen=True)
 class NodeAudit:
     """Per-node evaluation diagnostics: the normalized contribution weights."""
 
@@ -119,13 +95,21 @@ class NodeAudit:
     result: NodeResult
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    index: HealthIndex
+class EvaluationReport(NamedTuple):
+    """One person-day's evaluation: the raw root value in [0, 4], the root's
+    alpha and r, the raw value of each scored component by its letter
+    (components without data are absent) and, on request, every calculated
+    node's audit.  ``index`` is the raw root value on the 0-100 scale."""
+
+    raw: float
     alpha: float
     reliability: float
-    profile: HealthProfile
+    components: dict[str, float]
     audits: tuple[NodeAudit, ...] | None = None
+
+    @property
+    def index(self) -> int:
+        return scale_index(self.raw)
 
 
 def nint(value: float) -> int:
@@ -304,7 +288,6 @@ class _Plan(NamedTuple):
     """
 
     tree: IcfTree
-    day: int
     steps: tuple
     components: tuple
     alpha: float
@@ -369,12 +352,14 @@ def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
             bare = (_normalize(ctx, child, (), list(map(mul, alphas_c, rels))), values)
         components.append((tree.slot_codes[child].component, child, bare))
     root = steps[ROOT_SLOT]  # every visible record reaches the root
-    return _Plan(tree, day, tuple(steps.values()), tuple(components), root[4], root[5])
+    return _Plan(tree, tuple(steps.values()), tuple(components), root[4], root[5])
 
 
-def _value_pass(plan: _Plan, spec: WeightingSpec) -> tuple[dict[int, float], dict[str, float]]:
-    """Each calculated node's value under ``spec``'s curve, bottom-up from
-    the plan's weights, and the raw value of each scored component."""
+def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationReport:
+    """The report of a plan under ``spec``, from the value pass: each
+    calculated node's value is the curve at the weighted mean of its
+    values, bottom-up from the plan's weights.  With ``audit`` the report
+    also carries every calculated node's weights and result."""
     xs = {}  # slot -> x
     for slot, normed, values, fills, _, _ in plan.steps:
         if fills:
@@ -384,13 +369,6 @@ def _value_pass(plan: _Plan, spec: WeightingSpec) -> tuple[dict[int, float], dic
         xs[slot] = apply_curve(spec, math.fsum(map(mul, normed, values)))
     components = {comp: xs[slot] if bare is None else apply_curve(spec, math.fsum(map(mul, *bare)))
                   for comp, slot, bare in plan.components}
-    return xs, components
-
-
-def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationReport:
-    """The report of a plan under ``spec``: the index, the profile and,
-    with ``audit``, every calculated node's weights and result."""
-    xs, components = _value_pass(plan, spec)
     audits = None
     if audit:
         codes = plan.tree.slot_codes
@@ -398,15 +376,7 @@ def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationR
                                  normalized_weights=tuple(normed),
                                  result=NodeResult(xs[slot], alpha, r))
                        for slot, normed, _, _, alpha, r in plan.steps)
-    x = xs[ROOT_SLOT]
-    return EvaluationReport(
-        index=HealthIndex(value=scale_index(x), raw=x, evaluated_at=plan.day),
-        alpha=plan.alpha,
-        reliability=plan.reliability,
-        profile=HealthProfile({comp: ComponentScore(comp, scale_index(raw), raw)
-                               for comp, raw in components.items()}),
-        audits=audits,
-    )
+    return EvaluationReport(xs[ROOT_SLOT], plan.alpha, plan.reliability, components, audits)
 
 
 def _check_days(days: Sequence[int]) -> None:
@@ -463,36 +433,33 @@ def evaluate_trajectory(
 
 
 def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple):
-    """One person's rows per spec, each (day, None | (raw, alpha, r,
-    {component: raw})), or the error that stopped the evaluation.  The
-    days are weighed once per gamma and scored under each spec of that
-    gamma.  At module level and private, so that it pickles as itself."""
+    """One person's (day, report or None) pairs per spec, or the error that
+    stopped the evaluation.  The days are weighed once per gamma and scored
+    under each spec of that gamma.  At module level and private, so that it
+    pickles as itself."""
     pid, table, days = job
     by_gamma: dict[float, list[int]] = {}
     for i, spec in enumerate(specs):
         by_gamma.setdefault(spec.gamma, []).append(i)
-    rows: list[list] = [[] for _ in specs]
+    reports: list[list] = [[] for _ in specs]
     try:
         for gamma, indices in by_gamma.items():
             for day, plan in _plans(table, days, gamma):
                 for i in indices:
-                    rows[i].append((day, None if plan is None else _row(plan, specs[i])))
+                    reports[i].append((day, None if plan is None else _score(plan, specs[i])))
     except IcfHiError as exc:
         return pid, exc
-    return pid, rows
-
-
-def _row(plan: _Plan, spec: WeightingSpec) -> tuple:
-    xs, components = _value_pass(plan, spec)
-    return xs[ROOT_SLOT], plan.alpha, plan.reliability, components
+    return pid, reports
 
 
 def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
                     specs: Sequence[WeightingSpec], workers: int,
                     n_jobs: int | None = None) -> Iterator[tuple[str, list | IcfHiError]]:
     """Evaluate each (person id, table, days) job under every spec, in job
-    order: (person id, rows per spec), or (person id, error) when the
-    person's evaluation raises.  ``n_jobs`` is the number of jobs, by
+    order: (person id, reports per spec), or (person id, error) when the
+    person's evaluation raises.  The reports of one spec are the (day,
+    report or None) pairs that ``evaluate_table`` returns for the job's
+    table and days, without audits.  ``n_jobs`` is the number of jobs, by
     default ``len(jobs)``.  One worker, or one job, takes one job at a time
     from ``jobs`` in this process; otherwise a process pool of
     min(workers, n_jobs) processes shares them out.  The results are the

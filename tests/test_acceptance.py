@@ -96,7 +96,7 @@ def _oracle_suite():
 @criterion("oracle equivalence (1,000 random trees, 1e-9)")
 def test_oracle_equivalence():
     for report, (raw, alpha, rel, per_node) in _oracle_suite():
-        assert abs(report.index.raw - raw) < 1e-9
+        assert abs(report.raw - raw) < 1e-9
         assert abs(report.alpha - alpha) < 1e-9
         assert abs(report.reliability - rel) < 1e-9
         engine_nodes = {a.code: a.result for a in report.audits if a.code}
@@ -113,8 +113,8 @@ def test_worked_example():
     # hand-derived independently: 49 / (34 + 13.5/sqrt(3)) = 1.1724106796905387
     assert abs(node.x - WORKED_NODE_X) < 1e-4   # stated tolerance
     assert abs(node.x - WORKED_NODE_X) < 1e-9   # and in fact exact
-    assert report.index.value == WORKED_HI
-    assert abs(report.index.raw - WORKED_NODE_X) < 1e-9
+    assert report.index == WORKED_HI
+    assert abs(report.raw - WORKED_NODE_X) < 1e-9
 
 
 @criterion("curve fitting (100 random y)")
@@ -150,11 +150,11 @@ def test_time_decay():
     rng = random.Random(99)
     for seed in range(100):
         plain, _, ref = random_case(seed)
-        baseline = _evaluate(plain, 1.0, ref).index.value
+        baseline = _evaluate(plain, 1.0, ref).index
         days = [day for _c, _v, day, _r, _s in plain]
         rng.shuffle(days)
         permuted = [(c, v, d, r, s) for (c, v, _d, r, s), d in zip(plain, days)]
-        assert _evaluate(permuted, 1.0, ref).index.value == baseline
+        assert _evaluate(permuted, 1.0, ref).index == baseline
 
 
 @criterion("normalization (sum of normalized weights = 1 +- 1e-12)")
@@ -229,10 +229,10 @@ def test_monotonicity():
         if value >= 4.0:
             continue
         tested += 1
-        baseline = _evaluate(plain, gamma, ref).index.value
+        baseline = _evaluate(plain, gamma, ref).index
         bumped = list(plain)
         bumped[i] = (code, value + 1.0, day, rel, src)
-        assert _evaluate(bumped, gamma, ref).index.value <= baseline
+        assert _evaluate(bumped, gamma, ref).index <= baseline
 
 
 @criterion("sign reproduction on a pain-coupled synthetic cohort")

@@ -18,8 +18,10 @@ from icfhi import (
     SynthConfig,
     apply_rules,
     bin_by_sequence_length,
+    compile_records,
     default_rules,
     eqvas_vs_hi,
+    evaluate_table,
     evaluate_trajectory,
     form_groups,
     make_spec,
@@ -29,6 +31,8 @@ from icfhi import (
     sweep,
     synthesize,
 )
+
+from icfhi.engine import evaluate_cohort
 
 from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, UNRATED_RULE, run_python
 
@@ -355,18 +359,23 @@ def test_boxplot_stats_match_numpy():
 
 
 def test_hi_equals_the_trajectory_value():
+    # one report shape: evaluate_cohort's reports are evaluate_table's and
+    # evaluate_trajectory's, and hi is their index
     store = synthesize(SynthConfig(seed=5, n_persons=10, max_visits=8))
     evaluator = CohortEvaluator(store, default_rules())
-    for y in (0.75, 2.0, 3.25):
-        for gamma in (GAMMA_TWENTIETH_30, GAMMA_THIRD_30, 1.0):
-            spec = make_spec(y, gamma)
-            for person in store:
-                records = apply_rules(person.answers, default_rules())
-                days = [-1, *person.days]
-                trajectory = evaluate_trajectory(records, days, spec, tree=evaluator.tree)
-                for day, report in trajectory:
-                    want = None if report is None else report.index.value
-                    assert evaluator.hi(person.person_id, day, spec) == want
+    specs = [make_spec(y, gamma) for y in (0.75, 2.0, 3.25)
+             for gamma in (GAMMA_TWENTIETH_30, GAMMA_THIRD_30, 1.0)]
+    for person in store:
+        records = apply_rules(person.answers, default_rules())
+        table = compile_records(evaluator.tree, records)
+        days = [-1, *person.days]
+        [(_, per_spec)] = evaluate_cohort([(person.person_id, table, days)], specs, workers=1)
+        for spec, reports in zip(specs, per_spec):
+            assert reports == evaluate_table(table, days, spec) \
+                == evaluate_trajectory(records, days, spec, tree=evaluator.tree)
+            for day, report in reports:
+                want = None if report is None else report.index
+                assert evaluator.hi(person.person_id, day, spec) == want
 
 
 def test_hi_across_gamma_switches_matches_a_fresh_evaluator():

@@ -566,11 +566,14 @@ def test_validate_per_person_failure_logged_run_continues(tmp_path, capsys, work
 
 def test_unparsable_code_in_records_names_file_and_line(tmp_path, capsys):
     records = tmp_path / "records.csv"
-    records.write_text("person_id,day,source_id,code,value,reliability\n"
-                       "p,0,s1,b280,2,1\n"
-                       "p,1,s2,x99,2,1\n")
-    assert run("index", "--records", str(records), "--out", str(tmp_path / "out")) == 3
-    assert f"error (data): {records}:3: unknown ICF component letter" in capsys.readouterr().err
+    # a superscript two is a digit to str.isdigit, but not in an ICF code
+    for code, message in (("x99", "unknown ICF component letter"),
+                          ("b²80", "malformed ICF code 'b²80'")):
+        records.write_text("person_id,day,source_id,code,value,reliability\n"
+                           "p,0,s1,b280,2,1\n"
+                           f"p,1,s2,{code},2,1\n", encoding="utf-8")
+        assert run("index", "--records", str(records), "--out", str(tmp_path / "out")) == 3
+        assert f"error (data): {records}:3: {message}" in capsys.readouterr().err
 
 
 def test_index_reproduces_worked_example(tmp_path):

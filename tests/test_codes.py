@@ -53,6 +53,8 @@ def test_component_parent_is_root():
 
 @pytest.mark.parametrize("bad", [
     "", "x123", "b28", "b280134", "2801", "b280.1", "b280+2", "b 280", "b2a0", "B280",
+    # digits to str.isdigit, but not ASCII
+    "b²80", "b٢٨٠", "d４５０",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(CodeParseError) as err:

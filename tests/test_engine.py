@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import pickle
 import random
 import sys
 
@@ -159,14 +159,22 @@ def test_audits_only_on_request(worked_records, worked_tree, linear_spec_third):
     [(_, audited)] = evaluate_table(table, [30], linear_spec_third, audit=True)
     assert plain.audits is None
     assert [a.code for a in audited.audits] == ["b2801", "b280", "b2", "b", ""]
-    assert dataclasses.replace(audited, audits=None) == plain
+    assert audited._replace(audits=None) == plain
+
+
+def test_report_round_trips_through_pickle(worked_records, worked_tree, linear_spec_third):
+    # a process pool sends every report back pickled
+    for audit in (False, True):
+        report = report_on(worked_records, 30, linear_spec_third, tree=worked_tree, audit=audit)
+        copy = pickle.loads(pickle.dumps(report))
+        assert type(copy) is type(report) and copy == report
+        assert copy.index == report.index == WORKED_HI
 
 
 def test_worked_example_health_index(worked_records, worked_tree, linear_spec_third):
-    index = report_on(worked_records, 30, linear_spec_third, tree=worked_tree).index
-    assert index.raw == pytest.approx(WORKED_NODE_X, abs=1e-9)
-    assert index.value == WORKED_HI
-    assert index.evaluated_at == 30
+    report = report_on(worked_records, 30, linear_spec_third, tree=worked_tree)
+    assert report.raw == pytest.approx(WORKED_NODE_X, abs=1e-9)
+    assert report.index == WORKED_HI
     # independent recursive evaluator agrees
     plain = [(r.code.text, r.value, r.day, r.reliability, r.source_id)
              for r in worked_example_records()]
@@ -175,13 +183,13 @@ def test_worked_example_health_index(worked_records, worked_tree, linear_spec_th
 
 def test_single_direct_qualifier_passes_through():
     spec = make_spec(2.0, 1.0)
-    assert report_on(_records(("b280", 3, 0)), 0, spec).index.raw == pytest.approx(3.0, abs=1e-12)
+    assert report_on(_records(("b280", 3, 0)), 0, spec).raw == pytest.approx(3.0, abs=1e-12)
 
 
 def test_two_equal_children_average():
     spec = make_spec(2.0, 1.0)
     records = _records(("b2800", 2, 0), ("b2801", 2, 0))
-    assert report_on(records, 0, spec).index.raw == pytest.approx(2.0, abs=1e-12)
+    assert report_on(records, 0, spec).raw == pytest.approx(2.0, abs=1e-12)
 
 
 def test_two_equal_children_nonlinear_curve_at_node():
@@ -198,24 +206,24 @@ def test_component_without_data_has_no_audit_or_score():
     tree = build_tree({"b280", "d450"})
     report = report_on(_records(("b280", 2, 0)), 0, spec, tree=tree, audit=True)
     assert [a.code for a in report.audits] == ["b2", "b", ""]
-    assert set(report.profile.scores) == {"b"}
+    assert set(report.components) == {"b"}
 
 
 def test_all_zero_qualifiers_score_100():
     spec = make_spec(2.0, GAMMA_THIRD_30)
     records = _records(("b28013", 0, 0), ("d450", 0, 3), ("b780", 0, 5))
-    assert report_on(records, 5, spec).index.value == 100
+    assert report_on(records, 5, spec).index == 100
 
 
 def test_all_four_qualifiers_score_0():
     spec = make_spec(2.0, GAMMA_THIRD_30)
     records = _records(("b28013", 4, 0), ("d450", 4, 3), ("b780", 4, 5))
-    assert report_on(records, 5, spec).index.value == 0
+    assert report_on(records, 5, spec).index == 0
 
 
 def test_raw_two_scores_50():
     spec = make_spec(2.0, 1.0)
-    assert report_on(_records(("b280", 2, 0)), 0, spec).index.value == 50
+    assert report_on(_records(("b280", 2, 0)), 0, spec).index == 50
 
 
 def test_empty_tree_evaluation_fails():
@@ -241,8 +249,8 @@ def test_long_horizon_underflow_is_evaluated():
     tree = build_tree({r.code for r in records})
     report = report_on(records, 8000, spec, tree=tree)
     assert report is not None
-    assert report.index.raw == report_on(records[1:], 8000, spec, tree=tree).index.raw
-    assert report.profile["b"].raw == pytest.approx(3.0, abs=1e-12)
+    assert report.raw == report_on(records[1:], 8000, spec, tree=tree).raw
+    assert report.components["b"] == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("y", [0.75, 2.0, 3.25])
@@ -253,7 +261,7 @@ def test_old_records_alone_keep_their_day_zero_raw(y):
     records = _records(("b28010", 3, 0, 0.7, "a"), ("b28013", 1, 0, 0.9, "b"))
     tree = build_tree({r.code for r in records})
     old = report_on(records, 8000, spec, tree=tree)
-    assert old.index.raw == pytest.approx(report_on(records, 0, spec, tree=tree).index.raw,
+    assert old.raw == pytest.approx(report_on(records, 0, spec, tree=tree).raw,
                                           abs=1e-12)
 
 
@@ -266,7 +274,7 @@ def test_subnormal_time_weights_keep_the_day_zero_raw(day):
     assert 0.0 < spec.gamma ** day < sys.float_info.min
     tree = build_tree({r.code for r in records})
     old = report_on(records, day, spec, tree=tree)
-    assert old.index.raw == pytest.approx(report_on(records, 0, spec, tree=tree).index.raw,
+    assert old.raw == pytest.approx(report_on(records, 0, spec, tree=tree).raw,
                                           abs=1e-12)
 
 
@@ -275,7 +283,7 @@ def test_interior_node_direct_qualifiers_not_double_counted():
     # grandparent must see the node only through its calculated value
     spec = make_spec(2.0, 1.0)
     records = _records(("b2801", 4, 0), ("b28010", 0, 0))
-    raw = report_on(records, 0, spec).index.raw
+    raw = report_on(records, 0, spec).raw
     plain = [("b2801", 4.0, 0, 1.0, "a"), ("b28010", 0.0, 0, 1.0, "b")]
     expected, *_ = brute_force_evaluate(plain, 1.0, 0)
     assert raw == pytest.approx(expected, abs=1e-12)
@@ -291,7 +299,7 @@ def test_repeat_evaluation_is_identical(worked_records, worked_tree, linear_spec
 
 def test_nonlinear_curve_applied_at_every_node():
     spec = make_spec(0.75, 1.0)
-    raw = report_on(_records(("b28010", 2, 0)), 0, spec).index.raw
+    raw = report_on(_records(("b28010", 2, 0)), 0, spec).raw
     # leaf flows raw value 2 to b2801; each computed ancestor applies f
     f = lambda x: 0.225 * math.exp(math.log(13 / 3) / 2 * x) - 0.225
     expected = 2.0
@@ -304,30 +312,30 @@ def test_nonlinear_curve_applied_at_every_node():
 # profiles
 
 def test_profile_single_component(worked_records, worked_tree, linear_spec_third):
-    profile = report_on(worked_records, 30, linear_spec_third, tree=worked_tree).profile
-    assert set(profile.scores) == {"b"}
-    assert profile["b"].value == WORKED_HI
-    assert profile["b"].raw == pytest.approx(WORKED_NODE_X, abs=1e-9)
+    components = report_on(worked_records, 30, linear_spec_third, tree=worked_tree).components
+    assert set(components) == {"b"}
+    assert scale_index(components["b"]) == WORKED_HI
+    assert components["b"] == pytest.approx(WORKED_NODE_X, abs=1e-9)
 
 
 def test_profile_components_scored_independently():
     spec = make_spec(2.0, 1.0)
     records = _records(("b280", 0, 0), ("d450", 4, 0))
     report = report_on(records, 0, spec)
-    profile = report.profile
-    assert profile["b"].value == 100
-    assert profile["d"].value == 0
-    assert "s" not in profile and "e" not in profile
-    assert report.index.value == 50
+    components = report.components
+    assert scale_index(components["b"]) == 100
+    assert scale_index(components["d"]) == 0
+    assert "s" not in components and "e" not in components
+    assert report.index == 50
 
 
 def test_profile_leaf_component_reported():
     # data attached directly on a bare component letter
     spec = make_spec(2.0, 1.0)
     records = _records(("b", 1, 0), ("d450", 3, 0))
-    profile = report_on(records, 0, spec).profile
-    assert profile["b"].raw == pytest.approx(1.0, abs=1e-12)
-    assert profile["d"].raw == pytest.approx(3.0, abs=1e-12)
+    components = report_on(records, 0, spec).components
+    assert components["b"] == pytest.approx(1.0, abs=1e-12)
+    assert components["d"] == pytest.approx(3.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +346,14 @@ def test_trajectory_single_day():
     records = _records(("b28013", 2, 0))
     out = evaluate_trajectory(records, [0], spec)
     assert len(out) == 1
-    assert out[0][0] == 0 and out[0][1].index.value == 50
+    assert out[0][0] == 0 and out[0][1].index == 50
 
 
 def test_trajectory_none_before_first_record():
     spec = make_spec(2.0, 1.0)
     out = evaluate_trajectory(_records(("b280", 2, 5)), [0, 5], spec)
     assert out[0] == (0, None)
-    assert out[1][1].index.value == 50
+    assert out[1][1].index == 50
     assert evaluate_trajectory([], [0, 5], spec) == [(0, None), (5, None)]
 
 
@@ -357,15 +365,15 @@ def test_trajectory_leafness_comes_from_the_tree():
     f = lambda x: apply_curve(spec, x)
     [(_, own)] = evaluate_trajectory(records, [0], spec)
     [(_, cohort)] = evaluate_trajectory(records, [0], spec, tree=build_tree({"b280", "b2800"}))
-    assert own.index.raw == pytest.approx(f(f(f(2.0))), abs=1e-12)
-    assert cohort.index.raw == pytest.approx(f(f(f(f(2.0)))), abs=1e-12)
+    assert own.raw == pytest.approx(f(f(f(2.0))), abs=1e-12)
+    assert cohort.raw == pytest.approx(f(f(f(f(2.0)))), abs=1e-12)
 
 
 def test_trajectory_constant_without_decay_or_new_data():
     spec = make_spec(2.0, 1.0)
     records = _records(("b28013", 3, 0), ("b780", 1, 0))
     out = evaluate_trajectory(records, [0, 10, 40], spec)
-    values = [report.index.value for _, report in out]
+    values = [report.index for _, report in out]
     assert values[0] == values[1] == values[2]
 
 
@@ -375,7 +383,7 @@ def test_trajectory_improving_person_rises():
         ("b28013", 4, 0), ("b28013", 3, 10), ("b28013", 2, 20), ("b28013", 1, 30),
     )
     out = evaluate_trajectory(records, [0, 10, 20, 30], spec)
-    values = [report.index.value for _, report in out]
+    values = [report.index for _, report in out]
     assert values[-1] > values[0]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -402,8 +410,8 @@ def test_uniqueness_counts_a_source_reused_on_a_later_day():
     trajectory = evaluate_trajectory(records, [5, 10], spec, tree=tree)
     # the shared source keeps half of the weight at b280, spread over its
     # records: (4 + 4) / 2 / 2 on day 5, (4 + 4 + 1) / 3 / 2 on day 10
-    assert trajectory[0][1].index.raw == pytest.approx(2.0, abs=1e-12)
-    assert trajectory[1][1].index.raw == pytest.approx(1.5, abs=1e-12)
+    assert trajectory[0][1].raw == pytest.approx(2.0, abs=1e-12)
+    assert trajectory[1][1].raw == pytest.approx(1.5, abs=1e-12)
     assert trajectory[1][1] == report_on(records, 10, spec, tree=tree)
 
 
@@ -473,7 +481,7 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
                     raw, alpha, rel, _ = brute_force_evaluate(
                         plain, spec.gamma, day, lambda x: apply_curve(spec, x))
                     label = f"seed {seed} {records[0].person_id} day {day} {gamma_text} y={y}"
-                    assert report.index.raw == pytest.approx(raw, abs=1e-9), label
+                    assert report.raw == pytest.approx(raw, abs=1e-9), label
                     assert report.alpha == pytest.approx(alpha, abs=1e-9), label
                     assert report.reliability == pytest.approx(rel, abs=1e-9), label
 
@@ -503,8 +511,8 @@ def test_shifting_every_day_leaves_the_evaluation_bit_identical(seed, k):
     shifted, _, shifted_ref = _case_records(seed, k)
     spec = make_spec(2.0, gamma)
     base, moved = report_on(records, ref, spec), report_on(shifted, shifted_ref, spec)
-    assert (moved.index.raw, moved.alpha, moved.reliability) \
-        == (base.index.raw, base.alpha, base.reliability)
+    assert (moved.raw, moved.alpha, moved.reliability) \
+        == (base.raw, base.alpha, base.reliability)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 2_000), st.sampled_from((0.75, 2.0, 3.25)))
@@ -513,7 +521,7 @@ def test_moving_the_reference_day_alone_leaves_raw(seed, k, y):
     records, gamma, ref = _case_records(seed)
     spec = make_spec(y, gamma)
     moved = report_on(records, ref + k, spec)
-    assert moved.index.raw == pytest.approx(report_on(records, ref, spec).index.raw, abs=1e-12)
+    assert moved.raw == pytest.approx(report_on(records, ref, spec).raw, abs=1e-12)
 
 
 @given(st.integers(0, 10_000), st.floats(700.0, 2_000.0), st.data())
@@ -534,7 +542,7 @@ def test_an_underflowing_record_changes_raw_by_at_most_its_weight(seed, decay, d
     spec = make_spec(data.draw(st.sampled_from((0.75, 2.0, 3.25))), gamma)
     with_old = report_on([old, *recent], ref + age, spec, tree=tree)
     without = report_on(recent, ref + age, spec, tree=tree)
-    assert with_old.index.raw == pytest.approx(without.index.raw, abs=1e-12)
+    assert with_old.raw == pytest.approx(without.raw, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +558,7 @@ def test_oracle_equivalence_on_random_trees():
         ]
         report = report_on(qrecords, ref, spec, audit=True)
         raw, alpha, rel_, per_node = brute_force_evaluate(records, gamma, ref)
-        assert report.index.raw == pytest.approx(raw, abs=1e-9), f"seed {seed}"
+        assert report.raw == pytest.approx(raw, abs=1e-9), f"seed {seed}"
         assert report.alpha == pytest.approx(alpha, abs=1e-9), f"seed {seed}"
         assert report.reliability == pytest.approx(rel_, abs=1e-9), f"seed {seed}"
         # every calculated node agrees, not only the root
@@ -576,10 +584,10 @@ def test_processing_is_input_order_independent():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        baseline = report_on(qrecords, ref, spec).index.raw
+        baseline = report_on(qrecords, ref, spec).raw
         shuffled = qrecords[:]
         rng.shuffle(shuffled)
-        assert report_on(shuffled, ref, spec).index.raw == pytest.approx(
+        assert report_on(shuffled, ref, spec).raw == pytest.approx(
             baseline, abs=1e-12
         )
 
@@ -602,7 +610,7 @@ def test_monotonic_in_qualifier_values():
         bumped[i] = QualifierRecord(
             old.person_id, old.day, old.source_id, old.code, old.value + 1.0, old.reliability
         )
-        assert report_on(bumped, ref, spec).index.value <= base.value, f"seed {seed}"
+        assert report_on(bumped, ref, spec).index <= base, f"seed {seed}"
 
 
 def test_gamma_one_is_day_permutation_invariant():
@@ -614,14 +622,14 @@ def test_gamma_one_is_day_permutation_invariant():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        baseline = report_on(qrecords, ref, spec).index.raw
+        baseline = report_on(qrecords, ref, spec).raw
         days = [r.day for r in qrecords]
         rng.shuffle(days)
         permuted = [
             QualifierRecord(r.person_id, d, r.source_id, r.code, r.value, r.reliability)
             for r, d in zip(qrecords, days)
         ]
-        assert report_on(permuted, ref, spec).index.raw == pytest.approx(
+        assert report_on(permuted, ref, spec).raw == pytest.approx(
             baseline, abs=1e-12
         )
 
@@ -634,6 +642,6 @@ def test_linear_raw_bounded_by_contributions():
             QualifierRecord("p", day, src, parse_code(code), value, rel)
             for code, value, day, rel, src in records
         ]
-        raw = report_on(qrecords, ref, spec).index.raw
+        raw = report_on(qrecords, ref, spec).raw
         values = [r.value for r in qrecords]
         assert min(values) - 1e-9 <= raw <= max(values) + 1e-9
