@@ -106,11 +106,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
     common(p, "out")
-    p.add_argument("--synth-config", help="synthetic-cohort config JSON")
-    p.add_argument("--seed", type=int, default=42, help="random seed")
-    p.add_argument("--persons", type=int, default=200, help="number of persons")
-    p.add_argument("--trend", choices=list(cohort.TRENDS), default="improving",
-                   help="latent health trend")
+    p.add_argument("--synth-config",
+                   help="synthetic-cohort config JSON; the flags below override it")
+    p.add_argument("--seed", type=int, help="random seed (default 42)")
+    p.add_argument("--persons", type=int, help="number of persons (default 200)")
+    p.add_argument("--trend", choices=list(cohort.TRENDS),
+                   help="latent health trend (default improving)")
 
     p = sub.add_parser("fit-weights", help="print fitted curve parameters for y values")
     common(p)
@@ -200,7 +201,10 @@ def _parse_ys(text: str) -> list[float]:
 
 
 def _parse_gammas(text: str) -> list[float]:
-    return [weighting.parse_gamma(part) for part in text.split(",") if part.strip()]
+    gammas = [weighting.parse_gamma(part) for part in text.split(",") if part.strip()]
+    if not gammas:
+        raise ConfigError(f"no gamma values in {text!r}")
+    return gammas
 
 
 def _parse_groups(text: str) -> list[analysis.GroupSpec]:
@@ -284,7 +288,7 @@ def cmd_link(args) -> int:
             for person in store:
                 links = linkage.link_answers(person.answers, rules)
                 writer.write(links)
-                per_code = Counter([code.text for link in links for code in link.targets])
+                per_code = Counter([code for link in links for code in link.targets])
                 n_records += per_code.total()
                 records_per_code.update(per_code)
                 persons_per_code.update(per_code.keys())
@@ -503,10 +507,10 @@ def cmd_validate(args) -> int:
 # synth / fit-weights
 
 def cmd_synth(args) -> int:
-    if args.synth_config:
-        config = cohort.load_synth_config(args.synth_config)
-    else:
-        config = cohort.SynthConfig(seed=args.seed, n_persons=args.persons, trend=args.trend)
+    config = (cohort.load_synth_config(args.synth_config) if args.synth_config
+              else cohort.SynthConfig())
+    flags = {"seed": args.seed, "n_persons": args.persons, "trend": args.trend}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     store = cohort.synthesize(config)
     out = _out_dir(args)
     cohort.serialize(store, out)

@@ -1,17 +1,17 @@
 """ICF code grammar and the tree of available codes.
 
-Codes are a component letter (b, s, d, e) followed by 0, 1, 3, 4 or 5
-digits; the digit count encodes the hierarchy level and the parent of a
-code is a prefix of it.  Trees contain only the codes observed in the
-input plus their ancestors, under one synthetic root.  A tree is nothing
-but integer slot tables: each code's slot, its parent and children by
-slot, and the bottom-up order in which the engine rolls values up.
+A code is its text: ``IcfCode`` is a ``str`` that was checked on
+construction to be a component letter (b, s, d, e) followed by 0, 1, 3, 4
+or 5 ASCII digits, so it equals, hashes, sorts and prints as that text.
+The digit count encodes the hierarchy level and the parent of a code is a
+prefix of it.  Trees contain only the codes observed in the input plus
+their ancestors, under one synthetic root.  A tree is nothing but integer
+slot tables: each code's slot, its parent and children by slot, and the
+bottom-up order in which the engine rolls values up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CodeParseError, DataError
@@ -28,43 +28,56 @@ _LEVEL_BY_DIGITS = {0: 0, 1: 1, 3: 2, 4: 3, 5: 4}
 _PARENT_TEXT_LEN = {4: 5, 3: 4, 2: 2, 1: 1}
 
 
-@dataclass(frozen=True, order=True)
-class IcfCode:
-    """A parsed ICF code: component letter plus level-encoding digits."""
+class IcfCode(str):
+    """An ICF code such as ``b28013``: a string checked to be a component
+    letter plus level-encoding digits.  Qualifier suffixes are rejected.
 
-    component: str
-    digits: str = ""
+    A code is one letter plus digits, so string order is the order by
+    (component, digits)."""
 
-    def __post_init__(self):
-        if self.component not in COMPONENTS:
-            raise CodeParseError(f"unknown ICF component letter in {self.text!r}")
+    __slots__ = ()
+
+    def __new__(cls, text: str) -> "IcfCode":
+        if not isinstance(text, str) or not text:
+            raise CodeParseError(f"empty or non-string ICF code: {text!r}")
+        if text[0] not in COMPONENTS:
+            raise CodeParseError(f"unknown ICF component letter in {text!r}")
+        digits = text[1:]
         # isdigit alone would take superscripts and non-Latin digits such as "²" or "٢"
-        if self.digits and not (self.digits.isascii() and self.digits.isdigit()):
+        if digits and not (digits.isascii() and digits.isdigit()):
             raise CodeParseError(
-                f"malformed ICF code {self.text!r}: expected only digits after the "
+                f"malformed ICF code {text!r}: expected only digits after the "
                 "component letter (qualifier separators such as '.' or '+' are not codes)"
             )
-        if len(self.digits) not in _LEVEL_BY_DIGITS:
+        if len(digits) not in _LEVEL_BY_DIGITS:
             raise CodeParseError(
-                f"ICF code {self.text!r} has {len(self.digits)} digits; "
+                f"ICF code {text!r} has {len(digits)} digits; "
                 "valid digit counts are 0, 1, 3, 4 or 5"
             )
+        return super().__new__(cls, text)
 
-    @cached_property
+    @property
+    def component(self) -> str:
+        return self[0]
+
+    @property
+    def digits(self) -> str:
+        return self[1:]
+
+    @property
     def text(self) -> str:
-        # kept in the instance __dict__, outside the fields that eq, hash,
-        # order and repr use
-        return self.component + self.digits
+        """The code as a plain ``str``."""
+        return str(self)
 
     @property
     def level(self) -> int:
-        return _LEVEL_BY_DIGITS[len(self.digits)]
+        return _LEVEL_BY_DIGITS[len(self) - 1]
 
     def parent(self) -> "IcfCode | None":
         """Parent code by prefix truncation; None for a bare component (parent is the root)."""
         if self.level == 0:
             return None
-        return parse_code(self.text[: _PARENT_TEXT_LEN[self.level]])
+        return IcfCode(self[: _PARENT_TEXT_LEN[self.level]])
 
     def ancestors(self) -> Iterator["IcfCode"]:
         """All proper ancestors, nearest first, excluding the root."""
@@ -73,15 +86,10 @@ class IcfCode:
             yield code
             code = code.parent()
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def parse_code(text: str) -> IcfCode:
     """Parse ICF code text such as ``b28013``; qualifier suffixes are rejected."""
-    if not isinstance(text, str) or not text:
-        raise CodeParseError(f"empty or non-string ICF code: {text!r}")
-    return IcfCode(text[0], text[1:])
+    return IcfCode(text)
 
 
 class IcfTree:
@@ -124,12 +132,12 @@ class IcfTree:
         return list(self.slot_codes[1:])
 
 
-def build_tree(codes: Iterable[IcfCode | str]) -> IcfTree:
+def build_tree(codes: Iterable[str]) -> IcfTree:
     """Build the tree spanned by ``codes``: the codes themselves, every
     ancestor up to the bare components, and one synthetic root."""
     closed: set[IcfCode] = set()
     for code in codes:
-        code = parse_code(code) if isinstance(code, str) else code
+        code = IcfCode(code)
         closed.add(code)
         closed.update(code.ancestors())
     if not closed:

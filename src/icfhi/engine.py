@@ -161,7 +161,7 @@ def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> Record
         slot = slots.get(record.code)
         if slot is None:
             raise EvaluationError(
-                f"record for ICF code {record.code.text} which is not in the tree"
+                f"record for ICF code {record.code} which is not in the tree"
             )
         key = keys.setdefault((parent_slots[slot], record.source_id), len(keys))
         rows.append((record.day, slot, key, float(record.value), record.reliability))
@@ -231,7 +231,7 @@ def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[
     elif min(weights) >= 0.0:
         normed = _log_normalize(_log_terms(ctx, dict(ctx.table.nodes), slot, children))
     if normed is None:
-        label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot].text
+        label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot]
         raise EvaluationError(
             f"all contribution weights at node {label} are zero (reliability and/or "
             "time weights vanish); the node cannot be aggregated"
@@ -372,7 +372,7 @@ def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationR
     audits = None
     if audit:
         codes = plan.tree.slot_codes
-        audits = tuple(NodeAudit(code="" if slot == ROOT_SLOT else codes[slot].text,
+        audits = tuple(NodeAudit(code="" if slot == ROOT_SLOT else codes[slot],
                                  normalized_weights=tuple(normed),
                                  result=NodeResult(xs[slot], alpha, r))
                        for slot, normed, _, _, alpha, r in plan.steps)

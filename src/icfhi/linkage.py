@@ -50,7 +50,6 @@ class DiscreteMap:
     """Integer answers through an explicit answer -> qualifier table."""
 
     mapping: Mapping[int, float]
-    kind = "discrete_map"
 
     def translate(self, value) -> float:
         answer = _require_int(value, "answer")
@@ -58,9 +57,6 @@ class DiscreteMap:
             low, high = min(self.mapping), max(self.mapping)
             raise ValueError(f"answer out of range {low}-{high}: {value!r}")
         return float(self.mapping[answer])
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "map": {str(k): v for k, v in sorted(self.mapping.items())}}
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ class IntervalMap:
     breaks: tuple[float, ...]
     qualifiers: tuple[float, ...]
     clamp_low: float | None = None
-    kind = "interval_map"
 
     def translate(self, value) -> float:
         x = float(value)
@@ -86,12 +81,6 @@ class IntervalMap:
                 return float(qualifier)
         raise AssertionError("unreachable: breaks cover the domain")
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "breaks": list(self.breaks), "qualifiers": list(self.qualifiers)}
-        if self.clamp_low is not None:
-            out["clamp_low"] = self.clamp_low
-        return out
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -101,24 +90,12 @@ class AffineMap:
     offset: float
     domain: tuple[float, float]
     require_integer: bool = False
-    kind = "affine"
 
     def translate(self, value) -> float:
         x = float(_require_int(value, "answer")) if self.require_integer else float(value)
         if not self.domain[0] <= x <= self.domain[1]:
             raise ValueError(f"answer {value!r} outside domain [{self.domain[0]}, {self.domain[1]}]")
         return self.scale * x + self.offset
-
-    def to_json(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "scale": self.scale,
-            "offset": self.offset,
-            "domain": list(self.domain),
-        }
-        if self.require_integer:
-            out["require_integer"] = True
-        return out
 
 
 ValueTranslation = DiscreteMap | IntervalMap | AffineMap
@@ -234,22 +211,6 @@ class RuleSet:
             if not rule.validation_only
         }
 
-    def to_json(self) -> dict:
-        rules = []
-        for rule in self._rules.values():
-            if rule.validation_only:
-                rules.append({"source_item_id": rule.source_item_id, "validation_only": True})
-                continue
-            rules.append(
-                {
-                    "source_item_id": rule.source_item_id,
-                    "targets": [c.text for c in rule.targets],
-                    "translation": rule.translation.to_json(),
-                    "reliability": rule.reliability,
-                }
-            )
-        return {"rules": rules}
-
     @classmethod
     def from_json(cls, obj: dict) -> "RuleSet":
         try:
@@ -346,8 +307,7 @@ def apply_rules(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Qualifie
 
 RECORD_COLUMNS = ("person_id", "day", "source_id", "code", "value", "reliability")
 
-# a row of RecordWriter.write by (person, day, source, first code text); a
-# code is one letter plus digits, so its text sorts as the code does
+# a row of RecordWriter.write by (person, day, source, first code)
 _CANONICAL = itemgetter(0, 1, 2, 3)
 
 
@@ -371,31 +331,31 @@ class RecordWriter:
     link's targets by code, so links that share a (person, day, source) must
     have one target each, as the links of ``records_to_csv`` do.  The file
     is in canonical order when every batch sorts after the one before it,
-    as the links of one person after another in person-id order do."""
+    as the links of one person after another in person-id order do.
+
+    The text after the source id is cached by (targets, value,
+    reliability); few distinct ones occur."""
 
     def __init__(self, fh):
         self._fh = fh
         fh.write(",".join(RECORD_COLUMNS) + "\r\n")
-        # (id of targets, value, reliability) -> (first code text, ("",
-        # "code,value,reliability\r\n", ...)), both in code order; few distinct
-        # ones occur.  The targets tuples are kept, so that their ids are not
-        # reused while the writer lives.
-        self._tails: dict[tuple[int, float, float], tuple[str, tuple[str, ...]]] = {}
-        self._targets: list[tuple[IcfCode, ...]] = []
+        # (targets, value, reliability) -> (first code, ("",
+        # "code,value,reliability\r\n", ...)), both in code order
+        self._tails: dict[tuple[tuple[IcfCode, ...], float, float],
+                          tuple[IcfCode, tuple[str, ...]]] = {}
 
     def _tail(self, targets: tuple[IcfCode, ...], value: float,
-              reliability: float) -> tuple[str, tuple[str, ...]]:
+              reliability: float) -> tuple[IcfCode, tuple[str, ...]]:
         numbers = f",{format_cell(value)},{format_cell(reliability)}\r\n"
-        self._targets.append(targets)
-        texts = sorted(code.text for code in targets)
-        return texts[0], ("", *[text + numbers for text in texts])
+        codes = sorted(targets)
+        return codes[0], ("", *[code + numbers for code in codes])
 
     def write(self, links: Iterable[Link]) -> None:
         tails = self._tails
         rows = []
         append = rows.append
         for person_id, day, source_id, targets, value, reliability in links:
-            key = (id(targets), value, reliability)
+            key = (targets, value, reliability)
             first_tail = tails.get(key)
             if first_tail is None:
                 first_tail = tails[key] = self._tail(targets, value, reliability)
@@ -413,14 +373,12 @@ def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
     by_person: dict[str, list[QualifierRecord]] = {}
     for record in records:
         by_person.setdefault(record.person_id, []).append(record)
-    # one shared one-code tuple per code, so that the writer's cache holds
-    one: dict[str, tuple[IcfCode]] = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = RecordWriter(fh)
         # a batch per person, so that no more than one person's rows are held
         for person_id in sorted(by_person):
-            writer.write(Link(r.person_id, r.day, r.source_id,
-                              one.setdefault(r.code.text, (r.code,)), r.value, r.reliability)
+            writer.write(Link(r.person_id, r.day, r.source_id, (r.code,), r.value,
+                              r.reliability)
                          for r in by_person[person_id])
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures: the worked tree example and its hand-derived values."""
 
 import functools
+import json
 import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,12 @@ WORKED_HI = 71
 UNRATED_RULE = {"source_item_id": "unrated:item", "targets": ["b280"],
                 "translation": {"kind": "affine", "scale": 1.0, "offset": 0.0, "domain": [0, 4]},
                 "reliability": 0.0}
+
+
+def default_rules_json() -> dict:
+    """The bundled rule file as a fresh JSON object, for a test to add rules to."""
+    text = resources.files("icfhi").joinpath("data/default_rules.json").read_text("utf-8")
+    return json.loads(text)
 
 
 def worked_example_records():

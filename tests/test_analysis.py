@@ -34,7 +34,13 @@ from icfhi import (
 
 from icfhi.engine import evaluate_cohort
 
-from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, UNRATED_RULE, run_python
+from conftest import (
+    GAMMA_THIRD_30,
+    GAMMA_TWENTIETH_30,
+    UNRATED_RULE,
+    default_rules_json,
+    run_python,
+)
 
 
 def _person_with_days(pid, days):
@@ -420,7 +426,7 @@ def test_precompute_reports_a_failed_person(workers):
     good = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
     bad = Person("bad", [RawAnswer("bad", day, "unrated", "item", 3.0) for day in (0, 5)],
                  {0: 50.0, 5: 60.0})
-    rules = default_rules().to_json()
+    rules = default_rules_json()
     rules["rules"].append(UNRATED_RULE)
     evaluator = CohortEvaluator(CohortStore([bad, *good]), RuleSet.from_json(rules))
     failures = evaluator.precompute(["bad", *good.person_ids], [make_spec()], workers)
@@ -434,7 +440,7 @@ def test_precompute_reports_a_failed_person(workers):
 def test_precompute_skips_a_failure_on_days_no_statistic_reads():
     # without EQ-VAS or pain answers no statistic reads the failing days
     bad = Person("bad", [RawAnswer("bad", day, "unrated", "item", 3.0) for day in (0, 5)])
-    rules = default_rules().to_json()
+    rules = default_rules_json()
     rules["rules"].append(UNRATED_RULE)
     evaluator = CohortEvaluator(CohortStore([bad]), RuleSet.from_json(rules))
     assert evaluator.precompute(["bad"], [make_spec()]) == {}

@@ -10,7 +10,7 @@ import icfhi
 from icfhi.cli import main
 from icfhi.formatting import format_cell
 
-from conftest import GAMMA_THIRD_30, UNRATED_RULE, run_python
+from conftest import GAMMA_THIRD_30, UNRATED_RULE, default_rules_json, run_python
 
 
 def run(*argv):
@@ -352,6 +352,7 @@ def test_index_from_config_writes_what_the_flags_write(cohort_dir, tmp_path, mon
     ({"validate": {"alpha": 5}}, ["validate"], "--alpha"),
     (None, ["index", "--workers", "0"], "--workers"),
     (None, ["index", "--workers", "-3"], "--workers"),
+    (None, ["validate", "--gamma", ","], "no gamma values"),
 ])
 def test_bad_option_or_config_key_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                                         config, argv, named):
@@ -549,7 +550,7 @@ def test_validate_per_person_failure_logged_run_continues(tmp_path, capsys, work
         for day in range(0, 50, 10):
             answers.write(f"zbad,{day},unrated,item,3\n")
             eqvas.write(f"zbad,{day},50\n")
-    rules = icfhi.default_rules().to_json()
+    rules = default_rules_json()
     rules["rules"].append(UNRATED_RULE)
     rule_file = tmp_path / "rules.json"
     rule_file.write_text(json.dumps(rules))
@@ -608,6 +609,13 @@ def test_synth_config_file(tmp_path):
         assert len(list(csv.DictReader(fh))) == 8
     echoed = json.loads((out / "synth_config.json").read_text())
     assert echoed["seed"] == 5 and echoed["trend"] == "flat"
+    # a flag given beside the file overrides its entry, and only that one
+    assert run("synth", "--synth-config", str(config), "--out", str(out), "--seed", "7",
+               "--persons", "3") == 0
+    with open(out / "persons.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 3
+    echoed = json.loads((out / "synth_config.json").read_text())
+    assert (echoed["seed"], echoed["trend"], echoed["max_visits"]) == (7, "flat", 4)
 
 
 # ---------------------------------------------------------------------------

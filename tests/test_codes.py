@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from icfhi import (
     CodeParseError,
     DataError,
+    IcfCode,
     QualifierRecord,
     build_tree,
     compile_records,
@@ -158,18 +159,16 @@ def test_attach_leaves_tree_unchanged():
 
 @given(st.lists(_code_texts, max_size=30))
 def test_codes_sort_by_text_as_by_code(texts):
-    # records_to_csv sorts on code text: one letter plus digits orders as the code
+    # trees and sorted outputs order codes as strings: one letter plus
+    # digits orders as (component, digits)
     codes = [parse_code(t) for t in texts]
-    assert sorted(codes, key=lambda c: c.text) == sorted(codes)
+    assert sorted(codes) == sorted(codes, key=lambda c: (c.component, c.digits))
 
 
-def test_cached_text_leaves_eq_hash_order_and_repr_alone():
-    fresh, read = parse_code("b280"), parse_code("b280")
-    assert read.text == "b280"
-    assert "text" in vars(read) and "text" not in vars(fresh)
-    assert fresh == read and hash(fresh) == hash(read)
-    assert repr(fresh) == repr(read) == "IcfCode(component='b', digits='280')"
-    assert not fresh < read and not read < fresh
-    assert sorted([parse_code("d4"), read, parse_code("b2")]) == [
-        parse_code("b2"), fresh, parse_code("d4")]
-    assert pickle.loads(pickle.dumps(read)) == fresh
+def test_code_is_its_text():
+    code = parse_code("b280")
+    assert code == "b280" and hash(code) == hash("b280")
+    assert type(code.text) is str and code.text == "b280"
+    assert not hasattr(code, "__dict__")
+    copy = pickle.loads(pickle.dumps(code))
+    assert type(copy) is IcfCode and copy == code

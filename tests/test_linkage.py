@@ -33,9 +33,9 @@ from icfhi import (
 )
 from icfhi.cli import main
 from icfhi.formatting import format_cell
-from icfhi.linkage import _quote
+from icfhi.linkage import RECORD_COLUMNS, RecordWriter, _quote
 
-from conftest import shipped_translation
+from conftest import default_rules_json, shipped_translation
 
 ODI_EXPECTED = {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 5: 4}
 PAIN_EXPECTED = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3, 9: 4, 10: 4}
@@ -195,13 +195,6 @@ def test_all_bundled_rules_emit_integer_qualifiers_in_range():
 # ---------------------------------------------------------------------------
 # rule files
 
-def test_default_rules_round_trip():
-    rules = default_rules()
-    clone = RuleSet.from_json(rules.to_json())
-    assert clone.to_json() == rules.to_json()
-    assert len(clone) == len(rules)
-
-
 def test_default_reliabilities_are_declared():
     rel = default_rules().reliabilities()
     assert rel["pain_vas:back"] == 1.0
@@ -333,6 +326,29 @@ def test_multi_target_answer_rows_are_contiguous_in_code_order(tmp_path):
         assert [sources[i][1] for i in rows] == [c.text for c in sorted(targets)]
 
 
+def test_writer_writes_equal_targets_of_two_rules_as_csv_writer_does():
+    # the rules' target tuples are equal but distinct objects; the third
+    # rule's differ in reliability only
+    rules = RuleSet.from_json({"rules": [
+        {"source_item_id": f"custom:{item}", "targets": ["d1", "b280"],
+         "translation": {"kind": "discrete_map", "map": {"0": 0, "1": 4}},
+         "reliability": reliability}
+        for item, reliability in (("a", 1.0), ("b", 1.0), ("c", 0.5))]})
+    first, second = rules.get("custom:a").targets, rules.get("custom:b").targets
+    assert first == second and first is not second
+    answers = [RawAnswer("p", day, "custom", item, day % 2)
+               for day in range(3) for item in "abc"]
+    written = io.StringIO(newline="")
+    RecordWriter(written).write(link_answers(answers, rules))
+    records = sorted(apply_rules(answers, rules),
+                     key=lambda r: (r.person_id, r.day, r.source_id, r.code))
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([RECORD_COLUMNS, *([*r[:4], format_cell(r.value),
+                                                       format_cell(r.reliability)]
+                                                      for r in records)])
+    assert written.getvalue() == expected.getvalue()
+
+
 def test_records_and_answers_are_slotted_and_pickle():
     record = QualifierRecord("p", 0, "p:0:odi:lifting", parse_code("b7305"), 3.0, 1.0)
     link = Link("p", 0, "p:0:odi:lifting", (parse_code("b7305"), parse_code("d430")), 3.0, 1.0)
@@ -392,7 +408,7 @@ def test_link_writes_odd_ids_as_records_to_csv_does(tmp_path):
     custom = {"source_item_id": 'custom:it"em', "targets": ["d1", "b280", "s7"],
               "translation": {"kind": "discrete_map", "map": {"0": 0, "1": 4}}}
     rule_file = tmp_path / "rules.json"
-    rule_file.write_text(json.dumps({"rules": [*default_rules().to_json()["rules"], custom]}))
+    rule_file.write_text(json.dumps({"rules": [*default_rules_json()["rules"], custom]}))
     persons = []
     for i, person in enumerate(synthesize(SynthConfig(seed=5, n_persons=4))):
         pid = odd if i == 1 else person.person_id
