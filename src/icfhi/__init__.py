@@ -50,7 +50,6 @@ from .engine import (
     RecordTable,
     compile_records,
     evaluate_table,
-    evaluate_trajectory,
     nint,
     qualifiers,
     scale_index,

@@ -48,13 +48,14 @@ DEFAULT_GROUPS = (GroupSpec(90, 10), GroupSpec(30, 5))
 
 
 def form_groups(store: CohortStore, specs: Sequence[GroupSpec]) -> dict[GroupSpec, list[str]]:
-    """Person ids per group; a person may satisfy several groups at once."""
+    """Person ids per group, once per group however often ``specs`` repeats
+    it; a person may satisfy several groups at once."""
     groups: dict[GroupSpec, list[str]] = {spec: [] for spec in specs}
     for person in store:
         if not person.days:
             continue
         st = stats(person)
-        for spec in specs:
+        for spec in groups:
             if st.duration >= spec.min_duration and st.sequence_length >= spec.min_sequence_length:
                 groups[spec].append(person.person_id)
     return groups
@@ -97,7 +98,6 @@ class CorrelationReport:
     coefficient: float
     p_value: float
     bonferroni_significant: bool
-    omitted_constant_trajectories: int = 0
 
 
 @dataclass(frozen=True)

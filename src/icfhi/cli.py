@@ -405,7 +405,9 @@ def cmd_validate(args) -> int:
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
-    y, gammas, alpha, group_specs, grid = args.y, args.gamma, args.alpha, args.groups, args.grid
+    y, alpha, grid = args.y, args.alpha, args.grid
+    # a repeated --gamma or --groups entry is evaluated and written once
+    gammas, group_specs = list(dict.fromkeys(args.gamma)), list(dict.fromkeys(args.groups))
 
     evaluator = analysis.CohortEvaluator(store, rules)
     groups = analysis.form_groups(store, group_specs)

@@ -328,6 +328,12 @@ class SynthConfig:
     p_eqvas: float = 0.4
 
     def __post_init__(self):
+        for name in ("seed", "n_persons", "max_visits"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.n_persons <= 0 or self.max_visits <= 0:
             raise ConfigError("n_persons and max_visits must be positive")
         if self.trend not in TRENDS:

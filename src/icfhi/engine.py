@@ -32,17 +32,17 @@ weight at a node is zero or subnormal because old time weights underflowed,
 the node is weighed again from log time weights, (day - d)*log(gamma).
 
 There is one way to evaluate: ``compile_records`` once per person and
-tree, then ``evaluate_table`` for any days and weighting specs, with
-per-node audits on request; ``evaluate_trajectory`` does both in one call
-and ``qualifiers`` shows the alpha, r and u of each record on a day.
-``evaluate_cohort`` runs many persons' compiled tables under many specs,
-weighing each day once per gamma, in this process or in a process pool,
-and reports a person whose evaluation fails instead of stopping.  Every
-evaluation, on any of these paths, is one ``EvaluationReport`` from
-``_score``: the raw root value, its alpha and r, and the raw value per
-component, with the 0-100 index as ``report.index``.  Every step is pure:
-the tree and the table are never changed, so repeated evaluations are
-identical.
+tree, then one ``evaluate_table`` call for any days and any number of
+weighting specs, which weighs each day once per gamma and scores it under
+every spec of that gamma, with per-node audits on request; ``qualifiers``
+shows the alpha, r and u of each record on a day.  ``evaluate_cohort``
+runs ``evaluate_table`` on many persons' compiled tables, in this process
+or in a process pool, and reports a person whose evaluation fails instead
+of stopping.  Every evaluation, on any of these paths, is one
+``EvaluationReport`` from ``_score``: the raw root value, its alpha and r,
+and the raw value per component, with the 0-100 index as
+``report.index``.  Every step is pure: the tree and the table are never
+changed, so repeated evaluations are identical.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import cached_property, partial
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .codes import ROOT_SLOT, IcfCode, IcfTree, build_tree
+from .codes import ROOT_SLOT, IcfCode, IcfTree
 from .errors import EvaluationError, IcfHiError
 from .linkage import QualifierRecord
 from .weighting import WeightingSpec, apply_curve, normalize_weights
@@ -379,77 +379,50 @@ def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationR
     return EvaluationReport(xs[ROOT_SLOT], plan.alpha, plan.reliability, components, audits)
 
 
-def _check_days(days: Sequence[int]) -> None:
-    if list(days) != sorted(days):
-        raise EvaluationError("trajectory days must be sorted ascending")
-
-
-def _plans(table: RecordTable, days: Sequence[int], gamma: float) -> Iterator[tuple]:
-    """The plan of each day, in order: (day, plan or None), one at a time."""
-    _check_days(days)
-    for day in days:
-        yield day, _plan(table, day, gamma)
-
-
 def evaluate_table(
     table: RecordTable,
     days: Sequence[int],
-    spec: WeightingSpec,
+    specs: Sequence[WeightingSpec],
     *,
     audit: bool = False,
-) -> list[tuple[int, EvaluationReport | None]]:
-    """Evaluate a compiled table on each requested day, using only the
-    records available by that day and the day itself as the decay
-    reference; the report is None on a day before the first record.  With
-    ``audit`` each report also carries every calculated node's normalized
-    weights and result."""
-    return [(day, None if plan is None else _score(plan, spec, audit))
-            for day, plan in _plans(table, days, spec.gamma)]
+) -> list[list[tuple[int, EvaluationReport | None]]]:
+    """Evaluate a compiled table on each requested day under each spec: per
+    spec, in spec order, the (day, report or None) pairs of the days in
+    order.  A day uses only the records available by that day and the day
+    itself as the decay reference; the report is None on a day before the
+    first record.  Each day is weighed once per gamma and scored under every
+    spec of that gamma.  With ``audit`` each report also carries every
+    calculated node's normalized weights and result.
 
-
-def evaluate_trajectory(
-    records: Sequence[QualifierRecord],
-    days: Sequence[int],
-    spec: WeightingSpec,
-    *,
-    tree: IcfTree | None = None,
-) -> list[tuple[int, EvaluationReport | None]]:
-    """Compile ``records`` and evaluate them on each requested day, as
-    ``evaluate_table`` does.
-
-    The tree defaults to the one spanned by the record codes.  Which nodes
-    are leaves comes from the tree passed in: on a cohort-wide tree a code
-    that is a leaf for this person may have children, and the tuning curve f
-    then applies once more at it.  For example, a record on b280 evaluated
-    at y = 0.75 gives raw f^4(v) on a tree that also holds b2800, and f^3(v)
-    on the record's own tree.
+    Which nodes are leaves comes from the table's tree: on a cohort-wide
+    tree a code that is a leaf for this person may have children, and the
+    tuning curve f then applies once more at it.  For example, a record on
+    b280 evaluated at y = 0.75 gives raw f^4(v) on a tree that also holds
+    b2800, and f^3(v) on the record's own tree.
     """
-    if not records:
-        _check_days(days)
-        return [(day, None) for day in days]
-    if tree is None:
-        tree = build_tree({r.code for r in records})
-    return evaluate_table(compile_records(tree, records), days, spec)
-
-
-def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple):
-    """One person's (day, report or None) pairs per spec, or the error that
-    stopped the evaluation.  The days are weighed once per gamma and scored
-    under each spec of that gamma.  At module level and private, so that it
-    pickles as itself."""
-    pid, table, days = job
+    if list(days) != sorted(days):
+        raise EvaluationError("evaluation days must be sorted ascending")
     by_gamma: dict[float, list[int]] = {}
     for i, spec in enumerate(specs):
         by_gamma.setdefault(spec.gamma, []).append(i)
     reports: list[list] = [[] for _ in specs]
+    for gamma, indices in by_gamma.items():
+        for day in days:
+            plan = _plan(table, day, gamma)
+            for i in indices:
+                reports[i].append((day, None if plan is None else _score(plan, specs[i], audit)))
+    return reports
+
+
+def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple):
+    """One person's (day, report or None) pairs per spec, or the error that
+    stopped the evaluation.  At module level and private, so that it
+    pickles as itself."""
+    pid, table, days = job
     try:
-        for gamma, indices in by_gamma.items():
-            for day, plan in _plans(table, days, gamma):
-                for i in indices:
-                    reports[i].append((day, None if plan is None else _score(plan, specs[i])))
+        return pid, evaluate_table(table, days, specs)
     except IcfHiError as exc:
         return pid, exc
-    return pid, reports
 
 
 def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
@@ -457,9 +430,8 @@ def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
                     n_jobs: int | None = None) -> Iterator[tuple[str, list | IcfHiError]]:
     """Evaluate each (person id, table, days) job under every spec, in job
     order: (person id, reports per spec), or (person id, error) when the
-    person's evaluation raises.  The reports of one spec are the (day,
-    report or None) pairs that ``evaluate_table`` returns for the job's
-    table and days, without audits.  ``n_jobs`` is the number of jobs, by
+    person's evaluation raises.  The reports are what ``evaluate_table``
+    returns for the job's table and days, without audits.  ``n_jobs`` is the number of jobs, by
     default ``len(jobs)``.  One worker, or one job, takes one job at a time
     from ``jobs`` in this process; otherwise a process pool of
     min(workers, n_jobs) processes shares them out.  The results are the

@@ -97,7 +97,7 @@ def report_on(records, day, spec, *, tree=None, audit=False):
     ``tree`` (by default the tree of their codes) and evaluate that day."""
     if tree is None:
         tree = build_tree({r.code for r in records})
-    [(_, report)] = evaluate_table(compile_records(tree, records), [day], spec, audit=audit)
+    [[(_, report)]] = evaluate_table(compile_records(tree, records), [day], [spec], audit=audit)
     return report
 
 

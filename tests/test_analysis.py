@@ -22,7 +22,6 @@ from icfhi import (
     default_rules,
     eqvas_vs_hi,
     evaluate_table,
-    evaluate_trajectory,
     form_groups,
     make_spec,
     max_pain_by_day,
@@ -60,6 +59,8 @@ def test_form_groups_predicates():
     groups = form_groups(store, specs)
     assert groups[specs[0]] == ["both"]
     assert groups[specs[1]] == ["both", "thirty_only"]
+    # a repeated group lists each of its persons once
+    assert form_groups(store, [specs[1], specs[1]]) == {specs[1]: ["both", "thirty_only"]}
 
 
 def test_pearson_perfect_and_inverse():
@@ -365,8 +366,8 @@ def test_boxplot_stats_match_numpy():
 
 
 def test_hi_equals_the_trajectory_value():
-    # one report shape: evaluate_cohort's reports are evaluate_table's and
-    # evaluate_trajectory's, and hi is their index
+    # one report shape: evaluate_cohort's reports are evaluate_table's, for
+    # all specs at once or one at a time, and hi is their index
     store = synthesize(SynthConfig(seed=5, n_persons=10, max_visits=8))
     evaluator = CohortEvaluator(store, default_rules())
     specs = [make_spec(y, gamma) for y in (0.75, 2.0, 3.25)
@@ -376,9 +377,9 @@ def test_hi_equals_the_trajectory_value():
         table = compile_records(evaluator.tree, records)
         days = [-1, *person.days]
         [(_, per_spec)] = evaluate_cohort([(person.person_id, table, days)], specs, workers=1)
+        assert per_spec == evaluate_table(table, days, specs)
         for spec, reports in zip(specs, per_spec):
-            assert reports == evaluate_table(table, days, spec) \
-                == evaluate_trajectory(records, days, spec, tree=evaluator.tree)
+            assert [reports] == evaluate_table(table, days, [spec])
             for day, report in reports:
                 want = None if report is None else report.index
                 assert evaluator.hi(person.person_id, day, spec) == want

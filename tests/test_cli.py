@@ -283,6 +283,20 @@ def test_validate_leaves_out_undefined_group_statistics_and_goes_on(tmp_path, ca
         assert {r["group"] for r in csv.DictReader(fh)} == {"30d_5v"}
 
 
+def test_validate_repeated_groups_and_gammas_count_once(tmp_path):
+    # a repeated entry must not count a group's persons, or write its rows, twice
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, seed=42, persons=60)) == 0
+    once, repeated = tmp_path / "once", tmp_path / "repeated"
+    assert run("validate", "--data", str(cohort), "--out", str(once),
+               "--groups", "30:5", "--gamma", "1") == 0
+    assert run("validate", "--data", str(cohort), "--out", str(repeated),
+               "--groups", "30:5,30:5", "--gamma", "1,1") == 0
+    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                 "sequence_bins.csv", "run_info.json"):
+        assert read(repeated / name) == read(once / name), name
+
+
 def test_validate_deterministic_across_runs_and_workers(tmp_path):
     cohort = tmp_path / "cohort"
     assert run(*synth_args(cohort, seed=42, persons=120)) == 0
@@ -353,6 +367,7 @@ def test_index_from_config_writes_what_the_flags_write(cohort_dir, tmp_path, mon
     (None, ["index", "--workers", "0"], "--workers"),
     (None, ["index", "--workers", "-3"], "--workers"),
     (None, ["validate", "--gamma", ","], "no gamma values"),
+    (None, ["synth", "--seed", "-1"], "seed"),
 ])
 def test_bad_option_or_config_key_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                                         config, argv, named):
@@ -360,6 +375,7 @@ def test_bad_option_or_config_key_exits_2_with_one_line(tmp_path, capsys, monkey
     inputs = {
         "index": ["--records", str(tmp_path / "records.csv")],
         "validate": ["--data", str(tmp_path / "answers.csv")],
+        "synth": [],
     }
     (tmp_path / "records.csv").write_text("person_id,day,source_id,code,value,reliability\n"
                                           "p,0,s1,b280,2,1\n")

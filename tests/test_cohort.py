@@ -7,6 +7,7 @@ import pytest
 
 from icfhi import (
     CohortStore,
+    ConfigError,
     DataError,
     Person,
     RawAnswer,
@@ -376,3 +377,10 @@ def test_synth_config_validation():
         SynthConfig.from_json({"bogus_knob": 1})
     config = SynthConfig.from_json({"seed": 9, "n_persons": 5, "visit_gap_days": [2, 5]})
     assert config.visit_gap_days == (2, 5)
+    # seed and counts are plain integers, the seed not negative
+    for bad in ({"seed": -1}, {"seed": True}, {"seed": 4.0}, {"n_persons": "5"},
+                {"n_persons": 2.5}, {"n_persons": False}, {"max_visits": "3"}):
+        with pytest.raises(ConfigError) as err:
+            SynthConfig.from_json(bad)
+        assert str(err.value).startswith(next(iter(bad))) and "\n" not in str(err.value)
+    assert SynthConfig(seed=0).seed == 0

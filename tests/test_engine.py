@@ -14,7 +14,6 @@ from icfhi import (
     build_tree,
     compile_records,
     evaluate_table,
-    evaluate_trajectory,
     make_spec,
     nint,
     parse_code,
@@ -33,7 +32,7 @@ from conftest import (
     worked_example_records,
 )
 import oracle
-from icfhi.engine import _evaluate_job, _plans, _score
+from icfhi.engine import _evaluate_job, _plan, _score
 from oracle import brute_force_evaluate, brute_force_hi, random_case
 
 
@@ -155,8 +154,8 @@ def test_worked_example_node_value(worked_records, worked_tree, linear_spec_thir
 
 def test_audits_only_on_request(worked_records, worked_tree, linear_spec_third):
     table = compile_records(worked_tree, worked_records)
-    [(_, plain)] = evaluate_table(table, [30], linear_spec_third)
-    [(_, audited)] = evaluate_table(table, [30], linear_spec_third, audit=True)
+    [[(_, plain)]] = evaluate_table(table, [30], [linear_spec_third])
+    [[(_, audited)]] = evaluate_table(table, [30], [linear_spec_third], audit=True)
     assert plain.audits is None
     assert [a.code for a in audited.audits] == ["b2801", "b280", "b2", "b", ""]
     assert audited._replace(audits=None) == plain
@@ -292,8 +291,8 @@ def test_interior_node_direct_qualifiers_not_double_counted():
 
 def test_repeat_evaluation_is_identical(worked_records, worked_tree, linear_spec_third):
     table = compile_records(worked_tree, worked_records)
-    first = evaluate_table(table, [30], linear_spec_third)
-    second = evaluate_table(table, [30], linear_spec_third)
+    first = evaluate_table(table, [30], [linear_spec_third])
+    second = evaluate_table(table, [30], [linear_spec_third])
     assert first == second
 
 
@@ -344,17 +343,18 @@ def test_profile_leaf_component_reported():
 def test_trajectory_single_day():
     spec = make_spec(2.0, GAMMA_THIRD_30)
     records = _records(("b28013", 2, 0))
-    out = evaluate_trajectory(records, [0], spec)
+    [out] = evaluate_table(compile_records(build_tree({"b28013"}), records), [0], [spec])
     assert len(out) == 1
     assert out[0][0] == 0 and out[0][1].index == 50
 
 
 def test_trajectory_none_before_first_record():
     spec = make_spec(2.0, 1.0)
-    out = evaluate_trajectory(_records(("b280", 2, 5)), [0, 5], spec)
+    tree = build_tree({"b280"})
+    [out] = evaluate_table(compile_records(tree, _records(("b280", 2, 5))), [0, 5], [spec])
     assert out[0] == (0, None)
     assert out[1][1].index == 50
-    assert evaluate_trajectory([], [0, 5], spec) == [(0, None), (5, None)]
+    assert evaluate_table(compile_records(tree, []), [0, 5], [spec]) == [[(0, None), (5, None)]]
 
 
 def test_trajectory_leafness_comes_from_the_tree():
@@ -363,8 +363,9 @@ def test_trajectory_leafness_comes_from_the_tree():
     spec = make_spec(0.75, 1.0)
     records = _records(("b280", 2, 0))
     f = lambda x: apply_curve(spec, x)
-    [(_, own)] = evaluate_trajectory(records, [0], spec)
-    [(_, cohort)] = evaluate_trajectory(records, [0], spec, tree=build_tree({"b280", "b2800"}))
+    [[(_, own)]] = evaluate_table(compile_records(build_tree({"b280"}), records), [0], [spec])
+    cohort_tree = build_tree({"b280", "b2800"})
+    [[(_, cohort)]] = evaluate_table(compile_records(cohort_tree, records), [0], [spec])
     assert own.raw == pytest.approx(f(f(f(2.0))), abs=1e-12)
     assert cohort.raw == pytest.approx(f(f(f(f(2.0)))), abs=1e-12)
 
@@ -372,7 +373,8 @@ def test_trajectory_leafness_comes_from_the_tree():
 def test_trajectory_constant_without_decay_or_new_data():
     spec = make_spec(2.0, 1.0)
     records = _records(("b28013", 3, 0), ("b780", 1, 0))
-    out = evaluate_trajectory(records, [0, 10, 40], spec)
+    table = compile_records(build_tree({"b28013", "b780"}), records)
+    [out] = evaluate_table(table, [0, 10, 40], [spec])
     values = [report.index for _, report in out]
     assert values[0] == values[1] == values[2]
 
@@ -382,7 +384,8 @@ def test_trajectory_improving_person_rises():
     records = _records(
         ("b28013", 4, 0), ("b28013", 3, 10), ("b28013", 2, 20), ("b28013", 1, 30),
     )
-    out = evaluate_trajectory(records, [0, 10, 20, 30], spec)
+    table = compile_records(build_tree({"b28013"}), records)
+    [out] = evaluate_table(table, [0, 10, 20, 30], [spec])
     values = [report.index for _, report in out]
     assert values[-1] > values[0]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -391,7 +394,8 @@ def test_trajectory_improving_person_rises():
 def test_trajectory_requires_sorted_days():
     spec = make_spec(2.0, 1.0)
     with pytest.raises(EvaluationError):
-        evaluate_trajectory(_records(("b280", 1, 0)), [10, 0], spec)
+        evaluate_table(compile_records(build_tree({"b280"}), _records(("b280", 1, 0))),
+                       [10, 0], [spec])
 
 
 def test_uniqueness_counts_a_source_reused_on_a_later_day():
@@ -407,7 +411,7 @@ def test_uniqueness_counts_a_source_reused_on_a_later_day():
     later = _qualifiers(records, 10, spec, tree)
     assert [later[parse_code(c)][0].uniqueness for c in ("b2800", "b2801", "b2802")] \
         == [1.0 / 3.0] * 3
-    trajectory = evaluate_trajectory(records, [5, 10], spec, tree=tree)
+    [trajectory] = evaluate_table(compile_records(tree, records), [5, 10], [spec])
     # the shared source keeps half of the weight at b280, spread over its
     # records: (4 + 4) / 2 / 2 on day 5, (4 + 4 + 1) / 3 / 2 on day 10
     assert trajectory[0][1].raw == pytest.approx(2.0, abs=1e-12)
@@ -461,15 +465,15 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
         days = [record_days[0] - 1, *record_days, record_days[-1] + 7]
         for gamma_text in KERNEL_GAMMAS:
             # one weight plan per day serves every y of its gamma
-            plans = list(_plans(table, days, parse_gamma(gamma_text)))
+            plans = [(day, _plan(table, day, parse_gamma(gamma_text))) for day in days]
             for y in KERNEL_YS:
                 spec = make_spec(y, parse_gamma(gamma_text))
-                trajectory = evaluate_trajectory(records, days, spec, tree=tree)
+                [trajectory] = evaluate_table(table, days, [spec])
                 assert [day for day, _ in trajectory] == days
                 for audit in (False, True):
-                    assert [(day, None if plan is None else _score(plan, spec, audit))
-                            for day, plan in plans] \
-                        == evaluate_table(table, days, spec, audit=audit)
+                    assert [[(day, None if plan is None else _score(plan, spec, audit))
+                             for day, plan in plans]] \
+                        == evaluate_table(table, days, [spec], audit=audit)
                 for day, report in trajectory:
                     visible = [r for r in records if r.day <= day]
                     if not visible:
