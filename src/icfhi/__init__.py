@@ -8,6 +8,7 @@ with per-component profiles and a statistical validation toolkit.
 
 from .analysis import (
     DEFAULT_GROUPS,
+    VALIDATION_TABLES,
     BoxplotStats,
     CohortEvaluator,
     CorrelationReport,
@@ -16,6 +17,7 @@ from .analysis import (
     PersonCorrelation,
     SequenceBin,
     SweepCell,
+    Validation,
     bin_by_sequence_length,
     eqvas_vs_hi,
     form_groups,
@@ -23,6 +25,7 @@ from .analysis import (
     maxpain_vs_hi,
     pearson,
     sweep,
+    validate,
 )
 from .codes import (
     COMPONENTS,

@@ -4,21 +4,24 @@ Implements the validation protocol: eligibility groups by treatment
 duration and sequence length, pooled EQ-VAS vs. index correlation, per
 person maximum-pain vs. index trajectory correlations with Bonferroni
 correction, tertile binning by sequence length, and (gamma, y) parameter
-sweeps.  All outputs are deterministic given the cohort and grid.
+sweeps.  ``validate`` runs the whole protocol on a cohort and returns the
+rows of its tables, the persons it left out and the statistics it found
+undefined.  All outputs are deterministic given the cohort and grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
 from .engine import RecordTable, _Plan, _plan, _score, compile_records, evaluate_cohort
-from .errors import IcfHiError, InsufficientDataError
+from .errors import DataError, IcfHiError, InsufficientDataError
+from .formatting import format_cell
 from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
 
@@ -146,20 +149,21 @@ class SequenceBin:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (gamma, y) cell.  A statistic that is undefined for the cell has
-    None values, and ``status`` names the reason of the first undefined
-    one, EQ-VAS before maximum pain ("ok" when both are defined)."""
+    """One (gamma, y) cell: the EQ-VAS and maximum-pain reports, each None
+    when it is undefined for the cell, and in ``undefined`` the reason of
+    each undefined one by name, "eqvas" before "maxpain"."""
 
     gamma: float
     y: float
-    eqvas_n: int | None
-    eqvas_coefficient: float | None
-    eqvas_p: float | None
-    maxpain_n: int | None
-    maxpain_median: float | None
-    maxpain_significant_portion: float | None
+    eqvas: CorrelationReport | None
+    maxpain: MaxPainReport | None
+    undefined: dict[str, str]
     distinct_index_values: int
-    status: str
+
+    @property
+    def status(self) -> str:
+        """The reason of the first undefined statistic, or "ok"."""
+        return next(iter(self.undefined.values()), "ok")
 
 
 class CohortEvaluator:
@@ -167,11 +171,17 @@ class CohortEvaluator:
     person's records compiled against it and every person's maximum pain
     by day, and caches per (person, day, gamma, y) index evaluations.  The
     weight plans of one gamma at a time are kept per (person, day), so that
-    each y of that gamma only runs the value pass."""
+    each y of that gamma only runs the value pass.  The ``DataError`` of a
+    person whose answers cannot be linked is kept in ``link_errors``."""
 
     def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store
-        records = {person.person_id: apply_rules(person.answers, rules) for person in store}
+        records, self.link_errors = {}, {}
+        for person in store:
+            try:
+                records[person.person_id] = apply_rules(person.answers, rules)
+            except DataError as exc:
+                self.link_errors[person.person_id] = exc
         codes = {r.code for recs in records.values() for r in recs}
         self.tree: IcfTree | None = build_tree(codes) if codes else None
         self.tables: dict[str, RecordTable] = {
@@ -185,10 +195,12 @@ class CohortEvaluator:
         self._plans_gamma: float | None = None
 
     def hi(self, person_id: str, day: int, spec: WeightingSpec) -> "int | None":
-        """Index value at ``day`` from records up to that day; None when the
-        person has no linkable records yet."""
+        """Index value at ``day`` from records up to that day, None before the
+        first; raises the person's link error if their answers cannot be linked."""
         key = (person_id, day, spec.gamma, spec.y)
         if key not in self._cache:
+            if person_id in self.link_errors:
+                raise self.link_errors[person_id]
             table = self.tables.get(person_id)
             plan = None
             if table is not None:
@@ -205,14 +217,17 @@ class CohortEvaluator:
                    workers: int = 1) -> dict[str, str]:
         """Fill the cache for every (person, statistic day, spec), with the
         values ``hi`` would compute, for any worker count; return the error
-        message of each person whose evaluation fails.
+        message of each person who cannot be linked or whose evaluation fails.
 
         The statistic days of a person are the days the statistics read:
         EQ-VAS days and pain days.  A person whose evaluation would fail
         only on another day is not reported."""
         pids = [pid for pid in person_ids if pid in self.tables]
-        jobs = ((pid, self.tables[pid], self._statistic_days(pid)) for pid in pids)
-        failures = {}
+        jobs = ((pid, self.tables[pid],
+                 sorted(set(self.store.person(pid).eqvas).union(self.max_pain[pid])))
+                for pid in pids)
+        failures = {pid: str(self.link_errors[pid]) for pid in person_ids
+                    if pid in self.link_errors}
         for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids)):
             if isinstance(outcome, IcfHiError):
                 failures[pid] = str(outcome)
@@ -222,11 +237,6 @@ class CohortEvaluator:
                     self._cache[(pid, day, spec.gamma, spec.y)] = (
                         None if report is None else report.index)
         return failures
-
-    def _statistic_days(self, person_id: str) -> list[int]:
-        """The days on which the statistics read a person's index: EQ-VAS
-        days and maximum-pain days, sorted."""
-        return sorted(set(self.store.person(person_id).eqvas).union(self.max_pain[person_id]))
 
 
 def eqvas_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
@@ -374,29 +384,110 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
 def sweep(evaluator: CohortEvaluator, person_ids: Sequence[str],
           gammas: Sequence[float], ys: Sequence[float],
           alpha: float = DEFAULT_ALPHA) -> list[SweepCell]:
-    """One row per (gamma, y): the pooled EQ-VAS correlation and the
-    maximum-pain median correlation for the group, and the number of
-    distinct index values in the pooled EQ-VAS series.  A cell whose
-    statistic is undefined is reported with its status, not raised."""
+    """One cell per (gamma, y): the pooled EQ-VAS correlation and the
+    maximum-pain report for the group, and the number of distinct index
+    values in the pooled EQ-VAS series.  A statistic that is undefined for
+    the cell is reported with its reason, not raised."""
     cells: list[SweepCell] = []
     for gamma in gammas:
         for y in ys:
             spec = make_spec(y, gamma)
             eqvas_values, hi_values = _eqvas_pairs(evaluator, person_ids, spec)
-            reasons = []
-            try:
-                eq = _pooled_correlation(eqvas_values, hi_values, alpha)
-                eq_values = (eq.n, eq.coefficient, eq.p_value)
-            except InsufficientDataError as exc:
-                reasons.append(exc.reason)
-                eq_values = (None, None, None)
-            try:
-                mp = maxpain_vs_hi(evaluator, person_ids, spec, alpha)
-                mp_values = (mp.n, mp.median, mp.significant_portion)
-            except InsufficientDataError as exc:
-                reasons.append(exc.reason)
-                mp_values = (None, None, None)
-            cells.append(SweepCell(gamma, y, *eq_values, *mp_values,
-                                   distinct_index_values=len(set(hi_values)),
-                                   status=reasons[0] if reasons else "ok"))
+            undefined: dict[str, str] = {}
+            eq = _defined(undefined, "eqvas", _pooled_correlation, eqvas_values, hi_values, alpha)
+            mp = _defined(undefined, "maxpain", maxpain_vs_hi, evaluator, person_ids, spec, alpha)
+            cells.append(SweepCell(gamma, y, eq, mp, undefined, len(set(hi_values))))
     return cells
+
+
+def _defined(undefined: dict[str, str], name: str, statistic, *args):
+    """``statistic(*args)``, or None with its reason kept as ``undefined[name]``."""
+    try:
+        return statistic(*args)
+    except InsufficientDataError as exc:
+        undefined[name] = exc.reason
+        return None
+
+
+# the header of each table ``validate`` returns, in write order
+VALIDATION_TABLES = {
+    "eqvas_correlations": ("group", "gamma", "y", "n", "coefficient", "p_value", "significant"),
+    "maxpain_summary": ("group", "gamma", "y", "n", "median", "significant_portion", "omitted",
+                        "q1", "q3", "whisker_low", "whisker_high", "bonferroni_threshold"),
+    "maxpain_person": ("group", "gamma", "y", "person_id", "n_days", "coefficient", "p_value",
+                       "significant"),
+    "sequence_bins": ("group", "gamma", "y", "bin", "min_length", "max_length", "n",
+                      "significant_portion", "median_correlation"),
+    "sweep": ("group", "gamma", "y", "eqvas_n", "eqvas_coefficient", "eqvas_p", "maxpain_n",
+              "maxpain_median", "maxpain_significant_portion", "distinct_index_values", "status"),
+}
+
+
+class Validation(NamedTuple):
+    """The rows of each VALIDATION_TABLES table by name, in write order
+    (``sweep`` only under a grid), the error of each person left out, one
+    line per undefined statistic, and the settings and group sizes."""
+
+    tables: dict[str, list[list]]
+    failures: dict[str, str]
+    warnings: list[str]
+    info: dict
+
+
+def validate(store: CohortStore, rules: RuleSet, groups: Sequence[GroupSpec],
+             gammas: Sequence[float], y: float,
+             grid: tuple[Sequence[float], Sequence[float]] | None = None,
+             alpha: float = DEFAULT_ALPHA, workers: int = 1) -> Validation:
+    """The validation protocol: per group and gamma at ``y``, the EQ-VAS
+    correlation, maximum-pain summary and persons, and sequence bins; with
+    a ``grid`` of (gammas, ys), a sweep row per group and cell.  A repeated
+    group or gamma counts once; a failed person is left out of every group."""
+    gammas, groups = list(dict.fromkeys(gammas)), list(dict.fromkeys(groups))
+    grid_gammas, grid_ys = grid or ((), ())
+    evaluator = CohortEvaluator(store, rules)
+    members = form_groups(store, groups)
+    specs = [make_spec(y, gamma) for gamma in gammas]
+    specs += [make_spec(grid_y, gamma) for gamma in grid_gammas for grid_y in grid_ys]
+    eligible = sorted({pid for pids in members.values() for pid in pids})
+    # a group spec that is also a grid cell is evaluated once
+    failures = evaluator.precompute(eligible, list(dict.fromkeys(specs)), workers)
+    members = {g: [pid for pid in pids if pid not in failures] for g, pids in members.items()}
+
+    tables = {name: [] for name in VALIDATION_TABLES if name != "sweep" or grid is not None}
+    warnings = []
+    for group in groups:
+        label, pids = group.label, members[group]
+        for cell in sweep(evaluator, pids, gammas, [y], alpha):
+            eq, mp, undefined = cell.eqvas, cell.maxpain, dict(cell.undefined)
+            key = [label, cell.gamma, y]
+            if eq is not None:
+                tables["eqvas_correlations"].append(
+                    key + [eq.n, eq.coefficient, eq.p_value, int(eq.bonferroni_significant)])
+            if mp is not None:
+                tables["maxpain_summary"].append(
+                    key + [mp.n, mp.median, mp.significant_portion,
+                           mp.omitted_constant_trajectories, mp.boxplot.q1, mp.boxplot.q3,
+                           mp.boxplot.whisker_low, mp.boxplot.whisker_high, mp.threshold])
+                tables["maxpain_person"].extend(
+                    key + [c.person_id, c.n_days, c.coefficient, c.p_value, int(c.significant)]
+                    for c in mp.correlations)
+                bins = _defined(undefined, "sequence_bins", bin_by_sequence_length, store, mp)
+                tables["sequence_bins"].extend(key + list(astuple(b)) for b in bins or ())
+            where = f"group {label} gamma={format_cell(cell.gamma)} y={format_cell(y)}"
+            warnings.extend(f"{where} {name} is undefined: {reason}"
+                            for name, reason in undefined.items())
+        for cell in sweep(evaluator, pids, grid_gammas, grid_ys, alpha):
+            eq, mp = cell.eqvas, cell.maxpain
+            tables["sweep"].append(
+                [label, cell.gamma, cell.y,
+                 *((None,) * 3 if eq is None else (eq.n, eq.coefficient, eq.p_value)),
+                 *((None,) * 3 if mp is None else (mp.n, mp.median, mp.significant_portion)),
+                 cell.distinct_index_values, cell.status])
+            if cell.undefined:
+                warnings.append(f"sweep cell group={label} gamma={format_cell(cell.gamma)} "
+                                f"y={format_cell(cell.y)} is undefined: {cell.status}")
+
+    return Validation(tables, failures, warnings, dict(
+        alpha=alpha, gammas=gammas, y=y, groups={g.label: len(members[g]) for g in groups},
+        persons=len(store), reliabilities=rules.reliabilities(),
+        grid=None if grid is None else {"gamma": grid[0], "y": grid[1]}))

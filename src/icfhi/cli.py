@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import analysis, cohort, engine, linkage, weighting
 from .codes import build_tree
-from .errors import ConfigError, DataError, IcfHiError, InsufficientDataError
+from .errors import ConfigError, DataError, IcfHiError
 from .formatting import format_cell
 
 CONFIG_ENV = "ICFHI_CONFIG"
@@ -320,14 +320,14 @@ def _evaluate_records(args, header, table) -> int:
     """Evaluate each person in --records under the one --gamma and --y, then
     write <command>.csv with the rows ``table`` builds from each person's
     (day, report) pairs; failed persons are named."""
+    if len(args.gamma) != 1:
+        raise ConfigError("index/profile take exactly one --gamma value")
     records = linkage.records_from_csv(_require(args, "records"))
     path = _out_dir(args) / f"{args.command}.csv"
     if not records:
         _write_csv(path, header, [])
         print(f"warning: record file is empty; wrote empty {args.command}", file=sys.stderr)
         return 0
-    if len(args.gamma) != 1:
-        raise ConfigError("index/profile take exactly one --gamma value")
     by_person: dict[str, list] = {}
     for record in records:
         by_person.setdefault(record.person_id, []).append(record)
@@ -392,117 +392,22 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 # validate
 
-def _defined(where: str, name: str, statistic, *args):
-    """``statistic(*args)``, or None after a warning if it is undefined."""
-    try:
-        return statistic(*args)
-    except InsufficientDataError as exc:
-        print(f"warning: {where} {name} is undefined: {exc.reason}", file=sys.stderr)
-        return None
-
-
 def cmd_validate(args) -> int:
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
-    y, alpha, grid = args.y, args.alpha, args.grid
-    # a repeated --gamma or --groups entry is evaluated and written once
-    gammas, group_specs = list(dict.fromkeys(args.gamma)), list(dict.fromkeys(args.groups))
-
-    evaluator = analysis.CohortEvaluator(store, rules)
-    groups = analysis.form_groups(store, group_specs)
-
-    specs = [weighting.make_spec(y, g) for g in gammas]
-    if grid is not None:
-        specs.extend(weighting.make_spec(gy, gg) for gg in grid[0] for gy in grid[1])
-    # a --gamma x --y spec that is also a grid cell is evaluated once
-    specs = list(dict.fromkeys(specs))
-    eligible = sorted({pid for pids in groups.values() for pid in pids})
-    failures = evaluator.precompute(eligible, specs, args.workers)
-    _report_failures(failures)
-    groups = {g: [pid for pid in pids if pid not in failures] for g, pids in groups.items()}
-
-    eqvas_rows, summary_rows, person_rows, bin_rows, sweep_rows = [], [], [], [], []
-    for spec_def in group_specs:
-        pids = groups[spec_def]
-        for gamma in gammas:
-            wspec = weighting.make_spec(y, gamma)
-            where = f"group {spec_def.label} gamma={format_cell(gamma)} y={format_cell(y)}"
-            eq = _defined(where, "eqvas", analysis.eqvas_vs_hi, evaluator, pids, wspec, alpha)
-            if eq is not None:
-                eqvas_rows.append([
-                    spec_def.label, gamma, y, eq.n, eq.coefficient, eq.p_value,
-                    int(eq.bonferroni_significant),
-                ])
-            mp = _defined(where, "maxpain", analysis.maxpain_vs_hi, evaluator, pids, wspec,
-                          alpha)
-            if mp is None:
-                continue
-            summary_rows.append([
-                spec_def.label, gamma, y, mp.n, mp.median, mp.significant_portion,
-                mp.omitted_constant_trajectories, mp.boxplot.q1, mp.boxplot.q3,
-                mp.boxplot.whisker_low, mp.boxplot.whisker_high, mp.threshold,
-            ])
-            for c in mp.correlations:
-                person_rows.append([
-                    spec_def.label, gamma, y, c.person_id, c.n_days,
-                    c.coefficient, c.p_value, int(c.significant),
-                ])
-            bins = _defined(where, "sequence_bins", analysis.bin_by_sequence_length, store, mp)
-            for b in bins or ():
-                bin_rows.append([
-                    spec_def.label, gamma, y, b.index, b.min_length, b.max_length,
-                    b.n, b.significant_portion, b.median_correlation,
-                ])
-        if grid is not None:
-            for cell in analysis.sweep(evaluator, pids, grid[0], grid[1], alpha):
-                sweep_rows.append([
-                    spec_def.label, cell.gamma, cell.y, cell.eqvas_n,
-                    cell.eqvas_coefficient, cell.eqvas_p, cell.maxpain_n,
-                    cell.maxpain_median, cell.maxpain_significant_portion,
-                    cell.distinct_index_values, cell.status,
-                ])
-                if cell.status != "ok":
-                    print(f"warning: sweep cell group={spec_def.label} "
-                          f"gamma={format_cell(cell.gamma)} y={format_cell(cell.y)} "
-                          f"is undefined: {cell.status}", file=sys.stderr)
-
-    _write_csv(out / "eqvas_correlations.csv",
-               ["group", "gamma", "y", "n", "coefficient", "p_value", "significant"],
-               eqvas_rows)
-    _write_csv(out / "maxpain_summary.csv",
-               ["group", "gamma", "y", "n", "median", "significant_portion", "omitted",
-                "q1", "q3", "whisker_low", "whisker_high", "bonferroni_threshold"],
-               summary_rows)
-    _write_csv(out / "maxpain_person.csv",
-               ["group", "gamma", "y", "person_id", "n_days", "coefficient", "p_value",
-                "significant"],
-               person_rows)
-    _write_csv(out / "sequence_bins.csv",
-               ["group", "gamma", "y", "bin", "min_length", "max_length", "n",
-                "significant_portion", "median_correlation"],
-               bin_rows)
-    if grid is not None:
-        _write_csv(out / "sweep.csv",
-                   ["group", "gamma", "y", "eqvas_n", "eqvas_coefficient", "eqvas_p",
-                    "maxpain_n", "maxpain_median", "maxpain_significant_portion",
-                    "distinct_index_values", "status"],
-                   sweep_rows)
-
-    info = {
-        "alpha": alpha,
-        "gammas": gammas,
-        "y": y,
-        "groups": {g.label: len(groups[g]) for g in group_specs},
-        "persons": len(store),
-        "reliabilities": rules.reliabilities(),
-        "grid": None if grid is None else {"gamma": grid[0], "y": grid[1]},
-    }
+    result = analysis.validate(store, rules, args.groups, args.gamma, args.y, args.grid,
+                               args.alpha, args.workers)
+    _report_failures(result.failures)
+    for line in result.warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    for name, rows in result.tables.items():
+        _write_csv(out / f"{name}.csv", analysis.VALIDATION_TABLES[name], rows)
     with open(out / "run_info.json", "w", encoding="utf-8") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
+        json.dump(result.info, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote validation tables to {out}")
-    return 3 if failures else 0
+    return 3 if result.failures else 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy.stats import t as student_t
 from icfhi import (
     CohortEvaluator,
     CohortStore,
+    DataError,
     GroupSpec,
     InsufficientDataError,
     Person,
@@ -310,18 +311,19 @@ def test_sweep_contains_linear_row_matching_direct_results():
     direct_eq = eqvas_vs_hi(evaluator, group, make_spec(2.0, GAMMA_THIRD_30))
     direct_mp = maxpain_vs_hi(evaluator, group, make_spec(2.0, GAMMA_THIRD_30))
     linear_cell = next(c for c in cells if c.y == 2.0 and c.gamma == GAMMA_THIRD_30)
-    assert linear_cell.eqvas_coefficient == direct_eq.coefficient
-    assert linear_cell.maxpain_median == direct_mp.median
-    assert linear_cell.eqvas_n == direct_eq.n
+    assert linear_cell.eqvas.coefficient == direct_eq.coefficient
+    assert linear_cell.maxpain.median == direct_mp.median
+    assert linear_cell.eqvas.n == direct_eq.n
+    assert (linear_cell.undefined, linear_cell.status) == ({}, "ok")
 
 
 def test_sweep_reports_undefined_statistics_as_status():
     lone = CohortStore([Person("p", [RawAnswer("p", 0, "pain_vas", "back", 3.0)], {0: 70.0})])
     [cell] = sweep(CohortEvaluator(lone, default_rules()), ["p"], [1.0], [2.0])
     assert (cell.status, cell.distinct_index_values) == ("too_few_pairs", 1)
-    assert (cell.eqvas_n, cell.eqvas_coefficient, cell.eqvas_p) == (None, None, None)
-    assert (cell.maxpain_n, cell.maxpain_median, cell.maxpain_significant_portion) == (
-        None, None, None)
+    assert cell.eqvas is None
+    assert cell.maxpain is None
+    assert cell.undefined == {"eqvas": "too_few_pairs", "maxpain": "no_correlations"}
     # two pain days per person: the pooled EQ-VAS correlation is defined, but
     # no person has the three days a maximum-pain correlation needs
     persons = [Person(pid, [RawAnswer(pid, d, "pain_vas", "back", float(2 + i + d))
@@ -332,9 +334,10 @@ def test_sweep_reports_undefined_statistics_as_status():
     [cell] = sweep(evaluator, store.person_ids, [1.0], [2.0])
     direct = eqvas_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
     assert cell.status == "no_correlations"
-    assert (cell.eqvas_n, cell.eqvas_coefficient, cell.eqvas_p) == (
+    assert (cell.eqvas.n, cell.eqvas.coefficient, cell.eqvas.p_value) == (
         direct.n, direct.coefficient, direct.p_value)
-    assert cell.maxpain_n is None
+    assert cell.maxpain is None
+    assert cell.undefined == {"maxpain": "no_correlations"}
     assert cell.distinct_index_values == len({evaluator.hi(p.person_id, day, make_spec(2.0, 1.0))
                                              for p in persons for day in p.eqvas}) > 1
     with pytest.raises(InsufficientDataError) as raised:
@@ -436,6 +439,23 @@ def test_precompute_reports_a_failed_person(workers):
     assert len(evaluator._cache) == sum(len({*person.eqvas, *max_pain_by_day(person)})
                                         for person in good)
     assert "bad" not in {pid for pid, _, _, _ in evaluator._cache}
+
+
+def test_a_person_who_cannot_be_linked_is_kept_as_a_failure():
+    # a pain VAS answer of 12 is outside the 0-10 that the rules translate
+    good = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
+    bad = Person("bad", [RawAnswer("bad", 0, "pain_vas", "back", 12.0)], {0: 50.0})
+    evaluator = CohortEvaluator(CohortStore([bad, *good]), default_rules())
+    others = CohortEvaluator(good, default_rules())
+    assert "bad" not in evaluator.tables and list(evaluator.link_errors) == ["bad"]
+    assert evaluator.tree.slot_codes == others.tree.slot_codes
+    with pytest.raises(DataError, match="cannot translate 'pain_vas:back'") as raised:
+        evaluator.hi("bad", 0, make_spec())
+    assert raised.value is evaluator.link_errors["bad"]
+    failures = evaluator.precompute(["bad", *good.person_ids], [make_spec()])
+    assert failures == {"bad": str(raised.value)}
+    assert others.precompute(good.person_ids, [make_spec()]) == {}
+    assert evaluator._cache == others._cache
 
 
 def test_precompute_skips_a_failure_on_days_no_statistic_reads():

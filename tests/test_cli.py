@@ -283,6 +283,32 @@ def test_validate_leaves_out_undefined_group_statistics_and_goes_on(tmp_path, ca
         assert {r["group"] for r in csv.DictReader(fh)} == {"30d_5v"}
 
 
+def test_validate_library_call_is_what_the_cli_writes_and_prints(tmp_path, capsys):
+    # y = 3.8 leaves group statistics and one sweep cell undefined
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, seed=42, persons=60)) == 0
+    capsys.readouterr()
+    out = tmp_path / "val"
+    assert run("validate", "--data", str(cohort), "--out", str(out), "--groups", "30:5,90:10",
+               "--y", "3.8", "--grid", "y=2,3.8;gamma=1") == 0
+    err = capsys.readouterr().err
+    result = icfhi.validate(icfhi.ingest(cohort), icfhi.default_rules(),
+                            [icfhi.GroupSpec(30, 5), icfhi.GroupSpec(90, 10)],
+                            [icfhi.parse_gamma(g) for g in ("1/20@30", "1/3@30", "1")], 3.8,
+                            grid=([1.0], [2.0, 3.8]))
+    assert result.failures == {}
+    assert err == "".join(f"warning: {line}\n" for line in result.warnings)
+    assert "sweep cell" in err and "eqvas is undefined" in err
+    assert list(result.tables) == list(icfhi.VALIDATION_TABLES)
+    for name, rows in result.tables.items():
+        with open(out / f"{name}.csv", newline="") as fh:
+            header, *written = csv.reader(fh)
+        assert header == list(icfhi.VALIDATION_TABLES[name])
+        assert written == [[format_cell(cell) for cell in row] for row in rows], name
+    with open(out / "run_info.json") as fh:
+        assert json.load(fh) == json.loads(json.dumps(result.info))
+
+
 def test_validate_repeated_groups_and_gammas_count_once(tmp_path):
     # a repeated entry must not count a group's persons, or write its rows, twice
     cohort = tmp_path / "cohort"
@@ -390,6 +416,18 @@ def test_bad_option_or_config_key_exits_2_with_one_line(tmp_path, capsys, monkey
     assert named in err
     if config is not None:
         assert f"config file {tmp_path / 'run.json'} section {argv[0]!r}" in err
+
+
+@pytest.mark.parametrize("command", ["index", "profile"])
+@pytest.mark.parametrize("rows", ["", "p,0,s1,b280,2,1\n"])
+def test_several_gammas_exit_2_whatever_the_records(tmp_path, capsys, command, rows):
+    # the option is checked before the record file is read, empty or not
+    records = tmp_path / "records.csv"
+    records.write_text("person_id,day,source_id,code,value,reliability\n" + rows)
+    assert run(command, "--records", str(records), "--out", str(tmp_path / "out"),
+               "--gamma", "1,0.5") == 2
+    assert "exactly one --gamma value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_records_file_is_data_error(tmp_path):
@@ -579,6 +617,44 @@ def test_validate_per_person_failure_logged_run_continues(tmp_path, capsys, work
                  "sequence_bins.csv"):
         assert read(out / name) == read(ref / name)
     assert (out / "run_info.json").exists()
+
+
+def _without_person(src, dst, person_id):
+    """The CSV files of cohort directory ``src`` in ``dst``, without the rows
+    of ``person_id``."""
+    dst.mkdir()
+    for path in src.glob("*.csv"):
+        lines = path.read_text().splitlines(keepends=True)
+        (dst / path.name).write_text("".join(
+            line for line in lines if line.rstrip("\n").split(",")[0] != person_id))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_validate_leaves_out_a_person_it_cannot_link(tmp_path, capsys, workers):
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, persons=60)) == 0
+    ref = tmp_path / "ref"
+    _without_person(cohort, tmp_path / "others", "p0000")
+    assert run("validate", "--data", str(tmp_path / "others"), "--out", str(ref),
+               "--groups", "30:5", "--workers", workers) == 0
+    # a pain VAS answer of 12 is outside the 0-10 the rules translate
+    with open(cohort / "answers.csv") as fh:
+        rows = list(csv.reader(fh))
+    row = next(row for row in rows if row[0] == "p0000" and row[2] == "pain_vas")
+    row[4] = "12"
+    with open(cohort / "answers.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    out = tmp_path / "val"
+    assert run("validate", "--data", str(cohort), "--out", str(out), "--groups", "30:5",
+               "--workers", workers) == 3
+    assert capsys.readouterr().err.startswith(
+        "error (data): person p0000: cannot translate 'pain_vas:back' answer for person p0000")
+    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                 "sequence_bins.csv"):
+        assert read(out / name) == read(ref / name), name
+    info, ref_info = (json.loads((d / "run_info.json").read_text()) for d in (out, ref))
+    assert (info["groups"], info["persons"]) == (ref_info["groups"], ref_info["persons"] + 1)
 
 
 def test_unparsable_code_in_records_names_file_and_line(tmp_path, capsys):
