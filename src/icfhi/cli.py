@@ -3,6 +3,9 @@
 Every command is deterministic given its inputs and seed; reruns write
 byte-identical outputs and the worker count never changes results, only
 wall time.  Exit codes: 0 success, 2 configuration error, 3 data error.
+An input that cannot be read (missing, a directory, not UTF-8, a CSV field
+over csv's size limit, invalid JSON) is an error of its kind: a rule,
+config or synthetic-config file exits 2, a --data or --records file 3.
 
 A JSON config file (--config or $ICFHI_CONFIG) holds a section per
 command, whose entry "key": value acts as --key value given before the
@@ -16,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -23,13 +27,15 @@ from pathlib import Path
 
 from . import analysis, cohort, engine, linkage, weighting
 from .codes import build_tree
-from .errors import ConfigError, DataError, IcfHiError
+from .errors import ConfigError, DataError, IcfHiError, reading
 from .formatting import format_cell
 
 CONFIG_ENV = "ICFHI_CONFIG"
 
 DEFAULT_GAMMAS = "1/20@30,1/3@30,1"
 DEFAULT_GRID = "y=0.2:3.8:0.2;gamma=" + DEFAULT_GAMMAS
+# the most values a grid range may give; the default grid's y axis has 19
+MAX_RANGE_VALUES = 1000
 
 
 def main(argv=None) -> int:
@@ -127,13 +133,8 @@ def _apply_config(parser, args, argv):
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
         return args
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    with reading(path, "config file", ConfigError) as fh:
+        config = json.load(fh)
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     section = config.get(args.command, {})
@@ -162,7 +163,10 @@ def _require(args, name: str):
 
 
 def _out_dir(args) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out}: {exc}") from None
     return args.out
 
 
@@ -193,78 +197,66 @@ def _alpha(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a significance level in (0, 1), got {text!r}")
 
 
-def _parse_ys(text: str) -> list[float]:
+def _listed(parse, what: str):
+    """An option type for a comma list: ``parse`` of each non-empty entry, at
+    least one; a ValueError from ``parse`` is a ConfigError naming the entry."""
+    def parse_list(text: str) -> list:
+        values = []
+        for part in filter(None, map(str.strip, text.split(","))):
+            try:
+                values.append(parse(part))
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse {what} {part!r}: {exc}") from None
+        if not values:
+            raise ConfigError(f"no {what} values in {text!r}")
+        return values
+    return parse_list
+
+
+def _group(text: str) -> analysis.GroupSpec:
+    duration, _, length = text.partition(":")
+    return analysis.GroupSpec(int(duration), int(length))
+
+
+_parse_gammas = _listed(weighting.parse_gamma, "gamma")
+_parse_groups = _listed(_group, "group spec")
+_parse_ys = _listed(float, "y")
+
+
+def _parse_y_axis(body: str) -> list[float]:
+    """A grid's y axis: a comma list, or START:STOP:STEP for the values
+    START + k*STEP, rounded to 12 places, up to STOP."""
+    body = body.strip()
+    if ":" not in body:
+        return _parse_ys(body)
     try:
-        return [float(part) for part in text.split(",")]
+        start, stop, step = map(float, body.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse y values {text!r}: {exc}") from None
-
-
-def _parse_gammas(text: str) -> list[float]:
-    gammas = [weighting.parse_gamma(part) for part in text.split(",") if part.strip()]
-    if not gammas:
-        raise ConfigError(f"no gamma values in {text!r}")
-    return gammas
-
-
-def _parse_groups(text: str) -> list[analysis.GroupSpec]:
-    specs = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            duration, _, length = part.partition(":")
-            specs.append(analysis.GroupSpec(int(duration), int(length)))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse group spec {part!r}: {exc}") from None
-    if not specs:
-        raise ConfigError(f"no group specs in {text!r}")
-    return specs
+        raise ConfigError(f"cannot parse grid range {body!r}: {exc}") from None
+    span = (stop - start + 1e-9) / step if 0 < step < math.inf else math.nan
+    if not 0 <= span < MAX_RANGE_VALUES:  # False for nan
+        raise ConfigError(f"grid range {body!r} must give 1 to {MAX_RANGE_VALUES} values: "
+                          "finite START <= STOP and STEP > 0")
+    # span is inexact, so one more k is tried and the bound decides
+    return [v for v in (round(start + k * step, 12) for k in range(int(span) + 2))
+            if v <= stop + 1e-9]
 
 
 def _parse_grid(text: str):
-    """Grid syntax: 'y=START:STOP:STEP|v1,v2,...;gamma=g1,g2,...'."""
+    """Grid syntax: 'y=START:STOP:STEP|y1,y2,...;gamma=g1,g2,...'."""
     if text in ("default", ""):
         text = DEFAULT_GRID
-    ys, gammas = None, None
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
+    axes = {"y": _parse_y_axis, "gamma": _parse_gammas}
+    values = {}
+    for clause in filter(None, map(str.strip, text.split(";"))):
         key, _, body = clause.partition("=")
         key = key.strip().lower()
-        if key == "y":
-            ys = _parse_float_axis(body)
-        elif key == "gamma":
-            gammas = _parse_gammas(body)
-        else:
+        if key not in axes:
             raise ConfigError(f"unknown grid axis {key!r} (expected y or gamma)")
-    if not ys or not gammas:
+        values[key] = axes[key](body)
+    if not (values.get("y") and values.get("gamma")):
         raise ConfigError(f"grid {text!r} must define both y and gamma axes")
-    return gammas, ys
-
-
-def _parse_float_axis(body: str) -> list[float]:
-    body = body.strip()
-    try:
-        if ":" in body:
-            start_s, stop_s, step_s = body.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0:
-                raise ValueError("step must be positive")
-            values = []
-            k = 0
-            while True:
-                v = round(start + k * step, 12)
-                if v > stop + 1e-9:
-                    break
-                values.append(v)
-                k += 1
-            return values
-        return [float(part) for part in body.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse grid axis {body!r}: {exc}") from None
+    return values["gamma"], values["y"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .formatting import format_cell
 
 log = logging.getLogger(__name__)
@@ -131,7 +131,7 @@ def _read_rows(path: Path, eqvas: bool):
     value) for every valid row of an answers CSV or, with ``eqvas``, an
     EQ-VAS CSV (person_id, day, value).  Malformed rows are reported
     together, in one error raised after the last row."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with reading(path, "EQ-VAS file" if eqvas else "answers file", DataError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -196,7 +196,7 @@ def ingest(path) -> CohortStore:
         if (path / "eqvas.csv").exists():
             sources.append((path / "eqvas.csv", True))
         if (path / "persons.csv").exists():
-            with open(path / "persons.csv", newline="", encoding="utf-8") as fh:
+            with reading(path / "persons.csv", "persons file", DataError) as fh:
                 for row in csv.DictReader(fh):
                     pid = (row.get("person_id") or "").strip()
                     if pid:
@@ -338,33 +338,33 @@ class SynthConfig:
             raise ConfigError("n_persons and max_visits must be positive")
         if self.trend not in TRENDS:
             raise ConfigError(f"trend must be one of {TRENDS}, got {self.trend!r}")
-        lo, hi = self.visit_gap_days
-        if not 0 < lo <= hi:
-            raise ConfigError(f"invalid visit gap range {self.visit_gap_days}")
+        try:
+            lo, hi = self.visit_gap_days
+            if not 0 < lo <= hi:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"invalid visit gap range {self.visit_gap_days!r}") from None
         for name in ("noise", "eqvas_noise", "p_pain", "p_machine", "p_odi", "p_eq5d", "p_eqvas"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
+            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        """A config from a JSON object of its fields, checked as ``__init__`` checks them."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"synthetic config must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown synthetic-config keys: {sorted(unknown)}")
-        if "visit_gap_days" in obj:
+        if isinstance(obj.get("visit_gap_days"), list):
             obj = dict(obj, visit_gap_days=tuple(obj["visit_gap_days"]))
         return cls(**obj)
 
 
 def load_synth_config(path) -> SynthConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return SynthConfig.from_json(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"synthetic-config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"synthetic-config {path} is not valid JSON: {exc}") from None
+    with reading(path, "synthetic-config file", ConfigError) as fh:
+        return SynthConfig.from_json(json.load(fh))
 
 
 def synthesize(config: SynthConfig) -> CohortStore:

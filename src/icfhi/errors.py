@@ -1,9 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one file reader.
 
 Two CLI-facing categories exist: configuration problems (bad parameters,
-unreadable rule files) and data problems (malformed or inconsistent input).
-The command line maps them to distinct exit codes.
+bad or unreadable rule and config files) and data problems (malformed,
+unreadable or inconsistent input data), which the command line maps to
+distinct exit codes.  ``reading`` opens every file read from outside.
 """
+
+import contextlib
+import csv
+import json
 
 
 class IcfHiError(Exception):
@@ -39,3 +44,18 @@ class InsufficientDataError(DataError):
     def __init__(self, message: str, reason: str):
         super().__init__(message)
         self.reason = reason
+
+
+@contextlib.contextmanager
+def reading(path, what: str, error: type[IcfHiError]):
+    """Open ``path`` as UTF-8 text for csv or json; a failure to read it, in
+    the block too, is one ``error``: ``<what> not found: <path>``, or
+    ``cannot read <what> <path>: <reason>`` for a directory, no permission,
+    bytes that are not UTF-8, a CSV field over csv's limit or invalid JSON."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None

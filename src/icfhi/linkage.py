@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .codes import IcfCode, parse_code
-from .errors import CodeParseError, ConfigError, DataError
+from .errors import CodeParseError, ConfigError, DataError, reading
 from .formatting import format_cell
 
 if TYPE_CHECKING:
@@ -112,32 +112,30 @@ def _translation_outputs(translation: ValueTranslation) -> list[float]:
 
 
 def translation_from_json(obj: dict) -> ValueTranslation:
-    try:
-        kind = obj["kind"]
-        if kind == "discrete_map":
-            return DiscreteMap({int(k): float(v) for k, v in obj["map"].items()})
-        if kind == "interval_map":
-            breaks = tuple(float(v) for v in obj["breaks"])
-            qualifiers = tuple(float(v) for v in obj["qualifiers"])
-            if len(qualifiers) != len(breaks) - 1:
-                raise ConfigError("interval_map needs exactly len(breaks)-1 qualifiers")
-            if any(b >= c for b, c in zip(breaks, breaks[1:])):
-                raise ConfigError("interval_map breaks must be strictly increasing")
-            clamp = obj.get("clamp_low")
-            return IntervalMap(breaks, qualifiers, None if clamp is None else float(clamp))
-        if kind == "affine":
-            lo, hi = obj["domain"]
-            if not float(lo) < float(hi):
-                raise ConfigError("affine domain must satisfy low < high")
-            return AffineMap(
-                float(obj["scale"]),
-                float(obj["offset"]),
-                (float(lo), float(hi)),
-                bool(obj.get("require_integer", False)),
-            )
-        raise ConfigError(f"unknown translation kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"translation is missing field {exc}") from None
+    """A translation from JSON; a bad field raises KeyError, TypeError or ValueError."""
+    kind = obj["kind"]
+    if kind == "discrete_map":
+        return DiscreteMap({int(k): float(v) for k, v in obj["map"].items()})
+    if kind == "interval_map":
+        breaks = tuple(float(v) for v in obj["breaks"])
+        qualifiers = tuple(float(v) for v in obj["qualifiers"])
+        if len(qualifiers) != len(breaks) - 1:
+            raise ConfigError("interval_map needs exactly len(breaks)-1 qualifiers")
+        if any(b >= c for b, c in zip(breaks, breaks[1:])):
+            raise ConfigError("interval_map breaks must be strictly increasing")
+        clamp = obj.get("clamp_low")
+        return IntervalMap(breaks, qualifiers, None if clamp is None else float(clamp))
+    if kind == "affine":
+        lo, hi = obj["domain"]
+        if not float(lo) < float(hi):
+            raise ConfigError("affine domain must satisfy low < high")
+        return AffineMap(
+            float(obj["scale"]),
+            float(obj["offset"]),
+            (float(lo), float(hi)),
+            bool(obj.get("require_integer", False)),
+        )
+    raise ConfigError(f"unknown translation kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,43 +211,34 @@ class RuleSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RuleSet":
-        try:
-            entries = obj["rules"]
-        except (TypeError, KeyError):
-            raise ConfigError("rule file must be an object with a 'rules' list") from None
+        """Rules from a rule file's JSON object; a bad entry is a ConfigError naming it."""
+        entries = obj.get("rules") if isinstance(obj, dict) else None
+        if not isinstance(entries, list):
+            raise ConfigError("rule file must be an object with a 'rules' list")
         rules = []
         for entry in entries:
             try:
                 source = entry["source_item_id"]
             except (TypeError, KeyError):
                 raise ConfigError(f"rule entry without source_item_id: {entry!r}") from None
-            if entry.get("validation_only"):
-                rules.append(
-                    LinkageRule(source, (), None, float(entry.get("reliability", 1.0)), True)
-                )
-                continue
+            validation_only = bool(entry.get("validation_only"))
             try:
-                targets = tuple(parse_code(t) for t in entry["targets"])
-                translation = translation_from_json(entry["translation"])
+                targets = () if validation_only else tuple(map(parse_code, entry["targets"]))
+                translation = (None if validation_only
+                               else translation_from_json(entry["translation"]))
                 reliability = float(entry.get("reliability", 1.0))
             except KeyError as exc:
                 raise ConfigError(f"rule {source!r} is missing field {exc}") from None
-            except DataError as exc:
+            except (TypeError, ValueError, ConfigError, DataError) as exc:
                 raise ConfigError(f"rule {source!r}: {exc}") from None
-            rules.append(LinkageRule(source, targets, translation, reliability))
+            rules.append(LinkageRule(source, targets, translation, reliability, validation_only))
         return cls(rules)
 
 
 def load_rules(path) -> RuleSet:
     """Load a rule file (JSON)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"rule file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"rule file {path} is not valid JSON: {exc}") from None
-    return RuleSet.from_json(obj)
+    with reading(path, "rule file", ConfigError) as fh:
+        return RuleSet.from_json(json.load(fh))
 
 
 def default_rules() -> RuleSet:
@@ -386,11 +375,7 @@ def records_from_csv(path) -> list[QualifierRecord]:
     """Read a record CSV as written by ``records_to_csv``.  A malformed row,
     a value outside [0, 4] or a reliability outside [0, 1] (nan included)
     is a DataError naming the file and line."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"record file not found: {path}") from None
-    with fh:
+    with reading(path, "record file", DataError) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]

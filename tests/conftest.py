@@ -121,9 +121,9 @@ def shipped_translation(instrument):
     return rules[0].translation.translate
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """Run a fresh interpreter with the package on its path."""
     src = str(Path(icfhi.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import icfhi
-from icfhi.cli import main
+from icfhi.cli import _parse_grid, main
 from icfhi.formatting import format_cell
 
 from conftest import GAMMA_THIRD_30, UNRATED_RULE, default_rules_json, run_python
@@ -435,6 +435,133 @@ def test_missing_records_file_is_data_error(tmp_path):
                "--out", str(tmp_path / "o")) == 3
 
 
+# ---------------------------------------------------------------------------
+# outside input: a file that cannot be read or a value of the wrong type is
+# one line on stderr and exit 2 (settings) or 3 (data).  main runs in this
+# process, so an exception that escapes it fails the test as a traceback would.
+
+ANSWERS_HEADER = "person_id,day,instrument,item,value\n"
+CSV_HEADERS = {"answers.csv": ANSWERS_HEADER, "eqvas.csv": "person_id,day,value\n",
+               "persons.csv": "person_id\n",
+               "records.csv": "person_id,day,source_id,code,value,reliability\n"}
+# (option, file name, exit code); --data names a cohort directory holding the file
+OUTSIDE_INPUTS = [("--rules", "rules.json", 2), ("--config", "run.json", 2),
+                  ("--synth-config", "synth.json", 2), ("--data", "answers.csv", 3),
+                  ("--data", "eqvas.csv", 3), ("--data", "persons.csv", 3),
+                  ("--records", "records.csv", 3)]
+
+
+def _command(option, path, cohort, out):
+    """A command that reads ``path`` through ``option`` before anything else
+    can fail."""
+    return {"--rules": ["link", "--data", str(cohort), "--rules", str(path), "--out", out],
+            "--config": ["fit-weights", "--y", "2", "--config", str(path)],
+            "--synth-config": ["synth", "--synth-config", str(path), "--out", out],
+            "--data": ["link", "--data", str(cohort), "--out", out],
+            "--records": ["index", "--records", str(path), "--out", out]}[option]
+
+
+def _assert_one_line(capsys, prefix, *named):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    for text in named:
+        assert text in err, err
+
+
+@pytest.mark.parametrize("option, name, code, fault", [
+    (option, name, code, fault) for option, name, code in OUTSIDE_INPUTS
+    for fault in ("directory", "not UTF-8", "field over csv's limit")
+    if name.endswith(".csv") or fault != "field over csv's limit"])
+def test_unreadable_outside_input_exits_with_one_line_naming_it(tmp_path, capsys, option,
+                                                               name, code, fault):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    path = cohort / name
+    if name != "answers.csv":
+        (cohort / "answers.csv").write_text(ANSWERS_HEADER + "p1,0,pain_vas,back,5\n")
+    header = CSV_HEADERS.get(name, "")
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not UTF-8":
+        path.write_bytes(header.encode() + b"p1,0,\xff\n")
+    else:
+        path.write_text(header + "x" * 131_073 + "\n")
+    assert run(*_command(option, path, cohort, str(tmp_path / "out"))) == code
+    prefix = "error (configuration): " if code == 2 else "error (data): "
+    _assert_one_line(capsys, prefix + "cannot read ", str(path))
+
+
+@pytest.mark.parametrize("option, content, named", [
+    ("--rules", {"reliability": "high"}, "'unrated:item'"),
+    ("--rules", {"validation_only": True, "reliability": "high"}, "'unrated:item'"),
+    ("--rules", {"translation": {"kind": "discrete_map", "map": {"x": 1}}}, "'unrated:item'"),
+    ("--rules", {"translation": {"kind": "interval_map", "breaks": 5, "qualifiers": [1]}},
+     "'unrated:item'"),
+    ("--rules", {"targets": None}, "'unrated:item'"),
+    ("--rules", {"translation": None}, "'unrated:item'"),
+    ("--rules", {"translation": {"scale": 1}}, "'unrated:item' is missing field 'kind'"),
+    ("--rules", {"translation": {"kind": "bogus"}}, "'unrated:item': unknown translation kind"),
+    ("--synth-config", {"visit_gap_days": 5}, "visit gap range 5"),
+    ("--synth-config", {"visit_gap_days": [3]}, "visit gap range (3,)"),
+    ("--synth-config", {"visit_gap_days": ["a", "b"]}, "visit gap range ('a', 'b')"),
+    ("--synth-config", {"noise": "x"}, "noise"),
+    ("--synth-config", [1, 2], "must be a JSON object"),
+])
+def test_setting_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, option, content,
+                                                         named):
+    if option == "--rules":
+        content = {"rules": [{**UNRATED_RULE, **content}]}
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(content))
+    # the settings are read first: the cohort need not exist
+    assert run(*_command(option, path, tmp_path / "none", str(tmp_path / "out"))) == 2
+    _assert_one_line(capsys, "error (configuration): ", named)
+
+
+@pytest.mark.parametrize("grid", [
+    "y=nan:1:0.1;gamma=1", "y=-inf:1:0.1;gamma=1", "y=0:inf:1;gamma=1", "y=0:1:nan;gamma=1",
+    "y=0:1:inf;gamma=1", "y=0:1:0;gamma=1", "y=0:1e7:1e-3;gamma=1", "y=0:1000:1;gamma=1",
+])
+def test_grid_range_without_a_bounded_count_exits_2_at_once(tmp_path, grid):
+    # in a fresh interpreter under a time and an address-space limit, so that
+    # a range that never ends fails this test instead of stalling the suite
+    proc = run_python(
+        "-c", "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+              "from icfhi.cli import main; sys.exit(main(sys.argv[1:]))",
+        "validate", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "out"),
+        "--grid", grid, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error (configuration): grid range ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text, ys", [
+    ("default", [round(0.2 * k, 12) for k in range(1, 20)]),
+    ("y=0.2:3.8:0.2;gamma=1", [round(0.2 * k, 12) for k in range(1, 20)]),
+    # STOP is reached within 1e-9
+    ("y=1:1:1e-10;gamma=1", [round(1 + k * 1e-10, 12) for k in range(11)]),
+    ("y=0:999:1;gamma=1", [float(k) for k in range(1000)]),
+    ("y=3,,1;gamma=1", [3.0, 1.0]),
+])
+def test_grid_range_values(text, ys):
+    assert _parse_grid(text)[1] == ys
+
+
+@pytest.mark.parametrize("blocked", ["file", "file/sub"])
+def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, blocked):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / blocked
+    assert run("synth", "--persons", "1", "--out", str(out)) == 2
+    _assert_one_line(capsys, "error (configuration): cannot create output directory ", str(out))
+
+
+def test_list_options_skip_empty_entries(capsys):
+    assert run("fit-weights", "--y", "0.75,2") == 0
+    expected = capsys.readouterr().out
+    assert run("fit-weights", "--y", ",0.75,,2,") == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy serves only the p-values of validate; link and index never need it
     proc = run_python("-c", "import sys, icfhi.cli; "
@@ -449,7 +576,7 @@ def test_one_worker_never_loads_the_process_pool(cohort_dir, tmp_path):
     proc = run_python("-c", f"""if True:
         import sys
         loaded = lambda: print("pool loaded:", "concurrent.futures.process" in sys.modules)
-        from icfhi.cli import main
+        from icfhi.cli import _parse_grid, main
         loaded()
         assert main(["link", "--data", {str(cohort_dir)!r}, "--out", {str(linked)!r}]) == 0
         loaded()
