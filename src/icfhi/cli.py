@@ -6,6 +6,8 @@ wall time.  Exit codes: 0 success, 2 configuration error, 3 data error.
 An input that cannot be read (missing, a directory, not UTF-8, a CSV field
 over csv's size limit, invalid JSON) is an error of its kind: a rule,
 config or synthetic-config file exits 2, a --data or --records file 3.
+Every output file is written whole or not at all (``errors.writing``); one
+that cannot be written (say, its path is a directory) exits 2 in one line.
 
 A JSON config file (--config or $ICFHI_CONFIG) holds a section per
 command, whose entry "key": value acts as --key value given before the
@@ -27,8 +29,8 @@ from pathlib import Path
 
 from . import analysis, cohort, engine, linkage, weighting
 from .codes import build_tree
-from .errors import ConfigError, DataError, IcfHiError, reading
-from .formatting import format_cell
+from .errors import ConfigError, DataError, IcfHiError, reading, writing
+from .formatting import format_cell, write_csv as _write_csv  # perfbench traces the name
 
 CONFIG_ENV = "ICFHI_CONFIG"
 
@@ -170,14 +172,6 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
-
-
 def _load_rules(args) -> linkage.RuleSet:
     return linkage.load_rules(args.rules) if args.rules else linkage.default_rules()
 
@@ -271,24 +265,18 @@ def cmd_link(args) -> int:
     persons_per_code: Counter[str] = Counter()
     # the store holds the persons in person-id order and each answer carries
     # its person's id, so writing one person at a time keeps records.csv in
-    # canonical order without holding every link
+    # canonical order without holding every link; a person that cannot be
+    # linked leaves no records.csv, not part of one
     records_csv = out / "records.csv"
-    partial = out / "records.csv.partial"
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            writer = linkage.RecordWriter(fh)
-            for person in store:
-                links = linkage.link_answers(person.answers, rules)
-                writer.write(links)
-                per_code = Counter([code for link in links for code in link.targets])
-                n_records += per_code.total()
-                records_per_code.update(per_code)
-                persons_per_code.update(per_code.keys())
-    except BaseException:
-        # a person that cannot be linked leaves no records.csv, not part of one
-        partial.unlink(missing_ok=True)
-        raise
-    partial.replace(records_csv)
+    with writing(records_csv) as fh:
+        writer = linkage.RecordWriter(fh)
+        for person in store:
+            links = linkage.link_answers(person.answers, rules)
+            writer.write(links)
+            per_code = Counter([code for link in links for code in link.targets])
+            n_records += per_code.total()
+            records_per_code.update(per_code)
+            persons_per_code.update(per_code.keys())
 
     counts = sorted(
         persons_per_code,
@@ -395,7 +383,7 @@ def cmd_validate(args) -> int:
         print(f"warning: {line}", file=sys.stderr)
     for name, rows in result.tables.items():
         _write_csv(out / f"{name}.csv", analysis.VALIDATION_TABLES[name], rows)
-    with open(out / "run_info.json", "w", encoding="utf-8") as fh:
+    with writing(out / "run_info.json") as fh:
         json.dump(result.info, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote validation tables to {out}")
@@ -413,7 +401,7 @@ def cmd_synth(args) -> int:
     store = cohort.synthesize(config)
     out = _out_dir(args)
     cohort.serialize(store, out)
-    with open(out / "synth_config.json", "w", encoding="utf-8") as fh:
+    with writing(out / "synth_config.json") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote synthetic cohort of {len(store)} persons to {out}")

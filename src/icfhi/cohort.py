@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, reading
-from .formatting import format_cell
+from .formatting import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -273,23 +273,12 @@ def serialize(store: CohortStore, out_dir) -> None:
     """Write a cohort directory: persons.csv, answers.csv, eqvas.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "persons.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id"])
-        for person in store:
-            writer.writerow([person.person_id])
-    with open(out / "answers.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ANSWER_COLUMNS))
-        for person in store:
-            for a in person.answers:
-                writer.writerow([a.person_id, a.day, a.instrument, a.item, format_cell(a.value)])
-    with open(out / "eqvas.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "day", "value"])
-        for person in store:
-            for day, value in person.eqvas.items():
-                writer.writerow([person.person_id, day, format_cell(value)])
+    write_csv(out / "persons.csv", ["person_id"], ([person.person_id] for person in store))
+    write_csv(out / "answers.csv", ANSWER_COLUMNS,
+              (answer for person in store for answer in person.answers))
+    write_csv(out / "eqvas.csv", ["person_id", "day", "value"],
+              ([person.person_id, day, value]
+               for person in store for day, value in person.eqvas.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +297,11 @@ _EQ5D_ITEMS = ("mobility", "self_care", "usual_activities", "pain_discomfort",
                "anxiety_depression")
 
 TRENDS = ("improving", "worsening", "flat", "mixed")
+
+
+def _is_whole(value) -> bool:
+    """An int that is not a bool: JSON's true is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -330,7 +324,7 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("seed", "n_persons", "max_visits"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not _is_whole(v):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
@@ -338,12 +332,15 @@ class SynthConfig:
             raise ConfigError("n_persons and max_visits must be positive")
         if self.trend not in TRENDS:
             raise ConfigError(f"trend must be one of {TRENDS}, got {self.trend!r}")
+        # whole days, so that max_visits gaps add up to a day within int64
+        top = np.iinfo(np.int64).max // self.max_visits
         try:
             lo, hi = self.visit_gap_days
-            if not 0 < lo <= hi:
-                raise ValueError
         except (TypeError, ValueError):
-            raise ConfigError(f"invalid visit gap range {self.visit_gap_days!r}") from None
+            lo = hi = None
+        if not (_is_whole(lo) and _is_whole(hi) and 0 < lo <= hi <= top):
+            raise ConfigError(f"invalid visit gap range {self.visit_gap_days!r}: expected "
+                              f"two whole numbers of days, 0 < low <= high <= {top}")
         for name in ("noise", "eqvas_noise", "p_pain", "p_machine", "p_odi", "p_eq5d", "p_eqvas"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .codes import ROOT_SLOT, IcfCode, IcfTree
 from .errors import EvaluationError, IcfHiError
-from .linkage import QualifierRecord
+from .linkage import QUALIFIER_MAX, QUALIFIER_MIN, QualifierRecord
 from .weighting import WeightingSpec, apply_curve, normalize_weights
 
 RAW_MIN, RAW_MAX = 0.0, 4.0
@@ -153,7 +153,9 @@ class RecordTable:
 
 def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> RecordTable:
     """Resolve each record against ``tree`` once, for any number of
-    evaluations on any days and weighting specs."""
+    evaluations on any days and weighting specs.  A record whose code is not
+    in the tree, whose value lies outside [0, 4] or whose reliability lies
+    outside [0, 1] (nan included) is an EvaluationError."""
     slots, parent_slots = tree.slots, tree.parent_slots
     keys: dict[tuple[int, str], int] = {}
     rows = []
@@ -163,8 +165,16 @@ def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> Record
             raise EvaluationError(
                 f"record for ICF code {record.code} which is not in the tree"
             )
+        value, r = float(record.value), record.reliability
+        # the comparisons are False for nan, so nan is rejected too
+        if not QUALIFIER_MIN <= value <= QUALIFIER_MAX:
+            raise EvaluationError(f"record for ICF code {record.code} has qualifier value "
+                                  f"{value!r} outside [{QUALIFIER_MIN:g}, {QUALIFIER_MAX:g}]")
+        if not 0.0 <= r <= 1.0:
+            raise EvaluationError(f"record for ICF code {record.code} has reliability {r!r} "
+                                  "outside [0, 1]")
         key = keys.setdefault((parent_slots[slot], record.source_id), len(keys))
-        rows.append((record.day, slot, key, float(record.value), record.reliability))
+        rows.append((record.day, slot, key, value, r))
     on_path: set[int] = set()
     for _, slot, _, _, _ in rows:
         while slot >= 0 and slot not in on_path:
@@ -222,14 +232,10 @@ def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[
     to zero or to a few significant bits, still rank as they should; only
     a node whose contributions all have r*u = 0 cannot be aggregated.
     """
-    normed = None
     if max(weights) >= _SMALLEST_NORMAL:
-        try:
-            return normalize_weights(weights)
-        except ValueError:  # a weight is negative
-            pass
-    elif min(weights) >= 0.0:
-        normed = _log_normalize(_log_terms(ctx, dict(ctx.table.nodes), slot, children))
+        return normalize_weights(weights)
+    # compile_records admits no negative weight, so all are zero or subnormal
+    normed = _log_normalize(_log_terms(ctx, dict(ctx.table.nodes), slot, children))
     if normed is None:
         label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot]
         raise EvaluationError(

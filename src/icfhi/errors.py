@@ -1,14 +1,16 @@
-"""Exception hierarchy shared across the package, and its one file reader.
+"""Exception hierarchy shared across the package, its one reader and one writer.
 
 Two CLI-facing categories exist: configuration problems (bad parameters,
-bad or unreadable rule and config files) and data problems (malformed,
-unreadable or inconsistent input data), which the command line maps to
-distinct exit codes.  ``reading`` opens every file read from outside.
+bad or unreadable settings files, unwritable outputs) and data problems
+(malformed, unreadable or inconsistent input data), which the CLI maps to
+distinct exit codes.  ``reading`` opens every file read from outside,
+``writing`` every file the package writes.
 """
 
 import contextlib
 import csv
 import json
+import os
 
 
 class IcfHiError(Exception):
@@ -59,3 +61,22 @@ def reading(path, what: str, error: type[IcfHiError]):
         raise error(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Open ``<path>.partial`` as UTF-8 text for csv or json and move it onto
+    ``path`` when the block ends; when it raises, delete it and leave ``path``
+    as it was.  A failure to write, in the block too, is one ConfigError:
+    ``cannot write <path>: <reason>``."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise

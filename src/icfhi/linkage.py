@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .codes import IcfCode, parse_code
-from .errors import CodeParseError, ConfigError, DataError, reading
+from .errors import CodeParseError, ConfigError, DataError, reading, writing
 from .formatting import format_cell
 
 if TYPE_CHECKING:
@@ -362,7 +362,7 @@ def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
     by_person: dict[str, list[QualifierRecord]] = {}
     for record in records:
         by_person.setdefault(record.person_id, []).append(record)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path) as fh:
         writer = RecordWriter(fh)
         # a batch per person, so that no more than one person's rows are held
         for person_id in sorted(by_person):

@@ -8,7 +8,7 @@ import pytest
 
 import icfhi
 from icfhi.cli import _parse_grid, main
-from icfhi.formatting import format_cell
+from icfhi.formatting import format_cell, write_csv
 
 from conftest import GAMMA_THIRD_30, UNRATED_RULE, default_rules_json, run_python
 
@@ -506,6 +506,12 @@ def test_unreadable_outside_input_exits_with_one_line_naming_it(tmp_path, capsys
     ("--synth-config", {"visit_gap_days": ["a", "b"]}, "visit gap range ('a', 'b')"),
     ("--synth-config", {"noise": "x"}, "noise"),
     ("--synth-config", [1, 2], "must be a JSON object"),
+    # whole numbers of days, not bools, whose max_visits gaps add up within int64
+    ("--synth-config", {"visit_gap_days": [1, 1e300]}, "visit gap range (1, 1e+300)"),
+    ("--synth-config", {"visit_gap_days": [1.5, 2.5]}, "visit gap range (1.5, 2.5)"),
+    ("--synth-config", {"visit_gap_days": [True, 2]}, "visit gap range (True, 2)"),
+    ("--synth-config", {"visit_gap_days": [2**62, 2**62], "max_visits": 5},
+     f"visit gap range ({2**62}, {2**62})"),
 ])
 def test_setting_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, option, content,
                                                          named):
@@ -553,6 +559,109 @@ def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, blocked):
     out = tmp_path / blocked
     assert run("synth", "--persons", "1", "--out", str(out)) == 2
     _assert_one_line(capsys, "error (configuration): cannot create output directory ", str(out))
+
+
+# ---------------------------------------------------------------------------
+# outputs: every file is written whole or not at all, and one that cannot be
+# written is one line on stderr and exit 2
+
+# (command, an output file of it); each command reads the cohort or its records
+UNWRITABLE_OUTPUTS = [("link", "records.csv"), ("link", "code_counts.csv"),
+                      ("index", "index.csv"), ("profile", "profile.csv"),
+                      ("validate", "sweep.csv"), ("validate", "run_info.json"),
+                      ("synth", "eqvas.csv"), ("synth", "synth_config.json")]
+
+
+@pytest.mark.parametrize("command, name", UNWRITABLE_OUTPUTS)
+def test_output_that_cannot_be_written_exits_2_with_one_line(cohort_dir, tmp_path, capsys,
+                                                             command, name):
+    linked = tmp_path / "linked"
+    assert run("link", "--data", str(cohort_dir), "--out", str(linked)) == 0
+    capsys.readouterr()
+    inputs = {"link": ["--data", str(cohort_dir)],
+              "index": ["--records", str(linked / "records.csv")],
+              "profile": ["--records", str(linked / "records.csv")],
+              "validate": ["--data", str(cohort_dir), "--groups", "30:5",
+                           "--grid", "y=2;gamma=1"],
+              "synth": ["--persons", "3"]}[command]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run(command, *inputs, "--out", str(out)) == 2
+    _assert_one_line(capsys, f"error (configuration): cannot write {out / name}: ")
+    assert (out / name).is_dir() and not list(out.glob("*.partial"))
+
+
+@pytest.mark.parametrize("fault, raised", [
+    (RuntimeError("midway"), RuntimeError), (KeyboardInterrupt(), KeyboardInterrupt),
+    (icfhi.DataError("midway"), icfhi.DataError),
+    # an OSError names the file as ConfigError does
+    (OSError(28, "No space left on device"), icfhi.ConfigError),
+])
+def test_write_csv_that_fails_midway_leaves_the_file_as_it_was(tmp_path, fault, raised):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], [[1, 2.5]])
+    before = read(path)
+
+    def rows():
+        yield [3, 4]
+        raise fault
+
+    with pytest.raises(raised) as info:
+        write_csv(path, ["a", "b"], rows())
+    if raised is icfhi.ConfigError:
+        assert str(info.value) == f"cannot write {path}: No space left on device"
+    assert read(path) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+RECORDS_HEADER = CSV_HEADERS["records.csv"]
+
+
+@pytest.mark.parametrize("argv, files, code, line", [
+    (["validate", "--data", "{tmp}/answers.csv", "--groups", "0:5"], {}, 2,
+     "error (configuration): cannot parse group spec '0:5': group thresholds must be positive"),
+    (["validate", "--data", "{tmp}/answers.csv", "--grid", "z=1"], {}, 2,
+     "error (configuration): unknown grid axis 'z' (expected y or gamma)"),
+    (["validate", "--data", "{tmp}/answers.csv", "--grid", "y=1"], {}, 2,
+     "error (configuration): grid 'y=1' must define both y and gamma axes"),
+    (["link", "--data", "{tmp}/none", "--rules", "{tmp}/rules.json"], {"rules.json": []}, 2,
+     "error (configuration): rule file must be an object with a 'rules' list"),
+    (["link", "--data", "{tmp}/none", "--rules", "{tmp}/rules.json"],
+     {"rules.json": {"rules": [{}]}}, 2,
+     "error (configuration): rule entry without source_item_id: {}"),
+    (["link", "--data", "{tmp}/none", "--rules", "{tmp}/rules.json"],
+     {"rules.json": {"rules": [{**UNRATED_RULE, "translation": {
+         "kind": "interval_map", "breaks": [1, 2], "qualifiers": [0, 1]}}]}}, 2,
+     "error (configuration): rule 'unrated:item': interval_map needs exactly len(breaks)-1 "
+     "qualifiers"),
+    (["link", "--data", "{tmp}/none", "--rules", "{tmp}/rules.json"],
+     {"rules.json": {"rules": [{**UNRATED_RULE, "translation": {
+         "kind": "affine", "scale": 1, "offset": 0, "domain": [2, 1]}}]}}, 2,
+     "error (configuration): rule 'unrated:item': affine domain must satisfy low < high"),
+    (["link", "--data", "{tmp}/none", "--rules", "{tmp}/rules.json"],
+     {"rules.json": {"rules": [{**UNRATED_RULE, "targets": []}]}}, 2,
+     "error (configuration): rule 'unrated:item' has no target codes"),
+    (["index"], {}, 2, "error (configuration): missing required option --records"),
+    (["index", "--records", "{tmp}/records.csv"], {"records.csv": "a,b\n1,2\n"}, 3,
+     "error (data): {tmp}/records.csv: expected columns ('person_id', 'day', 'source_id', "
+     "'code', 'value', 'reliability'), got ['a', 'b']"),
+    (["index", "--records", "{tmp}/records.csv"], {"records.csv": ""}, 0,
+     "warning: record file is empty; wrote empty index"),
+    (["index", "--records", "{tmp}/records.csv", "--scaling", "empirical"],
+     {"records.csv": RECORDS_HEADER + "p,0,s,b280,2,1\nq,0,s,b280,2,1\n"}, 3,
+     "error (data): empirical scaling impossible: all raw values equal 2.0"),
+    (["validate", "--data", "{tmp}/cohort"], {"cohort/persons.csv": "person_id\n"}, 3,
+     "error (data): cohort directory {tmp}/cohort has no answers.csv"),
+])
+def test_exit_code_and_its_one_stderr_line(tmp_path, capsys, argv, files, code, line):
+    (tmp_path / "answers.csv").write_text(ANSWERS_HEADER + "p1,0,pain_vas,back,5\n")
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == code
+    assert capsys.readouterr().err == line.replace("{tmp}", str(tmp_path)) + "\n"
 
 
 def test_list_options_skip_empty_entries(capsys):

@@ -384,3 +384,13 @@ def test_synth_config_validation():
             SynthConfig.from_json(bad)
         assert str(err.value).startswith(next(iter(bad))) and "\n" not in str(err.value)
     assert SynthConfig(seed=0).seed == 0
+
+
+def test_visit_gaps_are_whole_days_that_add_up_within_int64():
+    top = (2**63 - 1) // 2
+    for bad in ((0, 3), (4, 3), (1, top + 1), (np.int64(1), 3), "ab"):
+        with pytest.raises(ConfigError, match="invalid visit gap range"):
+            SynthConfig(max_visits=2, visit_gap_days=bad)
+    # the largest gap: two visits, days 0 and at most 2**63 - 1
+    store = synthesize(SynthConfig(n_persons=4, max_visits=2, visit_gap_days=(top, top)))
+    assert {day for person in store for day in person.days} <= {0, top}

@@ -140,6 +140,24 @@ def test_attach_rejects_future_and_unknown(worked_tree):
         compile_records(worked_tree, stranger)
 
 
+@pytest.mark.parametrize("value, reliability, named", [
+    (7.0, 1.0, "qualifier value 7.0 outside [0, 4]"),
+    (-0.5, 1.0, "qualifier value -0.5 outside [0, 4]"),
+    (math.nan, 1.0, "qualifier value nan outside [0, 4]"),
+    (2.0, -0.5, "reliability -0.5 outside [0, 1]"),
+    (2.0, 1.5, "reliability 1.5 outside [0, 1]"),
+    (2.0, math.nan, "reliability nan outside [0, 1]"),
+])
+def test_compile_rejects_a_record_outside_the_model_ranges(value, reliability, named):
+    # so that no compiled table carries a value the curve cannot take or a
+    # negative weight
+    records = [QualifierRecord("p", 0, "s1", parse_code("b280"), 2.0, 1.0),
+               QualifierRecord("p", 1, "s2", parse_code("b2801"), value, reliability)]
+    with pytest.raises(EvaluationError) as err:
+        compile_records(build_tree({r.code for r in records}), records)
+    assert str(err.value) == f"record for ICF code b2801 has {named}"
+
+
 # ---------------------------------------------------------------------------
 # node aggregation and the worked example
 
