@@ -126,11 +126,31 @@ def _parse_day_cell(cell: str):
         raise ValueError(f"cannot parse day/date {cell!r}") from None
 
 
+class _Memo(dict):
+    """A dict that fills itself: ``memo[key]`` is ``function(key)``, called
+    on the first lookup of ``key`` only.  A call that raises keeps nothing,
+    so a bad key raises again on each lookup."""
+
+    def __init__(self, function):
+        super().__init__()
+        self._function = function
+
+    def __missing__(self, key):
+        self[key] = value = self._function(key)
+        return value
+
+
 def _read_rows(path: Path, eqvas: bool):
     """Yield (line_number, person_id, day_kind, day_raw, instrument, item,
     value) for every valid row of an answers CSV or, with ``eqvas``, an
     EQ-VAS CSV (person_id, day, value).  Malformed rows are reported
-    together, in one error raised after the last row."""
+    together, in one error raised after the last row.
+
+    A file holds few distinct day, instrument and item cells, so each is
+    parsed once per file: the day cell, as it is in the file, keys its
+    (kind, ordinal), and an instrument or item cell, as it is in the file,
+    keys its stripped, lower-cased text, one string object per distinct
+    text.  A cell that cannot be parsed is not kept."""
     with reading(path, "EQ-VAS file" if eqvas else "answers file", DataError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -150,24 +170,28 @@ def _read_rows(path: Path, eqvas: bool):
         instrument_col, item_col = text_cols or (None, None)
         instrument, item = EQVAS_INSTRUMENT, "overall_health"
         errors: list[str] = []
-        # one string object per distinct text, shared by every row that has it
-        strings: dict[str, str] = {}
-        share = strings.setdefault
+        days = _Memo(_parse_day_cell)
+        shared: dict[str, str] = {}
+
+        def normalized(cell: str) -> str:
+            text = cell.strip().lower()
+            return shared.setdefault(text, text)
+
+        texts = _Memo(normalized)
         for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
             try:
-                if len(row) < width:
-                    raise ValueError(f"expected {width} columns, got {len(row)}")
-                person_id = row[pid_col].strip()
+                person_id = row[pid_col].strip() if len(row) >= width else ""
                 if not person_id:
+                    # a row with a person id is not blank, so only these are tested
+                    if not "".join(row).strip():
+                        continue
+                    if len(row) < width:
+                        raise ValueError(f"expected {width} columns, got {len(row)}")
                     raise ValueError("empty person_id")
-                day_kind, day_raw = _parse_day_cell(row[day_col])
+                day_kind, day_raw = days[row[day_col]]
                 if not eqvas:
-                    instrument = row[instrument_col].strip().lower()
-                    instrument = share(instrument, instrument)
-                    item = row[item_col].strip().lower()
-                    item = share(item, item)
+                    instrument = texts[row[instrument_col]]
+                    item = texts[row[item_col]]
                     if not instrument or not item:
                         raise ValueError("empty instrument or item")
                 value = float(row[value_col])
@@ -179,6 +203,20 @@ def _read_rows(path: Path, eqvas: bool):
             shown = "\n  ".join(errors[:20])
             more = "" if len(errors) <= 20 else f"\n  ... and {len(errors) - 20} more"
             raise DataError(f"malformed rows in {path}:\n  {shown}{more}")
+
+
+def _read_person_ids(path: Path) -> list[str]:
+    """The non-empty person ids of a persons CSV; its header is read as the
+    answers header is, stripped and lower-cased, and must name person_id."""
+    with reading(path, "persons file", DataError) as fh:
+        reader = csv.reader(fh)
+        header = [h.strip().lower() for h in next(reader, ())]
+        if not header:
+            return []
+        if "person_id" not in header:
+            raise DataError(f"{path}: expected a person_id column; got {header}")
+        col = header.index("person_id")
+        return [row[col].strip() for row in reader if len(row) > col and row[col].strip()]
 
 
 def ingest(path) -> CohortStore:
@@ -196,11 +234,8 @@ def ingest(path) -> CohortStore:
         if (path / "eqvas.csv").exists():
             sources.append((path / "eqvas.csv", True))
         if (path / "persons.csv").exists():
-            with reading(path / "persons.csv", "persons file", DataError) as fh:
-                for row in csv.DictReader(fh):
-                    pid = (row.get("person_id") or "").strip()
-                    if pid:
-                        persons.setdefault(pid, Person(pid))
+            for pid in _read_person_ids(path / "persons.csv"):
+                persons.setdefault(pid, Person(pid))
 
     # each row goes straight to its person; mixed day kinds, duplicates and
     # the EQ-VAS range are checked on the way and raised, in that order,

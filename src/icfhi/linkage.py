@@ -183,7 +183,17 @@ class QualifierRecord(NamedTuple):
 
 
 class RuleSet:
-    """Linkage rules keyed by source item id (``instrument:item``)."""
+    """Linkage rules keyed by source item id (``instrument:item``).
+
+    The rules never change after construction.  The set also owns the
+    cache through which ``link_answers`` looks up a rule and translates an
+    answer once per distinct (instrument, item, value).  Its key is the
+    answer's (instrument, item, type of value, value), with the repr of a
+    zero value in place of the zero; its entry the link's (targets,
+    qualifier value, reliability), or ``()`` for a validation-only source.
+    Only answers that link are kept, so one that fails raises its own
+    error each time, and the cache grows with the number of distinct
+    (instrument, item, value) keys linked."""
 
     def __init__(self, rules: Iterable[LinkageRule]):
         self._rules: dict[str, LinkageRule] = {}
@@ -191,6 +201,7 @@ class RuleSet:
             if rule.source_item_id in self._rules:
                 raise ConfigError(f"duplicate rule for source item {rule.source_item_id!r}")
             self._rules[rule.source_item_id] = rule
+        self._linked: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -261,26 +272,51 @@ class Link(NamedTuple):
     reliability: float
 
 
+def _link_entry(answer: "RawAnswer", rules: RuleSet) -> tuple:
+    """(targets, qualifier value, reliability) of an answer's link, or ``()``
+    for a validation-only source; an answer that cannot be linked is a
+    DataError naming it."""
+    rule = rules.get(answer.source_item_id)
+    if rule is None:
+        raise DataError(f"no linkage rule for source item {answer.source_item_id!r}")
+    if rule.validation_only:
+        return ()
+    try:
+        value = rule.translation.translate(answer.value)
+    except ValueError as exc:
+        raise DataError(
+            f"cannot translate {answer.source_item_id!r} answer for person "
+            f"{answer.person_id} on day {answer.day}: {exc}"
+        ) from None
+    return rule.targets, value, rule.reliability
+
+
 def link_answers(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Link]:
     """Link each raw answer through its rule, in answer order.
-    Validation-only sources (EQ-VAS) emit nothing."""
+    Validation-only sources (EQ-VAS) emit nothing.
+
+    The rule lookup and translation run once per distinct (instrument,
+    item, value) and ``rules``, through the cache that ``rules`` owns (see
+    ``RuleSet``); an answer that fails is not kept there, so it raises,
+    naming its own person and day, whatever was linked before it."""
+    linked = rules._linked
+    new_link = tuple.__new__  # Link(...) without its Python-level __new__
     links: list[Link] = []
     append = links.append
     for answer in answers:
-        rule = rules.get(answer.source_item_id)
-        if rule is None:
-            raise DataError(f"no linkage rule for source item {answer.source_item_id!r}")
-        if rule.validation_only:
-            continue
-        try:
-            value = rule.translation.translate(answer.value)
-        except ValueError as exc:
-            raise DataError(
-                f"cannot translate {answer.source_item_id!r} answer for person "
-                f"{answer.person_id} on day {answer.day}: {exc}"
-            ) from None
-        append(Link(answer.person_id, answer.day, answer.source_id, rule.targets, value,
-                    rule.reliability))
+        person_id, day, instrument, item, value = answer
+        # values that compare equal can translate differently: True is not
+        # an integer answer where 1 is, and an affine map can give -0.0 for
+        # -0.0 but 0.0 for 0.0; so the key holds the value's type, and a
+        # zero's repr in place of the zero
+        key = (instrument, item, type(value), value if value else repr(value))
+        entry = linked.get(key)
+        if entry is None:
+            entry = linked[key] = _link_entry(answer, rules)
+        if entry:
+            # the source id is RawAnswer.source_id, built here without the property call
+            append(new_link(Link, (person_id, day, f"{person_id}:{day}:{instrument}:{item}",
+                                   *entry)))
     return links
 
 

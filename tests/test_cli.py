@@ -652,6 +652,10 @@ RECORDS_HEADER = CSV_HEADERS["records.csv"]
      "error (data): empirical scaling impossible: all raw values equal 2.0"),
     (["validate", "--data", "{tmp}/cohort"], {"cohort/persons.csv": "person_id\n"}, 3,
      "error (data): cohort directory {tmp}/cohort has no answers.csv"),
+    (["link", "--data", "{tmp}/cohort"],
+     {"cohort/answers.csv": "person_id,day,instrument,item,value\np1,0,pain_vas,back,5\n",
+      "cohort/persons.csv": "pid\np1\n"}, 3,
+     "error (data): {tmp}/cohort/persons.csv: expected a person_id column; got ['pid']"),
 ])
 def test_exit_code_and_its_one_stderr_line(tmp_path, capsys, argv, files, code, line):
     (tmp_path / "answers.csv").write_text(ANSWERS_HEADER + "p1,0,pain_vas,back,5\n")

@@ -261,6 +261,77 @@ def test_ingest_interleaved_dated_rows_equal_the_sorted_rows(tmp_path):
     assert interleaved.person("p3").days == [0, 2]
 
 
+# rows of every kind that ingest skips, rejects or reads through its caches
+# of day, instrument and item cells: blank, whitespace-only, short, without
+# a person id, and with padded or upper-cased cells
+ODD_ROWS = [
+    "p1, 3 ,PAIN_VAS, Back ,5",
+    "",
+    " \t, ,  ,,",
+    "p1,4,odi",
+    " ,4,odi,lifting,2",
+    ",,,,",
+    "p2, 2019-01-05 , Machine ,F110,30",
+    "   ,",
+    "p2,2019-01-12,machine,f110,20",
+    "p3,x ,odi,lifting,1",
+    "p3,1, ,lifting,1",
+    "p3,1,odi,LIFTING,abc",
+    "p3, 1,odi,lifting",
+    "p3,1,odi,lifting,1,extra",
+    "p1,10,pain_vas,back,4",
+]
+
+
+def test_ingest_skips_rejects_and_reads_odd_rows(tmp_path):
+    path = _write(tmp_path / "odd.csv", HEADER + "\n".join(ODD_ROWS) + "\n")
+    with pytest.raises(DataError) as err:
+        ingest(path)
+    assert str(err.value) == (
+        f"malformed rows in {path}:\n"
+        f"  {path}:5: expected 5 columns, got 3\n"
+        f"  {path}:6: empty person_id\n"
+        f"  {path}:11: cannot parse day/date 'x '\n"
+        f"  {path}:12: empty instrument or item\n"
+        f"  {path}:13: could not convert string to float: 'abc'\n"
+        f"  {path}:14: expected 5 columns, got 4")
+
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    malformed = {3, 4, 9, 10, 11, 12}  # indexes into ODD_ROWS
+    _write(cohort / "answers.csv",
+           HEADER + "\n".join(row for i, row in enumerate(ODD_ROWS) if i not in malformed))
+    _write(cohort / "eqvas.csv", "person_id,day,value\n p1 , 10 ,70\n\n , ,\np3, 2 ,40\n")
+    assert _persons(ingest(cohort)) == [
+        ("p1", [RawAnswer("p1", 0, "pain_vas", "back", 5.0),
+                RawAnswer("p1", 7, "pain_vas", "back", 4.0)], [(7, 70.0)]),
+        ("p2", [RawAnswer("p2", 0, "machine", "f110", 30.0),
+                RawAnswer("p2", 7, "machine", "f110", 20.0)], []),
+        ("p3", [RawAnswer("p3", 0, "odi", "lifting", 1.0)], [(1, 40.0)]),
+    ]
+
+    # a padded or upper-cased cell names the same (person, day, instrument, item)
+    _write(cohort / "answers.csv", HEADER + "p1,3,pain_vas,back,5\np1, 3 ,Pain_VAS,BACK ,6\n")
+    with pytest.raises(DataError) as err:
+        ingest(cohort)
+    assert str(err.value) == (
+        f"duplicate rows:\n  {cohort / 'answers.csv'}:3: duplicate answer for "
+        f"(p1, day 3, pain_vas:back); first seen on {cohort / 'answers.csv'}:2")
+
+
+def test_ingest_reads_the_persons_header_as_the_answers_header(tmp_path):
+    # p2 has no answers: only persons.csv names them
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    _write(cohort / "answers.csv", HEADER + "p1,0,pain_vas,back,5\n")
+    _write(cohort / "persons.csv", "name, Person_ID \nx,p1\ny, p2 \nz,\nshort\n")
+    assert ingest(cohort).person_ids == ["p1", "p2"]
+    persons = _write(cohort / "persons.csv", "pid\np1\np2\n")
+    with pytest.raises(DataError) as err:
+        ingest(cohort)
+    assert str(err.value) == f"{persons}: expected a person_id column; got ['pid']"
+
+
 def test_ingest_peak_memory_stays_near_what_it_keeps(tmp_path):
     # every row lives only as its CSV cells and then as its answer: the
     # peak traced while ingesting stays close to the memory of the result

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import pickle
 import random
 import re
@@ -15,6 +16,7 @@ from icfhi import (
     ConfigError,
     DataError,
     Link,
+    LinkageRule,
     Person,
     QualifierRecord,
     RawAnswer,
@@ -33,7 +35,7 @@ from icfhi import (
 )
 from icfhi.cli import main
 from icfhi.formatting import format_cell
-from icfhi.linkage import RECORD_COLUMNS, RecordWriter, _quote
+from icfhi.linkage import RECORD_COLUMNS, AffineMap, RecordWriter, _quote
 
 from conftest import default_rules_json, shipped_translation
 
@@ -464,3 +466,107 @@ def test_records_from_csv_accepts_range_ends(tmp_path):
     for value, reliability in (("0", "0"), ("4", "1")):
         [_, record] = records_from_csv(_one_record_csv(tmp_path, value, reliability))
         assert (record.value, record.reliability) == (float(value), float(reliability))
+
+
+# the bundled rules plus an affine map that keeps the sign of a zero answer:
+# -0.0 gives -0.0 and 0.0 gives 0.0, though the two compare equal
+SIGNED_ZERO_RULES = RuleSet([*default_rules(),
+                             LinkageRule("signed:zero", (parse_code("b280"),),
+                                         AffineMap(1.0, -0.0, (0.0, 4.0)), 1.0)])
+SOURCES = sorted({rule.source_item_id for rule in SIGNED_ZERO_RULES} | {"unknown:item"})
+# one source of each kind of rule
+KIND_SOURCES = ["eq5d:mobility", "eqvas:overall_health", "machine:f110", "odi:lifting",
+                "pain_vas:back", "signed:zero", "unknown:item"]
+ANSWER_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-2, 110),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(-2, 110).map(float),
+    st.floats(-2.0, 110.0),
+)
+
+
+def _equal_forms(value) -> list:
+    """``value`` and the values of another type or sign that compare equal to it."""
+    forms = [value]
+    if isinstance(value, (int, float)) and math.isfinite(value) and float(value).is_integer():
+        forms += [int(value), float(value)]
+        if value in (0, 1):
+            forms.append(bool(value))
+        if value == 0:
+            forms.append(-0.0)
+    return forms
+
+
+@st.composite
+def _answer_draws(draw):
+    """(person number, source, value) triples over a source of each kind and
+    a few values with their equal forms, 0 and 1 among them, so that unlike
+    answers often meet under one cache key."""
+    sources = KIND_SOURCES + draw(st.lists(st.sampled_from(SOURCES), max_size=3))
+    values = [form for value in [0, 1, *draw(st.lists(ANSWER_VALUES, min_size=1, max_size=3))]
+              for form in _equal_forms(value)]
+    return draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(sources),
+                                   st.sampled_from(values)), min_size=1, max_size=40))
+
+
+def _translate_each(answers, rules):
+    """``link_answers`` written out: (links, None), or (None, the error text)
+    of the first answer that cannot be linked."""
+    links = []
+    for answer in answers:
+        source = f"{answer.instrument}:{answer.item}"
+        rule = rules.get(source)
+        if rule is None:
+            return None, f"no linkage rule for source item {source!r}"
+        if rule.validation_only:
+            continue
+        try:
+            value = rule.translation.translate(answer.value)
+        except ValueError as exc:
+            return None, (f"cannot translate {source!r} answer for person {answer.person_id} "
+                          f"on day {answer.day}: {exc}")
+        links.append(Link(answer.person_id, answer.day, answer.source_id, rule.targets, value,
+                          rule.reliability))
+    return links, None
+
+
+@given(_answer_draws())
+def test_cached_link_answers_equals_translate_per_answer(draws):
+    # one rule set throughout, so that each answer after the first links
+    # through a cache that the answers before it filled
+    rules = RuleSet(SIGNED_ZERO_RULES)
+    answers = [RawAnswer(f"p{person}", day, *source.split(":"), value)
+               for day, (person, source, value) in enumerate(draws)]
+    by_person = [[a for a in answers if a.person_id == person] for person in ("p0", "p1", "p2")]
+    for batch in [[answer] for answer in answers] + by_person:
+        expected, error = _translate_each(batch, rules)
+        if error is None:
+            links = link_answers(batch, rules)
+            assert links == expected
+            assert [math.copysign(1.0, link.value) for link in links] == \
+                [math.copysign(1.0, link.value) for link in expected]
+        else:
+            with pytest.raises(DataError) as err:
+                link_answers(batch, rules)
+            assert str(err.value) == error
+
+
+def test_warm_link_cache_still_raises_for_the_failing_answer():
+    rules = RuleSet(SIGNED_ZERO_RULES)
+    link_answers([RawAnswer("p1", 0, "odi", "lifting", 1),
+                  RawAnswer("p1", 0, "signed", "zero", 0.0)], rules)
+    # True equals 1, which is cached, but it is no integer answer
+    with pytest.raises(DataError, match="^" + re.escape(
+            "cannot translate 'odi:lifting' answer for person p2 on day 3: "
+            "answer must be an integer, got True") + "$"):
+        link_answers([RawAnswer("p2", 3, "odi", "lifting", True)], rules)
+    [negative] = link_answers([RawAnswer("p2", 0, "signed", "zero", -0.0)], rules)
+    assert math.copysign(1.0, negative.value) == -1.0
+    # a failure is not kept: the same answer of another person names that person
+    for person, day in (("p3", 5), ("p4", 8)):
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"cannot translate 'pain_vas:back' answer for person {person} on day {day}: "
+                "answer out of range 0-10: 12") + "$"):
+            link_answers([RawAnswer(person, 0, "pain_vas", "back", 3),
+                          RawAnswer(person, day, "pain_vas", "back", 12)], rules)
