@@ -7,6 +7,11 @@ correction, tertile binning by sequence length, and (gamma, y) parameter
 sweeps.  ``validate`` runs the whole protocol on a cohort and returns the
 rows of its tables, the persons it left out and the statistics it found
 undefined.  All outputs are deterministic given the cohort and grid.
+
+Medians, quartiles and bins are worked out in pure Python, to the float as
+numpy's ``median``, ``percentile`` and ``array_split`` work them out, so
+that this module loads no numpy; ``pearson`` loads scipy, and numpy with
+it, at its first p-value.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
@@ -194,13 +197,21 @@ class CohortEvaluator:
         self._plans: dict[tuple[str, int], _Plan | None] = {}
         self._plans_gamma: float | None = None
 
+    def _check(self, person_id: str) -> None:
+        """Raise the DataError of an unknown person id, or the link error of
+        a person whose answers cannot be linked."""
+        self.store.person(person_id)
+        if person_id in self.link_errors:
+            raise self.link_errors[person_id]
+
     def hi(self, person_id: str, day: int, spec: WeightingSpec) -> "int | None":
         """Index value at ``day`` from records up to that day, None before the
-        first; raises the person's link error if their answers cannot be linked."""
+        first or for a person without linkable records; raises a DataError
+        for an unknown person id, and the person's link error if their
+        answers cannot be linked."""
         key = (person_id, day, spec.gamma, spec.y)
         if key not in self._cache:
-            if person_id in self.link_errors:
-                raise self.link_errors[person_id]
+            self._check(person_id)
             table = self.tables.get(person_id)
             plan = None
             if table is not None:
@@ -217,7 +228,8 @@ class CohortEvaluator:
                    workers: int = 1) -> dict[str, str]:
         """Fill the cache for every (person, statistic day, spec), with the
         values ``hi`` would compute, for any worker count; return the error
-        message of each person who cannot be linked or whose evaluation fails.
+        message of each person who is unknown, cannot be linked or whose
+        evaluation fails.
 
         The statistic days of a person are the days the statistics read:
         EQ-VAS days and pain days.  A person whose evaluation would fail
@@ -226,8 +238,12 @@ class CohortEvaluator:
         jobs = ((pid, self.tables[pid],
                  sorted(set(self.store.person(pid).eqvas).union(self.max_pain[pid])))
                 for pid in pids)
-        failures = {pid: str(self.link_errors[pid]) for pid in person_ids
-                    if pid in self.link_errors}
+        failures = {}
+        for pid in person_ids:
+            try:
+                self._check(pid)
+            except DataError as exc:
+                failures[pid] = str(exc)
         for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids)):
             if isinstance(outcome, IcfHiError):
                 failures[pid] = str(outcome)
@@ -325,7 +341,7 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     portion = sum(c.significant for c in correlations) / len(correlations)
     return MaxPainReport(
         correlations=correlations,
-        median=float(np.median(coeffs)),
+        median=_median(coeffs),
         significant_portion=portion,
         omitted_constant_trajectories=omitted,
         boxplot=_boxplot_stats(coeffs),
@@ -334,20 +350,57 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     )
 
 
+def _median(values: Sequence[float]) -> float:
+    """``numpy.median(values)`` of finite floats, to the float: the middle
+    value, or the mean of the two middle ones, summed from 0.0 as numpy's
+    mean sums, so that a zero median is 0.0."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2
+
+
+def _percentile(ordered: Sequence[float], p: float) -> float:
+    """``numpy.percentile(ordered, p)`` of sorted finite floats, to the float:
+    numpy's default linear method, with its virtual index and its
+    two-sided interpolation."""
+    n = len(ordered)
+    q = p / 100
+    virtual = n * q + (1 - q) - 1
+    if virtual >= n - 1:
+        below = above = -1  # numpy takes the last value, at index -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    t = virtual - below
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def _boxplot_stats(values: Sequence[float]) -> BoxplotStats:
-    arr = np.asarray(values, dtype=float)
-    q1, median, q3 = (float(v) for v in np.percentile(arr, [25, 50, 75]))
+    ordered = sorted(values)
+    q1, median, q3 = (_percentile(ordered, p) for p in (25, 50, 75))
     iqr = q3 - q1
     low_fence, high_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = arr[(arr >= low_fence) & (arr <= high_fence)]
+    inside = [v for v in ordered if low_fence <= v <= high_fence]
     return BoxplotStats(
-        n=len(arr),
+        n=len(ordered),
         median=median,
         q1=q1,
         q3=q3,
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
+        whisker_low=inside[0],
+        whisker_high=inside[-1],
     )
+
+
+def _split(items: list, k: int) -> list[list]:
+    """``items`` in ``k`` consecutive chunks, as ``numpy.array_split`` cuts
+    them: the first ``len(items) % k`` chunks hold one item more."""
+    size, extra = divmod(len(items), k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    return [items[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
@@ -363,10 +416,8 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
         ((stats(store.person(c.person_id)).sequence_length, c.person_id, c)
          for c in report.correlations),
     )
-    chunks = np.array_split(np.arange(len(keyed)), k)
     bins: list[SequenceBin] = []
-    for i, chunk in enumerate(chunks, start=1):
-        members = [keyed[j] for j in chunk]
+    for i, members in enumerate(_split(keyed, k), start=1):
         corrs = [c.coefficient for _, _, c in members]
         bins.append(
             SequenceBin(
@@ -375,7 +426,7 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
                 max_length=members[-1][0],
                 n=len(members),
                 significant_portion=sum(c.significant for _, _, c in members) / len(members),
-                median_correlation=float(np.median(corrs)),
+                median_correlation=_median(corrs),
             )
         )
     return bins

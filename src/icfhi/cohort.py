@@ -5,7 +5,9 @@ boundary (day 0 is a person's first measurement day); nothing downstream
 ever sees dates.  The synthetic generator produces seeded, reproducible
 cohorts whose instruments are drawn from the bundled rule set and whose
 EQ-VAS answers are a noisy monotone transform of the latent health state,
-so validation statistics have a known ground truth to recover.
+so validation statistics have a known ground truth to recover.  Only the
+generator uses numpy, and imports it where it draws, so that reading and
+writing a cohort never loads it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from dataclasses import dataclass, field
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, DataError, reading
 from .formatting import write_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -243,6 +246,7 @@ def ingest(path) -> CohortStore:
     day_kinds: dict[str, str] = {}
     mixed = out_of_range = None
     duplicated = False
+    new_answer = tuple.__new__  # RawAnswer(...) without its Python-level __new__
     for source, eqvas in sources:
         for _, pid, kind, day, instrument, item, value in _read_rows(source, eqvas):
             person = persons.get(pid)
@@ -256,7 +260,8 @@ def ingest(path) -> CohortStore:
                 duplicated = duplicated or day in person.eqvas
                 person.eqvas[day] = value
             else:
-                person.answers.append(RawAnswer(person.person_id, day, instrument, item, value))
+                person.answers.append(new_answer(RawAnswer, (person.person_id, day, instrument,
+                                                             item, value)))
 
     if not persons:
         log.warning("no usable rows ingested from %s: cohort is empty", path)
@@ -280,8 +285,9 @@ def _start_at_day_zero(person: Person) -> None:
     days = person.days
     first = days[0] if days else 0
     if first:
-        person.answers = [RawAnswer(a.person_id, a.day - first, a.instrument, a.item, a.value)
-                          for a in person.answers]
+        new_answer = tuple.__new__  # RawAnswer(...) without its Python-level __new__
+        person.answers = [new_answer(RawAnswer, (pid, day - first, instrument, item, value))
+                          for pid, day, instrument, item, value in person.answers]
         person.eqvas = {d - first: v for d, v in person.eqvas.items()}
     person.answers.sort(key=_ANSWER_ORDER)
     person.eqvas = dict(sorted(person.eqvas.items()))
@@ -368,7 +374,7 @@ class SynthConfig:
         if self.trend not in TRENDS:
             raise ConfigError(f"trend must be one of {TRENDS}, got {self.trend!r}")
         # whole days, so that max_visits gaps add up to a day within int64
-        top = np.iinfo(np.int64).max // self.max_visits
+        top = (2**63 - 1) // self.max_visits
         try:
             lo, hi = self.visit_gap_days
         except (TypeError, ValueError):
@@ -406,6 +412,8 @@ def synthesize(config: SynthConfig) -> CohortStore:
     answers are noisy readouts of it on their native scales and EQ-VAS is a
     noisy readout of 100*(1 - latent).
     """
+    import numpy as np  # imported here: only the generator needs it
+
     rng = np.random.default_rng(config.seed)
     persons = []
     for i in range(config.n_persons):
@@ -442,12 +450,16 @@ def synthesize(config: SynthConfig) -> CohortStore:
 
 
 def _draw_visit_count(rng: np.random.Generator, max_visits: int) -> int:
+    import numpy as np
+
     # log-uniform: many short sequences, a tail of long ones (as in clinic data)
     u = rng.uniform(0.0, np.log(max_visits + 1.0))
     return int(np.clip(int(np.exp(u)), 1, max_visits))
 
 
 def _fill_visit(person, rng, config, day, latent, pain_bias) -> None:
+    import numpy as np
+
     def noisy(scale: float) -> float:
         return float(np.clip(latent + rng.normal(0.0, scale), 0.0, 1.0))
 

@@ -387,8 +387,10 @@ class RecordWriter:
             append((person_id, day, source_id, *first_tail))
         rows.sort(key=_CANONICAL)
         quote = _quote
+        # a batch holds few persons, so each id is quoted once
+        quoted = {person_id: quote(person_id) for person_id in {row[0] for row in rows}}
         # prefix.join(("", row, ...)) puts the prefix before every row
-        self._fh.write("".join([f"{quote(person_id)},{day},{quote(source_id)},".join(tail)
+        self._fh.write("".join([f"{quoted[person_id]},{day},{quote(source_id)},".join(tail)
                                 for person_id, day, source_id, _, tail in rows]))
 
 
@@ -409,8 +411,9 @@ def records_to_csv(records: Iterable[QualifierRecord], path) -> None:
 
 def records_from_csv(path) -> list[QualifierRecord]:
     """Read a record CSV as written by ``records_to_csv``.  A malformed row,
-    a value outside [0, 4] or a reliability outside [0, 1] (nan included)
-    is a DataError naming the file and line."""
+    an empty person id, a value outside [0, 4] or a reliability outside
+    [0, 1] (nan included) is a DataError naming the file and line; a blank
+    row is skipped."""
     with reading(path, "record file", DataError) as fh:
         reader = csv.reader(fh)
         try:
@@ -421,17 +424,22 @@ def records_from_csv(path) -> list[QualifierRecord]:
             raise DataError(f"{path}: expected columns {RECORD_COLUMNS}, got {header}")
         records = []
         codes: dict[str, IcfCode] = {}  # few distinct codes occur, so each is parsed once
+        new_record = tuple.__new__  # QualifierRecord(...) without its Python-level __new__
         for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
             try:
-                person_id, day, source_id = row[0].strip(), int(row[1]), row[2].strip()
+                person_id = row[0].strip() if row else ""
+                if not person_id:
+                    # a row with a person id is not blank, so only these are tested
+                    if not "".join(row).strip():
+                        continue
+                    raise ValueError("empty person_id")
+                day, source_id = int(row[1]), row[2].strip()
                 text = row[3].strip()
                 code = codes.get(text)
                 if code is None:
                     code = codes[text] = parse_code(text)
-                record = QualifierRecord(person_id, day, source_id, code,
-                                         float(row[4]), float(row[5]))
+                record = new_record(QualifierRecord, (person_id, day, source_id, code,
+                                                      float(row[4]), float(row[5])))
             except (ValueError, IndexError, CodeParseError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             # the comparisons are False for nan, so nan is rejected too

@@ -32,6 +32,7 @@ from icfhi import (
     synthesize,
 )
 
+from icfhi.analysis import _median, _percentile, _split
 from icfhi.engine import evaluate_cohort
 
 from conftest import (
@@ -361,11 +362,41 @@ def test_boxplot_stats_match_numpy():
     evaluator = CohortEvaluator(store, default_rules())
     report = maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, GAMMA_THIRD_30))
     coeffs = np.array([c.coefficient for c in report.correlations])
-    assert report.boxplot.q1 == pytest.approx(float(np.percentile(coeffs, 25)), abs=1e-12)
-    assert report.boxplot.q3 == pytest.approx(float(np.percentile(coeffs, 75)), abs=1e-12)
-    assert report.boxplot.median == pytest.approx(float(np.median(coeffs)), abs=1e-12)
-    assert report.boxplot.whisker_low >= coeffs.min() - 1e-12
-    assert report.boxplot.whisker_high <= coeffs.max() + 1e-12
+    assert report.boxplot.q1 == float(np.percentile(coeffs, 25))
+    assert report.boxplot.q3 == float(np.percentile(coeffs, 75))
+    assert report.boxplot.median == float(np.percentile(coeffs, 50))
+    assert report.median == float(np.median(coeffs))
+    assert report.boxplot.whisker_low >= coeffs.min()
+    assert report.boxplot.whisker_high <= coeffs.max()
+
+
+# analysis works out medians, quartiles and bins without numpy, to the float
+# as numpy does; numpy stays installed because synth draws with it
+_SAMPLES = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+    # many ties: a few distinct values, each repeated
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)),
+)
+
+
+@given(_SAMPLES)
+def test_median_is_numpys(values):
+    assert _median(values) == float(np.median(values))
+
+
+@given(_SAMPLES)
+def test_quartiles_are_numpys(values):
+    ordered = sorted(values)
+    assert [_percentile(ordered, p) for p in (25, 50, 75)] == \
+        [float(v) for v in np.percentile(np.array(values), [25, 50, 75])]
+
+
+def test_split_is_numpys_array_split():
+    for k in range(1, 13):
+        for n in range(k, 150):
+            assert _split(list(range(n)), k) == \
+                [c.tolist() for c in np.array_split(np.arange(n), k)]
 
 
 def test_hi_equals_the_trajectory_value():
@@ -456,6 +487,19 @@ def test_a_person_who_cannot_be_linked_is_kept_as_a_failure():
     assert failures == {"bad": str(raised.value)}
     assert others.precompute(good.person_ids, [make_spec()]) == {}
     assert evaluator._cache == others._cache
+
+
+def test_an_unknown_person_id_is_a_data_error():
+    # "eqvas_only" is in the store but has no linkable record, so has no index
+    good = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
+    eqvas_only = Person("eqvas_only", [], {0: 50.0})
+    evaluator = CohortEvaluator(CohortStore([eqvas_only, *good]), default_rules())
+    assert evaluator.hi("eqvas_only", 0, make_spec()) is None
+    with pytest.raises(DataError, match="unknown person id 'nobody'") as raised:
+        evaluator.hi("nobody", 0, make_spec())
+    failures = evaluator.precompute(["nobody", "eqvas_only", *good.person_ids], [make_spec()])
+    assert failures == {"nobody": str(raised.value)}
+    assert "nobody" not in {pid for pid, _, _, _ in evaluator._cache}
 
 
 def test_precompute_skips_a_failure_on_days_no_statistic_reads():

@@ -739,28 +739,58 @@ def test_index_starts_no_more_processes_than_persons(tmp_path, monkeypatch, pers
         assert len(list(csv.DictReader(fh))) == 2 * persons
 
 
-def _scipy_modules_after(*argv):
-    """The scipy modules a fresh interpreter holds after ``icfhi ARGV``."""
-    proc = run_python("-c", "import sys; from icfhi.cli import main; code = main(sys.argv[1:]); "
-                            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))",
-                      *argv)
+def _modules_after(package, *argv):
+    """The modules of ``package`` a fresh interpreter holds after ``icfhi ARGV``."""
+    proc = run_python("-c", "import sys; from icfhi.cli import main; code = main(sys.argv[2:]); "
+                            "print(code, sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == sys.argv[1]))",
+                      package, *argv)
     assert proc.returncode == 0, proc.stderr
     code, modules = proc.stdout.strip().splitlines()[-1].split(" ", 1)
     assert code == "0", proc.stderr
     return modules
 
 
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only synth, and validate's p-values through scipy
+    proc = run_python("-c", "import sys, icfhi.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_link_index_profile_and_fit_weights_load_no_numpy(cohort_dir, tmp_path):
+    linked = tmp_path / "link"
+    assert _modules_after("numpy", "link", "--data", str(cohort_dir),
+                          "--out", str(linked)) == "[]"
+    for command in ("index", "profile"):
+        assert _modules_after("numpy", command, "--records", str(linked / "records.csv"),
+                              "--out", str(tmp_path / command)) == "[]"
+    assert _modules_after("numpy", "fit-weights", "--y", "0.75,2,3.25") == "[]"
+
+
 def test_index_with_a_logarithmic_curve_loads_no_scipy(cohort_dir, tmp_path):
     assert run("link", "--data", str(cohort_dir), "--out", str(tmp_path / "link")) == 0
-    assert _scipy_modules_after("index", "--records", str(tmp_path / "link" / "records.csv"),
-                                "--out", str(tmp_path / "idx"), "--y", "3.25") == "[]"
+    assert _modules_after("scipy", "index", "--records", str(tmp_path / "link" / "records.csv"),
+                          "--out", str(tmp_path / "idx"), "--y", "3.25") == "[]"
 
 
 def test_validate_loads_no_scipy_optimize(cohort_dir, tmp_path):
-    modules = _scipy_modules_after("validate", "--data", str(cohort_dir),
-                                   "--out", str(tmp_path / "val"), "--groups", "30:5",
-                                   "--grid", "y=2,3.25;gamma=1")
+    modules = _modules_after("scipy", "validate", "--data", str(cohort_dir),
+                             "--out", str(tmp_path / "val"), "--groups", "30:5",
+                             "--grid", "y=2,3.25;gamma=1")
     assert "scipy.special" in modules and "scipy.optimize" not in modules
+    assert "scipy.stats" not in modules
+
+
+@pytest.mark.parametrize("command", ["index", "profile"])
+def test_a_record_without_person_id_is_data_error(tmp_path, capsys, command):
+    records = tmp_path / "records.csv"
+    records.write_text("person_id,day,source_id,code,value,reliability\n"
+                       "p,0,s1,b280,2,1\n"
+                       ",0,s1,b280,2,1\n")
+    assert run(command, "--records", str(records), "--out", str(tmp_path / "out")) == 3
+    assert f"{records}:3: empty person_id" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize("value, reliability", [("7", "1"), ("nan", "1"), ("2", "-1")])

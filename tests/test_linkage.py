@@ -468,6 +468,19 @@ def test_records_from_csv_accepts_range_ends(tmp_path):
         assert (record.value, record.reliability) == (float(value), float(reliability))
 
 
+@pytest.mark.parametrize("person_id", ["", " "])
+def test_records_from_csv_rejects_an_empty_person_id(tmp_path, person_id):
+    # the blank rows before it are skipped, so the error names line 5
+    path = tmp_path / "records.csv"
+    path.write_text("person_id,day,source_id,code,value,reliability\n"
+                    "p,0,s1,b280,2,1\n"
+                    "\n"
+                    " , ,,,,\n"
+                    f"{person_id},3,s3,b280,2,1\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:5: empty person_id")):
+        records_from_csv(path)
+
+
 # the bundled rules plus an affine map that keeps the sign of a zero answer:
 # -0.0 gives -0.0 and 0.0 gives 0.0, though the two compare equal
 SIGNED_ZERO_RULES = RuleSet([*default_rules(),
