@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -27,7 +26,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import analysis, cohort, engine, linkage, weighting
+# analysis and cohort (and dataclasses with them) are imported by the commands
+# that use them, so that index, profile and fit-weights never load them
+from . import engine, linkage, weighting
 from .codes import build_tree
 from .errors import ConfigError, DataError, IcfHiError, reading, writing
 from .formatting import format_cell, write_csv as _write_csv  # perfbench traces the name
@@ -118,8 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="synthetic-cohort config JSON; the flags below override it")
     p.add_argument("--seed", type=int, help="random seed (default 42)")
     p.add_argument("--persons", type=int, help="number of persons (default 200)")
-    p.add_argument("--trend", choices=list(cohort.TRENDS),
-                   help="latent health trend (default improving)")
+    # SynthConfig checks the trend, so that building the parser never imports cohort
+    p.add_argument("--trend", help="latent health trend: improving (the default), "
+                                   "worsening, flat or mixed")
 
     p = sub.add_parser("fit-weights", help="print fitted curve parameters for y values")
     common(p)
@@ -207,9 +209,11 @@ def _listed(parse, what: str):
     return parse_list
 
 
-def _group(text: str) -> analysis.GroupSpec:
+def _group(text: str):
+    from .analysis import GroupSpec
+
     duration, _, length = text.partition(":")
-    return analysis.GroupSpec(int(duration), int(length))
+    return GroupSpec(int(duration), int(length))
 
 
 _parse_gammas = _listed(weighting.parse_gamma, "gamma")
@@ -257,6 +261,8 @@ def _parse_grid(text: str):
 # link
 
 def cmd_link(args) -> int:
+    from . import cohort
+
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
@@ -373,6 +379,8 @@ def cmd_profile(args) -> int:
 # validate
 
 def cmd_validate(args) -> int:
+    from . import analysis, cohort
+
     rules = _load_rules(args)
     store = cohort.ingest(_require(args, "data"))
     out = _out_dir(args)
@@ -394,6 +402,10 @@ def cmd_validate(args) -> int:
 # synth / fit-weights
 
 def cmd_synth(args) -> int:
+    import dataclasses
+
+    from . import cohort
+
     config = (cohort.load_synth_config(args.synth_config) if args.synth_config
               else cohort.SynthConfig())
     flags = {"seed": args.seed, "n_persons": args.persons, "trend": args.trend}

@@ -50,8 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,8 +65,7 @@ RAW_MIN, RAW_MAX = 0.0, 4.0
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class AttachedQualifier:
+class AttachedQualifier(NamedTuple):
     """One record's qualifier as an evaluation on some day sees it."""
 
     value: float
@@ -77,8 +75,7 @@ class AttachedQualifier:
     uniqueness: float = 1.0
 
 
-@dataclass(frozen=True)
-class NodeResult:
+class NodeResult(NamedTuple):
     """Calculated (x, alpha, r) triple of a node."""
 
     x: float
@@ -86,8 +83,7 @@ class NodeResult:
     reliability: float
 
 
-@dataclass(frozen=True)
-class NodeAudit:
+class NodeAudit(NamedTuple):
     """Per-node evaluation diagnostics: the normalized contribution weights."""
 
     code: str  # "" for the root
@@ -124,31 +120,24 @@ def scale_index(raw: float, min_raw: float = RAW_MIN, max_raw: float = RAW_MAX) 
     return nint(100.0 - 100.0 * (raw - min_raw) / (max_raw - min_raw))
 
 
-@dataclass(frozen=True)
-class RecordTable:
+class RecordTable(NamedTuple):
     """One person's records compiled against a tree.
 
     ``rows`` holds (day, node slot, fanout-key id, value, r) per record, in
     record order; ``keys`` maps a fanout-key id to its (parent slot, source
     id) pair.  ``nodes`` is the tree's bottom-up order cut down to the slots
     on the records' paths to the root, each with its children on those
-    paths: a node off them never gets a contribution.
+    paths: a node off them never gets a contribution.  ``days`` holds the
+    distinct record days in order and ``calculated`` the slots of ``nodes``,
+    which every day's weighing reads.
     """
 
     tree: IcfTree
     rows: tuple[tuple[int, int, int, float, float], ...]
     keys: tuple[tuple[int, str], ...]
     nodes: tuple[tuple[int, tuple[int, ...]], ...]
-
-    # derived once per table, for every day's weighing; kept in the
-    # instance __dict__, outside the fields
-    @cached_property
-    def _days(self) -> tuple[int, ...]:
-        return tuple(sorted({row[0] for row in self.rows}))
-
-    @cached_property
-    def _calculated(self) -> frozenset[int]:
-        return frozenset(slot for slot, _ in self.nodes)
+    days: tuple[int, ...]
+    calculated: frozenset[int]
 
 
 def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> RecordTable:
@@ -182,7 +171,9 @@ def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> Record
             slot = parent_slots[slot]
     nodes = tuple((slot, tuple(child for child in tree.child_slots[slot] if child in on_path))
                   for slot in tree.bottom_up if slot in on_path)
-    return RecordTable(tree, tuple(rows), tuple(keys), nodes)
+    return RecordTable(tree, tuple(rows), tuple(keys), nodes,
+                       tuple(sorted({row[0] for row in rows})),
+                       frozenset(slot for slot, _ in nodes))
 
 
 def _visible(table: RecordTable, day: int, gamma: float):
@@ -194,7 +185,7 @@ def _visible(table: RecordTable, day: int, gamma: float):
     fanout = [0] * len(table.keys)
     for row in visible:
         fanout[row[2]] += 1
-    alphas = {d: gamma ** (day - d) for d in table._days if d <= day}
+    alphas = {d: gamma ** (day - d) for d in table.days if d <= day}
     return visible, alphas, fanout
 
 
@@ -314,7 +305,7 @@ def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
         return None
     # a calculated node's qualifiers are direct, with weight alpha*r; a
     # leaf's flow into its parent with weight alpha*r*u
-    calculated = table._calculated
+    calculated = table.calculated
     direct: defaultdict[int, list[tuple]] = defaultdict(list)
     as_leaf: defaultdict[int, list[tuple]] = defaultdict(list)
     for d, slot, key, value, r in visible:

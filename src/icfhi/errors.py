@@ -7,6 +7,7 @@ distinct exit codes.  ``reading`` opens every file read from outside,
 ``writing`` every file the package writes.
 """
 
+import codecs
 import contextlib
 import csv
 import json
@@ -50,12 +51,16 @@ class InsufficientDataError(DataError):
 
 @contextlib.contextmanager
 def reading(path, what: str, error: type[IcfHiError]):
-    """Open ``path`` as UTF-8 text for csv or json; a failure to read it, in
-    the block too, is one ``error``: ``<what> not found: <path>``, or
-    ``cannot read <what> <path>: <reason>`` for a directory, no permission,
+    """Open ``path`` as UTF-8 text for csv or json, past one leading byte-order
+    mark (a spreadsheet's "CSV UTF-8" export starts with one); a failure to
+    read it, in the block too, is one ``error``: ``<what> not found: <path>``,
+    or ``cannot read <what> <path>: <reason>`` for a directory, no permission,
     bytes that are not UTF-8, a CSV field over csv's limit or invalid JSON."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            # peeked here: the utf-8-sig codec would slow the decoding of every row
+            if fh.buffer.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+                fh.read(1)
             yield fh
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None

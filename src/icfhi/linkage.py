@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from importlib import resources
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
@@ -45,8 +43,7 @@ def _require_int(answer, what: str) -> int:
 # ---------------------------------------------------------------------------
 # value translations as configurable objects
 
-@dataclass(frozen=True)
-class DiscreteMap:
+class DiscreteMap(NamedTuple):
     """Integer answers through an explicit answer -> qualifier table."""
 
     mapping: Mapping[int, float]
@@ -59,8 +56,7 @@ class DiscreteMap:
         return float(self.mapping[answer])
 
 
-@dataclass(frozen=True)
-class IntervalMap:
+class IntervalMap(NamedTuple):
     """Real answers through ordered intervals; the first interval is closed
     at its low end, later ones are half-open (low, high]."""
 
@@ -82,8 +78,7 @@ class IntervalMap:
         raise AssertionError("unreachable: breaks cover the domain")
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """Qualifier = scale*answer + offset over a declared input domain."""
 
     scale: float
@@ -141,9 +136,9 @@ def translation_from_json(obj: dict) -> ValueTranslation:
 # ---------------------------------------------------------------------------
 # rules
 
-@dataclass(frozen=True)
-class LinkageRule:
-    """One source item's mapping onto ICF codes, with linkage reliability."""
+class LinkageRule(NamedTuple):
+    """One source item's mapping onto ICF codes, with linkage reliability;
+    checked when a ``RuleSet`` admits it (``_check_rule``)."""
 
     source_item_id: str
     targets: tuple[IcfCode, ...]
@@ -151,21 +146,24 @@ class LinkageRule:
     reliability: float
     validation_only: bool = False
 
-    def __post_init__(self):
-        if not self.validation_only:
-            if not self.targets:
-                raise ConfigError(f"rule {self.source_item_id!r} has no target codes")
-            if self.translation is None:
-                raise ConfigError(f"rule {self.source_item_id!r} has no translation")
-            for out in _translation_outputs(self.translation):
-                if not QUALIFIER_MIN <= out <= QUALIFIER_MAX:
-                    raise ConfigError(
-                        f"rule {self.source_item_id!r} can emit qualifier {out} outside [0, 4]"
-                    )
-        if not 0.0 <= self.reliability <= 1.0:
-            raise ConfigError(
-                f"rule {self.source_item_id!r} reliability {self.reliability} outside [0, 1]"
-            )
+
+def _check_rule(rule: LinkageRule) -> None:
+    """A rule that links must have target codes and a translation whose
+    every output lies in [0, 4]; every rule a reliability in [0, 1]."""
+    if not rule.validation_only:
+        if not rule.targets:
+            raise ConfigError(f"rule {rule.source_item_id!r} has no target codes")
+        if rule.translation is None:
+            raise ConfigError(f"rule {rule.source_item_id!r} has no translation")
+        for out in _translation_outputs(rule.translation):
+            if not QUALIFIER_MIN <= out <= QUALIFIER_MAX:
+                raise ConfigError(
+                    f"rule {rule.source_item_id!r} can emit qualifier {out} outside [0, 4]"
+                )
+    if not 0.0 <= rule.reliability <= 1.0:
+        raise ConfigError(
+            f"rule {rule.source_item_id!r} reliability {rule.reliability} outside [0, 1]"
+        )
 
 
 class QualifierRecord(NamedTuple):
@@ -185,19 +183,21 @@ class QualifierRecord(NamedTuple):
 class RuleSet:
     """Linkage rules keyed by source item id (``instrument:item``).
 
-    The rules never change after construction.  The set also owns the
-    cache through which ``link_answers`` looks up a rule and translates an
-    answer once per distinct (instrument, item, value).  Its key is the
-    answer's (instrument, item, type of value, value), with the repr of a
-    zero value in place of the zero; its entry the link's (targets,
-    qualifier value, reliability), or ``()`` for a validation-only source.
-    Only answers that link are kept, so one that fails raises its own
-    error each time, and the cache grows with the number of distinct
-    (instrument, item, value) keys linked."""
+    Construction checks each rule (``_check_rule``) and rejects a second
+    rule for one source item; the rules never change after it.  The set
+    also owns the cache through which ``link_answers`` looks up a rule and
+    translates an answer once per distinct (instrument, item, value).  Its
+    key is the answer's (instrument, item, type of value, value), with the
+    repr of a zero value in place of the zero; its entry the link's
+    (targets, qualifier value, reliability), or ``()`` for a
+    validation-only source.  Only answers that link are kept, so one that
+    fails raises its own error each time, and the cache grows with the
+    number of distinct (instrument, item, value) keys linked."""
 
     def __init__(self, rules: Iterable[LinkageRule]):
         self._rules: dict[str, LinkageRule] = {}
         for rule in rules:
+            _check_rule(rule)
             if rule.source_item_id in self._rules:
                 raise ConfigError(f"duplicate rule for source item {rule.source_item_id!r}")
             self._rules[rule.source_item_id] = rule
@@ -254,6 +254,8 @@ def load_rules(path) -> RuleSet:
 
 def default_rules() -> RuleSet:
     """The bundled rule set for the four development instruments."""
+    from importlib import resources  # imported here: only the bundled rules need it
+
     text = resources.files("icfhi").joinpath("data/default_rules.json").read_text("utf-8")
     return RuleSet.from_json(json.loads(text))
 
@@ -441,7 +443,9 @@ def records_from_csv(path) -> list[QualifierRecord]:
                 record = new_record(QualifierRecord, (person_id, day, source_id, code,
                                                       float(row[4]), float(row[5])))
             except (ValueError, IndexError, CodeParseError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+                width = len(RECORD_COLUMNS)
+                reason = exc if len(row) >= width else f"expected {width} columns, got {len(row)}"
+                raise DataError(f"{path}:{lineno}: {reason}") from None
             # the comparisons are False for nan, so nan is rejected too
             if not QUALIFIER_MIN <= record.value <= QUALIFIER_MAX:
                 raise DataError(f"{path}:{lineno}: qualifier value {row[4].strip()!r} "

@@ -8,10 +8,9 @@ exponential for y in (0,2), the identity for y=2, logarithmic for y in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import lt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, FitError
 
@@ -23,8 +22,7 @@ _FIT_TOL = 1e-9
 _EDGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(NamedTuple):
     """Fitted value-weighting curve: a*exp(b*x)+c, identity, or a*ln(b*x+1)."""
 
     kind: str  # "exponential" | "linear" | "logarithmic"
@@ -33,8 +31,7 @@ class CurveParams:
     c: float = 0.0
 
 
-@dataclass(frozen=True)
-class WeightingSpec:
+class WeightingSpec(NamedTuple):
     """Tuning parameter y, its fitted curve, and the time-decay constant gamma."""
 
     y: float

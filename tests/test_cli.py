@@ -1,7 +1,9 @@
+import codecs
 import csv
 import hashlib
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -491,6 +493,42 @@ def test_unreadable_outside_input_exits_with_one_line_naming_it(tmp_path, capsys
     _assert_one_line(capsys, prefix + "cannot read ", str(path))
 
 
+def test_a_byte_order_mark_opening_an_outside_input_is_skipped(cohort_dir, tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with one
+    def with_bom(path):
+        marked = path.with_name("bom_" + path.name)
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return marked
+
+    bom_cohort = tmp_path / "bom_cohort"
+    shutil.copytree(cohort_dir, bom_cohort)
+    for name in ("answers.csv", "eqvas.csv", "persons.csv"):
+        (bom_cohort / name).write_bytes(codecs.BOM_UTF8 + (cohort_dir / name).read_bytes())
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(default_rules_json()))
+    for data, rules_file, out in ((cohort_dir, rules, "linked"),
+                                  (bom_cohort, with_bom(rules), "bom_linked")):
+        assert run("link", "--data", str(data), "--rules", str(rules_file),
+                   "--out", str(tmp_path / out)) == 0
+    for name in ("records.csv", "code_counts.csv"):
+        assert read(tmp_path / "linked" / name) == read(tmp_path / "bom_linked" / name)
+
+    records = tmp_path / "linked" / "records.csv"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"index": {"gamma": "1/20@30", "y": 3.25}}))
+    for records_file, config_file, out in ((records, config, "indexed"),
+                                           (with_bom(records), with_bom(config), "bom_indexed")):
+        assert run("index", "--records", str(records_file), "--config", str(config_file),
+                   "--out", str(tmp_path / out)) == 0
+    assert read(tmp_path / "indexed" / "index.csv") == read(tmp_path / "bom_indexed" / "index.csv")
+
+    synth_config = tmp_path / "synth.json"
+    synth_config.write_text(json.dumps({"seed": 9, "n_persons": 5}))
+    for config_file, out in ((synth_config, "synth"), (with_bom(synth_config), "bom_synth")):
+        assert run("synth", "--synth-config", str(config_file), "--out", str(tmp_path / out)) == 0
+    assert read(tmp_path / "synth" / "answers.csv") == read(tmp_path / "bom_synth" / "answers.csv")
+
+
 @pytest.mark.parametrize("option, content, named", [
     ("--rules", {"reliability": "high"}, "'unrated:item'"),
     ("--rules", {"validation_only": True, "reliability": "high"}, "'unrated:item'"),
@@ -656,6 +694,13 @@ RECORDS_HEADER = CSV_HEADERS["records.csv"]
      {"cohort/answers.csv": "person_id,day,instrument,item,value\np1,0,pain_vas,back,5\n",
       "cohort/persons.csv": "pid\np1\n"}, 3,
      "error (data): {tmp}/cohort/persons.csv: expected a person_id column; got ['pid']"),
+    (["profile", "--records", "{tmp}/records.csv"],
+     {"records.csv": RECORDS_HEADER + "p,0,s,b280,2,1\np,1,s,b280\n"}, 3,
+     "error (data): {tmp}/records.csv:3: expected 6 columns, got 4"),
+    # SynthConfig checks the trend, argparse does not
+    (["synth", "--trend", "bogus"], {}, 2,
+     "error (configuration): trend must be one of ('improving', 'worsening', 'flat', 'mixed'), "
+     "got 'bogus'"),
 ])
 def test_exit_code_and_its_one_stderr_line(tmp_path, capsys, argv, files, code, line):
     (tmp_path / "answers.csv").write_text(ANSWERS_HEADER + "p1,0,pain_vas,back,5\n")
@@ -751,21 +796,43 @@ def _modules_after(package, *argv):
     return modules
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy serves only synth, and validate's p-values through scipy
-    proc = run_python("-c", "import sys, icfhi.cli; print('numpy' in sys.modules)")
+# modules that index, profile and fit-weights never run: numpy serves only
+# synth, scipy validate's p-values, and analysis and cohort would bring
+# dataclasses, logging and datetime with them
+NOT_FOR_RECORDS = ("icfhi.analysis", "icfhi.cohort", "dataclasses", "numpy", "scipy")
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text(RECORDS_HEADER + "p,0,s1,b280,2,1\np,3,s2,b28010,1,0.8\n")
+    (tmp_path / "cohort").mkdir()
+    (tmp_path / "cohort" / "answers.csv").write_text(ANSWERS_HEADER + "p1,0,pain_vas,back,5\n")
+    proc = run_python("-c", f"""if True:
+        import sys
+        from icfhi.cli import main
+        loaded = lambda: print(sorted(m for m in {NOT_FOR_RECORDS!r} if m in sys.modules))
+        loaded()
+        for command in ("index", "profile"):
+            assert main([command, "--records", {str(records)!r},
+                         "--out", {str(tmp_path / "out")!r}]) == 0
+        assert main(["fit-weights", "--y", "0.75,2,3.25"]) == 0
+        loaded()
+        assert main(["link", "--data", {str(tmp_path / "cohort")!r},
+                     "--out", {str(tmp_path / "linked")!r}]) == 0
+        loaded()
+    """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # link reads a cohort, but neither validates it nor draws one: no numpy
+    assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == [
+        "[]", "[]", "['dataclasses', 'icfhi.cohort']"]
 
 
-def test_link_index_profile_and_fit_weights_load_no_numpy(cohort_dir, tmp_path):
-    linked = tmp_path / "link"
-    assert _modules_after("numpy", "link", "--data", str(cohort_dir),
-                          "--out", str(linked)) == "[]"
-    for command in ("index", "profile"):
-        assert _modules_after("numpy", command, "--records", str(linked / "records.csv"),
-                              "--out", str(tmp_path / command)) == "[]"
-    assert _modules_after("numpy", "fit-weights", "--y", "0.75,2,3.25") == "[]"
+def test_the_trend_help_names_every_trend(capsys):
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for trend in icfhi.cohort.TRENDS:
+        assert trend in help_text
 
 
 def test_index_with_a_logarithmic_curve_loads_no_scipy(cohort_dir, tmp_path):

@@ -259,6 +259,31 @@ def test_rule_validation_rejects_bad_interval_breaks(tmp_path):
         load_rules(path)
 
 
+B280 = (parse_code("b280"),)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (LinkageRule("x:y", (), AffineMap(1.0, 0.0, (0.0, 4.0)), 1.0),
+     "rule 'x:y' has no target codes"),
+    (LinkageRule("x:y", B280, None, 1.0), "rule 'x:y' has no translation"),
+    (LinkageRule("x:y", B280, AffineMap(2.0, 0.0, (0.0, 4.0)), 1.0),
+     "rule 'x:y' can emit qualifier 8.0 outside [0, 4]"),
+    (LinkageRule("x:y", B280, AffineMap(1.0, 0.0, (0.0, 4.0)), 1.5),
+     "rule 'x:y' reliability 1.5 outside [0, 1]"),
+    (LinkageRule("x:y", (), None, -0.5, validation_only=True),
+     "rule 'x:y' reliability -0.5 outside [0, 1]"),
+])
+def test_rule_set_checks_each_rule_it_admits(rule, message):
+    # a LinkageRule is a named tuple: it is checked when a RuleSet admits it
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RuleSet([*default_rules(), rule])
+
+
+def test_rule_set_admits_a_validation_only_rule_without_targets_or_translation():
+    rules = RuleSet([LinkageRule("x:y", (), None, 0.0, validation_only=True)])
+    assert rules.reliabilities() == {}
+
+
 def test_custom_reliability_flows_to_records(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps({"rules": [{
@@ -478,6 +503,15 @@ def test_records_from_csv_rejects_an_empty_person_id(tmp_path, person_id):
                     " , ,,,,\n"
                     f"{person_id},3,s3,b280,2,1\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:5: empty person_id")):
+        records_from_csv(path)
+
+
+def test_records_from_csv_names_the_columns_of_a_short_row(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("person_id,day,source_id,code,value,reliability\n"
+                    "p,0,s1,b280,2,1\n"
+                    "p,1,s2,b280\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: expected 6 columns, got 4')}$"):
         records_from_csv(path)
 
 
