@@ -244,14 +244,13 @@ class CohortEvaluator:
                 self._check(pid)
             except DataError as exc:
                 failures[pid] = str(exc)
-        for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids)):
+        for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids), indices=True):
             if isinstance(outcome, IcfHiError):
                 failures[pid] = str(outcome)
                 continue
-            for spec, reports in zip(specs, outcome):
-                for day, report in reports:
-                    self._cache[(pid, day, spec.gamma, spec.y)] = (
-                        None if report is None else report.index)
+            for spec, values in zip(specs, outcome):
+                for day, value in values:
+                    self._cache[(pid, day, spec.gamma, spec.y)] = value
         return failures
 
 
@@ -492,9 +491,10 @@ def validate(store: CohortStore, rules: RuleSet, groups: Sequence[GroupSpec],
     """The validation protocol: per group and gamma at ``y``, the EQ-VAS
     correlation, maximum-pain summary and persons, and sequence bins; with
     a ``grid`` of (gammas, ys), a sweep row per group and cell.  A repeated
-    group or gamma counts once; a failed person is left out of every group."""
+    group, gamma or grid value counts once; a failed person is left out of
+    every group."""
     gammas, groups = list(dict.fromkeys(gammas)), list(dict.fromkeys(groups))
-    grid_gammas, grid_ys = grid or ((), ())
+    grid_gammas, grid_ys = (list(dict.fromkeys(axis)) for axis in grid or ((), ()))
     evaluator = CohortEvaluator(store, rules)
     members = form_groups(store, groups)
     specs = [make_spec(y, gamma) for gamma in gammas]
@@ -541,4 +541,4 @@ def validate(store: CohortStore, rules: RuleSet, groups: Sequence[GroupSpec],
     return Validation(tables, failures, warnings, dict(
         alpha=alpha, gammas=gammas, y=y, groups={g.label: len(members[g]) for g in groups},
         persons=len(store), reliabilities=rules.reliabilities(),
-        grid=None if grid is None else {"gamma": grid[0], "y": grid[1]}))
+        grid=None if grid is None else {"gamma": grid_gammas, "y": grid_ys}))

@@ -24,12 +24,15 @@ A node's normalized weights come from alpha, r and u alone, never from a
 value, and only the values depend on the curve parameter y.  So a day is
 evaluated in two steps.  The weight plan (``_plan``) depends on the day and
 gamma: the visible rows, alpha per record day, the fanout u, and per
-calculated node its normalized weights, its record values, the children
-whose values fill in, and its alpha and r.  The value pass (``_score``)
-depends on y: bottom-up, each node's value is the curve at the weighted
-mean of its values.  One plan serves every y of its gamma.  When every
-weight at a node is zero or subnormal because old time weights underflowed,
-the node is weighed again from log time weights, (day - d)*log(gamma).
+calculated node its normalized weights, its alpha and r, and its weighted
+mean of values, which is the same under every y unless a calculated
+child's value fills in; then the plan keeps the values and those
+children.  The value pass (``_score``) depends on y: bottom-up, each
+node's value is the curve at its weighted mean, summed in the pass only at
+a node with a calculated child.  One plan serves every y of its gamma.
+When every weight at a node is zero or subnormal because old time weights
+underflowed, the node is weighed again from log time weights,
+(day - d)*log(gamma).
 
 There is one way to evaluate: ``compile_records`` once per person and
 tree, then one ``evaluate_table`` call for any days and any number of
@@ -57,7 +60,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .codes import ROOT_SLOT, IcfCode, IcfTree
 from .errors import EvaluationError, IcfHiError
 from .linkage import QUALIFIER_MAX, QUALIFIER_MIN, QualifierRecord
-from .weighting import WeightingSpec, apply_curve, normalize_weights
+from .weighting import WeightingSpec, curve_function, normalize_weights
 
 RAW_MIN, RAW_MAX = 0.0, 4.0
 
@@ -275,12 +278,14 @@ class _Plan(NamedTuple):
     """What one day's evaluation under one gamma needs beyond y.
 
     ``steps`` holds one (slot, normalized weights, values, fills, alpha, r)
-    per calculated node in bottom-up order: ``values`` are the
-    contribution values, with 0.0 where a calculated child's value goes,
-    and ``fills`` the (position, child slot) of each such child.
-    ``components`` holds (component, slot, bare) per scored component in
-    the order of the tree, where ``bare`` is the (normalized weights,
-    values) of a component with data on the bare letter alone, else None.
+    per calculated node in bottom-up order, where ``fills`` holds the
+    (position, child slot) of each calculated child.  Without fills,
+    ``values`` is the node's weighted mean, the same under every y; with
+    them, it is the contribution values, with 0.0 where a calculated
+    child's value goes.  ``components`` holds (component, slot, bare) per
+    scored component in the order of the tree, where ``bare`` is the
+    weighted mean of a component with data on the bare letter alone, else
+    None.
     Nothing in a plan is changed after ``_plan`` returns it.
     """
 
@@ -332,6 +337,8 @@ def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
             continue
         values, alphas_c, rels, weights = zip(*contributions)
         normed = _normalize(ctx, slot, children, weights)
+        if not fills:  # no value fills in, so the weighted mean is the same under every y
+            values = math.fsum(map(mul, normed, values))
         # convex combinations of values in [0, 1]; clip float dust at the ends
         steps[slot] = (slot, normed, values, fills or (),
                        min(max(math.fsum(map(mul, normed, alphas_c)), 0.0), 1.0),
@@ -346,7 +353,8 @@ def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
                 continue
             # data on the bare letter alone, with weight alpha*r
             values, alphas_c, rels, _ = zip(*as_leaf[child])
-            bare = (_normalize(ctx, child, (), list(map(mul, alphas_c, rels))), values)
+            normed = _normalize(ctx, child, (), list(map(mul, alphas_c, rels)))
+            bare = math.fsum(map(mul, normed, values))
         components.append((tree.slot_codes[child].component, child, bare))
     root = steps[ROOT_SLOT]  # every visible record reaches the root
     return _Plan(tree, tuple(steps.values()), tuple(components), root[4], root[5])
@@ -354,17 +362,20 @@ def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
 
 def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationReport:
     """The report of a plan under ``spec``, from the value pass: each
-    calculated node's value is the curve at the weighted mean of its
-    values, bottom-up from the plan's weights.  With ``audit`` the report
-    also carries every calculated node's weights and result."""
+    calculated node's value is the curve at its weighted mean, bottom-up.
+    The plan holds that mean, but for a node with calculated children,
+    whose values are filled in and weighed here.  With ``audit`` the
+    report also carries every calculated node's weights and result."""
+    curve = curve_function(spec.curve)
     xs = {}  # slot -> x
-    for slot, normed, values, fills, _, _ in plan.steps:
-        if fills:
-            values = list(values)
+    for slot, normed, mean, fills, _, _ in plan.steps:
+        if fills:  # the slot holds the values, with the children's still to fill in
+            values = list(mean)
             for i, child in fills:
                 values[i] = xs[child]
-        xs[slot] = apply_curve(spec, math.fsum(map(mul, normed, values)))
-    components = {comp: xs[slot] if bare is None else apply_curve(spec, math.fsum(map(mul, *bare)))
+            mean = math.fsum(map(mul, normed, values))
+        xs[slot] = curve(mean)
+    components = {comp: xs[slot] if bare is None else curve(bare)
                   for comp, slot, bare in plan.components}
     audits = None
     if audit:
@@ -411,29 +422,35 @@ def evaluate_table(
     return reports
 
 
-def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple):
-    """One person's (day, report or None) pairs per spec, or the error that
-    stopped the evaluation.  At module level and private, so that it
-    pickles as itself."""
+def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple, indices: bool = False):
+    """One person's (day, report or None) pairs per spec, with ``indices``
+    (day, index or None) pairs, or the error that stopped the evaluation.
+    At module level and private, so that it pickles as itself."""
     pid, table, days = job
     try:
-        return pid, evaluate_table(table, days, specs)
+        reports = evaluate_table(table, days, specs)
     except IcfHiError as exc:
         return pid, exc
+    if indices:
+        reports = [[(day, None if report is None else report.index) for day, report in pairs]
+                   for pairs in reports]
+    return pid, reports
 
 
 def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
                     specs: Sequence[WeightingSpec], workers: int,
-                    n_jobs: int | None = None) -> Iterator[tuple[str, list | IcfHiError]]:
+                    n_jobs: int | None = None, *,
+                    indices: bool = False) -> Iterator[tuple[str, list | IcfHiError]]:
     """Evaluate each (person id, table, days) job under every spec, in job
     order: (person id, reports per spec), or (person id, error) when the
     person's evaluation raises.  The reports are what ``evaluate_table``
-    returns for the job's table and days, without audits.  ``n_jobs`` is the number of jobs, by
-    default ``len(jobs)``.  One worker, or one job, takes one job at a time
-    from ``jobs`` in this process; otherwise a process pool of
-    min(workers, n_jobs) processes shares them out.  The results are the
-    same for any worker count."""
-    task = partial(_evaluate_job, tuple(specs))
+    returns for the job's table and days, without audits, or with
+    ``indices`` only their ``index``, so that a pool pickles back no more.
+    ``n_jobs`` is the number of jobs, by default ``len(jobs)``.  One
+    worker, or one job, takes one job at a time from ``jobs`` in this
+    process; otherwise a process pool of min(workers, n_jobs) processes
+    shares them out.  The results are the same for any worker count."""
+    task = partial(_evaluate_job, tuple(specs), indices=indices)
     workers = min(workers, len(jobs) if n_jobs is None else n_jobs)
     if workers <= 1:
         yield from map(task, jobs)

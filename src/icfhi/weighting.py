@@ -8,9 +8,10 @@ exponential for y in (0,2), the identity for y=2, logarithmic for y in
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import repeat
 from operator import lt
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, FitError
 
@@ -139,31 +140,40 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def _check_fit(params: CurveParams, y: float) -> None:
+    curve = curve_function(params)
     for x, want in ((0.0, 0.0), (2.0, y), (4.0, 4.0)):
-        got = _curve_value(params, x)
+        got = curve(x)
         if abs(got - want) > _FIT_TOL:
             raise FitError(
                 f"fitted {params.kind} curve misses constraint f({x})={want}: got {got!r}"
             )
 
 
-def _curve_value(params: CurveParams, x: float) -> float:
-    if params.kind == "linear":
-        return x
-    if params.kind == "exponential":
-        return params.a * math.exp(params.b * x) + params.c
-    if params.kind == "logarithmic":
-        return params.a * math.log(params.b * x + 1.0)
-    raise ConfigError(f"unknown curve kind {params.kind!r}")
+@lru_cache(maxsize=1024)
+def curve_function(params: CurveParams) -> Callable[[float], float]:
+    """The fitted curve as a function of x in [0, 4], resolved once per
+    curve: x within float dust beyond an end is clamped to it, x further
+    out is a ValueError."""
+    kind, a, b, c = params
+    formula = {"linear": lambda x: x,
+               "exponential": lambda x: a * math.exp(b * x) + c,
+               "logarithmic": lambda x: a * math.log(b * x + 1.0)}.get(kind)
+    if formula is None:
+        raise ConfigError(f"unknown curve kind {kind!r}")
+    low, high = X_MIN - _EDGE_TOL, X_MAX + _EDGE_TOL
+
+    def curve(x: float) -> float:
+        if x < low or x > high:
+            raise ValueError(f"curve input {x!r} outside [0, 4]")
+        # a conditional, not min(max(...)): this runs once per node and spec
+        return formula(X_MIN if x < X_MIN else X_MAX if x > X_MAX else x)
+
+    return curve
 
 
 def apply_curve(spec: "WeightingSpec | CurveParams", x: float) -> float:
     """Evaluate the fitted curve at x in [0, 4]."""
-    params = spec.curve if isinstance(spec, WeightingSpec) else spec
-    if x < X_MIN - _EDGE_TOL or x > X_MAX + _EDGE_TOL:
-        raise ValueError(f"curve input {x!r} outside [0, 4]")
-    x = min(max(x, X_MIN), X_MAX)
-    return _curve_value(params, x)
+    return curve_function(spec.curve if isinstance(spec, WeightingSpec) else spec)(x)
 
 
 def make_spec(y: float = LINEAR_Y, gamma: float = 1.0) -> WeightingSpec:

@@ -419,6 +419,20 @@ def test_hi_equals_the_trajectory_value():
                 assert evaluator.hi(person.person_id, day, spec) == want
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_cohort_indices_are_the_reports_indices(workers):
+    # what precompute's workers send back: the index of each report, or None
+    store = synthesize(SynthConfig(seed=5, n_persons=6, max_visits=6))
+    evaluator = CohortEvaluator(store, default_rules())
+    specs = [make_spec(y, gamma) for y in (0.75, 3.25) for gamma in (GAMMA_THIRD_30, 1.0)]
+    jobs = [(pid, table, [-1, *store.person(pid).days]) for pid, table in evaluator.tables.items()]
+    reports = list(evaluate_cohort(jobs, specs, workers))
+    assert list(evaluate_cohort(jobs, specs, workers, indices=True)) == [
+        (pid, [[(day, None if report is None else report.index) for day, report in pairs]
+               for pairs in per_spec])
+        for pid, per_spec in reports]
+
+
 def test_hi_across_gamma_switches_matches_a_fresh_evaluator():
     # the plans of one gamma are kept and dropped at the switch to another
     store = synthesize(SynthConfig(seed=5, n_persons=8, max_visits=6))

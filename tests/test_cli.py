@@ -325,6 +325,29 @@ def test_validate_repeated_groups_and_gammas_count_once(tmp_path):
         assert read(repeated / name) == read(once / name), name
 
 
+def test_validate_repeated_grid_values_count_once(tmp_path, capsys):
+    # a repeated grid y or gamma must not sweep, warn about or record a cell
+    # twice; at y = 3.8 the cell is undefined, so it warns
+    cohort = tmp_path / "cohort"
+    assert run(*synth_args(cohort, seed=42, persons=60)) == 0
+    once, repeated = tmp_path / "once", tmp_path / "repeated"
+    capsys.readouterr()
+    assert run("validate", "--data", str(cohort), "--out", str(once), "--groups", "30:5",
+               "--gamma", "1", "--grid", "y=2,3.8;gamma=1,1/3@30") == 0
+    err = capsys.readouterr().err
+    assert run("validate", "--data", str(cohort), "--out", str(repeated), "--groups", "30:5",
+               "--gamma", "1", "--grid", "y=2,3.8,2.0,3.8;gamma=1,1/3@30,1") == 0
+    assert capsys.readouterr().err == err and "y=3.8 is undefined" in err
+    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                 "sequence_bins.csv", "sweep.csv", "run_info.json"):
+        assert read(repeated / name) == read(once / name), name
+    # the library call counts 2 and 2.0 once as well
+    result = icfhi.validate(icfhi.ingest(cohort), icfhi.default_rules(),
+                            [icfhi.GroupSpec(30, 5)], [1.0], 2.0, grid=([1, 1.0], [2, 2.0, 3.8]))
+    assert [row[1:3] for row in result.tables["sweep"]] == [[1, 2], [1, 3.8]]
+    assert result.info["grid"] == {"gamma": [1], "y": [2, 3.8]}
+
+
 def test_validate_deterministic_across_runs_and_workers(tmp_path):
     cohort = tmp_path / "cohort"
     assert run(*synth_args(cohort, seed=42, persons=120)) == 0
@@ -1056,9 +1079,11 @@ GOLDEN_YS = ("0.75", "2", "3.25")
 
 
 def golden_outputs(work):
-    """Run synth (seed 42), link, index and profile at each of GOLDEN_YS and
-    validate --groups 30:5 under ``work``; the bytes of every file written
-    after synth, by path relative to ``work``."""
+    """Run synth (seed 42), link, index and profile at each of GOLDEN_YS,
+    validate --groups 30:5, and validate --groups 30:5 over a grid of every
+    GOLDEN_YS, so that each plan is scored under all three curve kinds,
+    under ``work``; the bytes of every file written after synth, by path
+    relative to ``work``."""
     cohort, linked = work / "cohort", work / "link"
     assert run(*synth_args(cohort, persons=GOLDEN_PERSONS)) == 0
     assert run("link", "--data", str(cohort), "--out", str(linked)) == 0
@@ -1068,6 +1093,8 @@ def golden_outputs(work):
                        "--out", str(work / f"{command}-y{y}"), "--y", y) == 0
     assert run("validate", "--data", str(cohort), "--out", str(work / "validate"),
                "--groups", "30:5") == 0
+    assert run("validate", "--data", str(cohort), "--out", str(work / "validate-grid"),
+               "--groups", "30:5", "--grid", f"y={','.join(GOLDEN_YS)};gamma=1/20@30,1") == 0
     return {path.relative_to(work).as_posix(): path.read_bytes()
             for path in sorted(work.rglob("*"))
             if path.is_file() and cohort not in path.parents}

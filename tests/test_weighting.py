@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from icfhi import (
     parse_gamma,
 )
 
-from icfhi.weighting import _brentq, _check_fit
+from icfhi.weighting import _brentq, _check_fit, curve_function
 
 from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, engine_alphas, run_python
 from oracle import bisect_log_fit
@@ -90,6 +92,58 @@ def test_apply_curve_domain():
         apply_curve(params, 4.5)
     # float dust from upstream weighted means is tolerated
     assert apply_curve(params, 4.0 + 1e-12) == 4.0
+
+
+# one y per curve kind, and y = 3.99, whose logarithmic curve has b near e^700;
+# fit_curve raises FitError for a y within about 1e-7 of 2
+CURVE_YS = (st.floats(min_value=0.01, max_value=2.0 - 1e-6) | st.just(2.0)
+            | st.floats(min_value=2.0 + 1e-6, max_value=3.99) | st.just(3.99))
+
+
+def _formula(params, x):
+    """The three curves as written: a*exp(b*x)+c, x, a*ln(b*x+1)."""
+    if params.kind == "exponential":
+        return params.a * math.exp(params.b * x) + params.c
+    if params.kind == "linear":
+        return x
+    return params.a * math.log(params.b * x + 1.0)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@given(CURVE_YS, st.floats(min_value=-2e-9, max_value=4.0 + 2e-9)
+       | st.sampled_from([0.0, -0.0, 4.0, -1e-9, 4.0 + 1e-9, math.nan]))
+def test_curve_function_is_the_formula_at_the_clamped_input(y, x):
+    # within 1e-9 of [0, 4] x is clamped to it; further out it is rejected
+    params = fit_curve(y)
+    curve = curve_function(params)
+    if x < -1e-9 or x > 4.0 + 1e-9:
+        message = re.escape(f"curve input {x!r} outside [0, 4]")
+        with pytest.raises(ValueError, match=message):
+            curve(x)
+        with pytest.raises(ValueError, match=message):
+            apply_curve(make_spec(y), x)
+        return
+    want = _bits(_formula(params, min(max(x, 0.0), 4.0)))
+    assert _bits(curve(x)) == want
+    assert _bits(apply_curve(params, x)) == _bits(apply_curve(make_spec(y), x)) == want
+
+
+@given(CURVE_YS, st.floats(max_value=-1.1e-9) | st.floats(min_value=4.0 + 1.1e-9))
+def test_curve_function_rejects_an_input_beyond_the_tolerance(y, x):
+    with pytest.raises(ValueError, match=re.escape(f"curve input {x!r} outside [0, 4]")):
+        curve_function(fit_curve(y))(x)
+
+
+def test_a_curve_that_misses_its_constraints_is_a_fit_error():
+    with pytest.raises(FitError, match=re.escape("misses constraint f(2.0)=1.0: got")):
+        _check_fit(CurveParams("exponential", a=1.0, b=1.0, c=-1.0), 1.0)
+    with pytest.raises(FitError, match="needs a curve parameter b beyond double precision"):
+        fit_curve(3.999)
+    with pytest.raises(ConfigError, match="unknown curve kind 'cubic'"):
+        apply_curve(CurveParams("cubic"), 1.0)
 
 
 def test_time_weight_reference_decays():
