@@ -234,17 +234,16 @@ class CohortEvaluator:
         The statistic days of a person are the days the statistics read:
         EQ-VAS days and pain days.  A person whose evaluation would fail
         only on another day is not reported."""
-        pids = [pid for pid in person_ids if pid in self.tables]
         jobs = ((pid, self.tables[pid],
                  sorted(set(self.store.person(pid).eqvas).union(self.max_pain[pid])))
-                for pid in pids)
+                for pid in person_ids if pid in self.tables)
         failures = {}
         for pid in person_ids:
             try:
                 self._check(pid)
             except DataError as exc:
                 failures[pid] = str(exc)
-        for pid, outcome in evaluate_cohort(jobs, specs, workers, len(pids), indices=True):
+        for pid, outcome in evaluate_cohort(jobs, specs, workers, indices=True):
             if isinstance(outcome, IcfHiError):
                 failures[pid] = str(outcome)
                 continue
@@ -311,11 +310,13 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     index trajectory on the same days, Bonferroni-corrected at alpha/n.
 
     Persons with fewer than three pain days are not eligible; persons whose
-    index (or pain) trajectory is constant are omitted and counted.
+    index (or pain) trajectory is constant are omitted and counted.  An
+    unknown person id is a DataError, as in ``eqvas_vs_hi``.
     """
     raw: list[tuple[str, int, float, float]] = []
     omitted = 0
     for pid in person_ids:
+        evaluator.store.person(pid)  # the DataError of an unknown person id
         pain = evaluator.max_pain[pid]
         if len(pain) < 3:
             continue

@@ -29,7 +29,7 @@ from pathlib import Path
 # analysis and cohort (and dataclasses with them) are imported by the commands
 # that use them, so that index, profile and fit-weights never load them
 from . import engine, linkage, weighting
-from .codes import build_tree
+from .codes import COMPONENTS, QUALIFIER_MAX, QUALIFIER_MIN, build_tree
 from .errors import ConfigError, DataError, IcfHiError, reading, writing
 from .formatting import format_cell, write_csv as _write_csv  # perfbench traces the name
 
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gamma", type=_parse_gammas, default=gamma,
                            help="time decay: value or FRACTION@DAYS, comma list allowed")
         if "y" in names:
-            p.add_argument("--y", type=float, default=2.0,
+            p.add_argument("--y", type=float, default=weighting.LINEAR_Y,
                            help="value-weighting tuning parameter in (0,4)")
         if "workers" in names:
             p.add_argument("--workers", type=_workers, default=1,
@@ -320,10 +320,10 @@ def _evaluate_records(args, header, table) -> int:
     tree = build_tree({r.code for r in records})
     spec = weighting.make_spec(args.y, args.gamma[0])
     # compiled here, one person at a time, so that a worker gets a table
-    jobs = ((pid, engine.compile_records(tree, recs), sorted({r.day for r in recs}))
-            for pid, recs in sorted(by_person.items()))
+    tables = ((pid, engine.compile_records(tree, recs)) for pid, recs in sorted(by_person.items()))
+    jobs = ((pid, table, table.days) for pid, table in tables)
     results, failures = [], {}
-    for pid, outcome in engine.evaluate_cohort(jobs, [spec], args.workers, len(by_person)):
+    for pid, outcome in engine.evaluate_cohort(jobs, [spec], args.workers):
         if isinstance(outcome, IcfHiError):
             failures[pid] = str(outcome)
         else:
@@ -343,7 +343,7 @@ def _report_failures(failures: dict[str, str]) -> None:
 
 def cmd_index(args) -> int:
     def table(results):
-        lo, hi = 0.0, 4.0
+        lo, hi = QUALIFIER_MIN, QUALIFIER_MAX
         if args.scaling == "empirical":
             raws = [report.raw for _, reports in results for _, report in reports]
             if not raws:
@@ -356,12 +356,12 @@ def cmd_index(args) -> int:
             for day, report in reports:
                 scores = {c: engine.scale_index(v, lo, hi) for c, v in report.components.items()}
                 index_rows.append([pid, day, engine.scale_index(report.raw, lo, hi), report.raw,
-                                   scores.get("b"), scores.get("d"), scores.get("e"),
-                                   scores.get("s"), report.alpha, report.reliability])
+                                   *map(scores.get, COMPONENTS), report.alpha,
+                                   report.reliability])
         return index_rows
 
-    return _evaluate_records(args, ["person_id", "day", "health_index", "raw", "score_b",
-                                    "score_d", "score_e", "score_s", "alpha_root", "r_root"],
+    return _evaluate_records(args, ["person_id", "day", "health_index", "raw",
+                                    *[f"score_{c}" for c in COMPONENTS], "alpha_root", "r_root"],
                              table)
 
 

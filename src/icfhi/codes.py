@@ -8,6 +8,10 @@ prefix of it.  Trees contain only the codes observed in the input plus
 their ancestors, under one synthetic root.  A tree is nothing but integer
 slot tables: each code's slot, its parent and children by slot, and the
 bottom-up order in which the engine rolls values up.
+
+The module also owns the ICF qualifier scale, 0 to 4, which every other
+module reads: a qualifier, the value curve's input and output and the raw
+index all lie on it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from typing import Iterable, Iterator
 from .errors import CodeParseError, DataError
 
 COMPONENTS = ("b", "d", "e", "s")
+# the ICF qualifier scale, from 0 (no problem) to 4 (complete problem)
+QUALIFIER_MIN, QUALIFIER_MAX = 0.0, 4.0
 
 ROOT_LEVEL = -1
 ROOT_SLOT = 0

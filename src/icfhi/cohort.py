@@ -21,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, csv_header, reading
 from .formatting import write_csv
 
 if TYPE_CHECKING:
@@ -156,11 +156,10 @@ def _read_rows(path: Path, eqvas: bool):
     text.  A cell that cannot be parsed is not kept."""
     with reading(path, "EQ-VAS file" if eqvas else "answers file", DataError) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = csv_header(reader)
         if header is None:
             log.warning("input file %s is empty", path)
             return
-        header = [h.strip().lower() for h in header]
         day_name = next((h for h in header if h in _DAY_HEADERS), None)
         names = ("person_id", day_name, "value") if eqvas else \
             ("person_id", day_name, "value", "instrument", "item")
@@ -209,11 +208,11 @@ def _read_rows(path: Path, eqvas: bool):
 
 
 def _read_person_ids(path: Path) -> list[str]:
-    """The non-empty person ids of a persons CSV; its header is read as the
-    answers header is, stripped and lower-cased, and must name person_id."""
+    """The non-empty person ids of a persons CSV, whose header must name
+    person_id; none for an empty file or a blank first row."""
     with reading(path, "persons file", DataError) as fh:
         reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader, ())]
+        header = csv_header(reader)
         if not header:
             return []
         if "person_id" not in header:

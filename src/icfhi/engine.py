@@ -54,15 +54,14 @@ import math
 import sys
 from collections import defaultdict
 from functools import partial
+from itertools import chain, islice
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .codes import ROOT_SLOT, IcfCode, IcfTree
+from .codes import QUALIFIER_MAX, QUALIFIER_MIN, ROOT_SLOT, IcfCode, IcfTree
 from .errors import EvaluationError, IcfHiError
-from .linkage import QUALIFIER_MAX, QUALIFIER_MIN, QualifierRecord
+from .linkage import QualifierRecord
 from .weighting import WeightingSpec, curve_function, normalize_weights
-
-RAW_MIN, RAW_MAX = 0.0, 4.0
 
 # below it a float is subnormal and keeps fewer significant bits
 _SMALLEST_NORMAL = sys.float_info.min
@@ -116,7 +115,7 @@ def nint(value: float) -> int:
     return int(math.copysign(math.floor(abs(value) + 0.5), value))
 
 
-def scale_index(raw: float, min_raw: float = RAW_MIN, max_raw: float = RAW_MAX) -> int:
+def scale_index(raw: float, min_raw: float = QUALIFIER_MIN, max_raw: float = QUALIFIER_MAX) -> int:
     """Invert and scale a raw value onto the 0 (worst) - 100 (best) index."""
     if max_raw <= min_raw:
         raise EvaluationError(f"degenerate scaling bounds [{min_raw}, {max_raw}]")
@@ -438,25 +437,26 @@ def _evaluate_job(specs: Sequence[WeightingSpec], job: tuple, indices: bool = Fa
 
 
 def evaluate_cohort(jobs: Iterable[tuple[str, RecordTable, Sequence[int]]],
-                    specs: Sequence[WeightingSpec], workers: int,
-                    n_jobs: int | None = None, *,
+                    specs: Sequence[WeightingSpec], workers: int, *,
                     indices: bool = False) -> Iterator[tuple[str, list | IcfHiError]]:
     """Evaluate each (person id, table, days) job under every spec, in job
     order: (person id, reports per spec), or (person id, error) when the
     person's evaluation raises.  The reports are what ``evaluate_table``
     returns for the job's table and days, without audits, or with
     ``indices`` only their ``index``, so that a pool pickles back no more.
-    ``n_jobs`` is the number of jobs, by default ``len(jobs)``.  One
-    worker, or one job, takes one job at a time from ``jobs`` in this
-    process; otherwise a process pool of min(workers, n_jobs) processes
-    shares them out.  The results are the same for any worker count."""
+    ``jobs`` may be any iterable, a generator too: the first ``workers``
+    jobs are taken from it to size the pool.  One worker, or one job,
+    takes one job at a time in this process; otherwise a process pool of
+    min(workers, number of jobs) processes shares them out.  The results
+    are the same for any worker count."""
     task = partial(_evaluate_job, tuple(specs), indices=indices)
-    workers = min(workers, len(jobs) if n_jobs is None else n_jobs)
-    if workers <= 1:
-        yield from map(task, jobs)
+    jobs = iter(jobs)
+    first = list(islice(jobs, workers))
+    if len(first) <= 1:
+        yield from map(task, chain(first, jobs))
         return
     # imported here, so that a run in one process never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(task, jobs, chunksize=4)
+    with ProcessPoolExecutor(max_workers=len(first)) as pool:
+        yield from pool.map(task, chain(first, jobs), chunksize=4)

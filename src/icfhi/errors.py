@@ -4,7 +4,8 @@ Two CLI-facing categories exist: configuration problems (bad parameters,
 bad or unreadable settings files, unwritable outputs) and data problems
 (malformed, unreadable or inconsistent input data), which the CLI maps to
 distinct exit codes.  ``reading`` opens every file read from outside,
-``writing`` every file the package writes.
+``writing`` every file the package writes, and ``csv_header`` is the one
+rule by which a CSV file's header is read.
 """
 
 import codecs
@@ -66,6 +67,14 @@ def reading(path, what: str, error: type[IcfHiError]):
         raise error(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def csv_header(reader) -> "list[str] | None":
+    """The first row of a csv reader with each name stripped and
+    lower-cased, so that `` Person_ID `` names person_id; None for an
+    empty file."""
+    header = next(reader, None)
+    return None if header is None else [name.strip().lower() for name in header]
 
 
 @contextlib.contextmanager

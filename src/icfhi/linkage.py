@@ -21,14 +21,12 @@ import json
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .codes import IcfCode, parse_code
-from .errors import CodeParseError, ConfigError, DataError, reading, writing
+from .codes import QUALIFIER_MAX, QUALIFIER_MIN, IcfCode, parse_code
+from .errors import CodeParseError, ConfigError, DataError, csv_header, reading, writing
 from .formatting import format_cell
 
 if TYPE_CHECKING:
     from .cohort import RawAnswer
-
-QUALIFIER_MIN, QUALIFIER_MAX = 0.0, 4.0
 
 
 def _require_int(answer, what: str) -> int:
@@ -418,9 +416,8 @@ def records_from_csv(path) -> list[QualifierRecord]:
     row is skipped."""
     with reading(path, "record file", DataError) as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
+        header = csv_header(reader)
+        if header is None:
             return []
         if header != list(RECORD_COLUMNS):
             raise DataError(f"{path}: expected columns {RECORD_COLUMNS}, got {header}")

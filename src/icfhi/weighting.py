@@ -13,12 +13,15 @@ from itertools import repeat
 from operator import lt
 from typing import Callable, NamedTuple, Sequence
 
+from .codes import QUALIFIER_MAX, QUALIFIER_MIN
 from .errors import ConfigError, FitError
 
-X_MIN, X_MAX = 0.0, 4.0
 LINEAR_Y = 2.0
 
 _FIT_TOL = 1e-9
+# both fits lose their constraints to rounding within about 1e-7 of 2; a
+# failure this close to 2 is reported as such, with a margin
+_NEAR_LINEAR = 1e-6
 # tolerance for float dust on curve inputs produced by upstream arithmetic
 _EDGE_TOL = 1e-9
 
@@ -45,21 +48,29 @@ def fit_curve(y: float) -> CurveParams:
 
     The exponential branch has a closed form from the three constraints;
     the logarithmic branch solves a*ln(b*x+1) by bracketing root search
-    over b with a(b) = y/ln(2b+1).
+    over b with a(b) = y/ln(2b+1).  Within about 1e-7 of 2 both branches
+    lose the constraints to rounding; a y within 1e-6 of 2 that cannot be
+    fitted is one FitError that says to use 2.
     """
-    if not (0.0 < y < 4.0):
+    if not (QUALIFIER_MIN < y < QUALIFIER_MAX):
         raise ConfigError(f"curve tuning parameter y must lie in (0, 4), got {y}")
     if y == LINEAR_Y:
         return CurveParams("linear")
-    if y < LINEAR_Y:
-        # a*exp(2b)+c = y and a*exp(4b)+c = 4 with c = -a
-        t = 4.0 / y - 1.0
-        b = math.log(t) / 2.0
-        a = y / (t - 1.0)
-        params = CurveParams("exponential", a=a, b=b, c=-a)
-    else:
-        params = _fit_logarithmic(y)
-    _check_fit(params, y)
+    try:
+        if y < LINEAR_Y:
+            # a*exp(2b)+c = y and a*exp(4b)+c = 4 with c = -a
+            t = 4.0 / y - 1.0
+            b = math.log(t) / 2.0
+            a = y / (t - 1.0)
+            params = CurveParams("exponential", a=a, b=b, c=-a)
+        else:
+            params = _fit_logarithmic(y)
+        _check_fit(params, y)
+    except FitError:
+        if abs(y - LINEAR_Y) > _NEAR_LINEAR:
+            raise
+        raise FitError(f"curve tuning parameter y={y} is too close to 2 to fit in double "
+                       "precision; use 2") from None
     return params
 
 
@@ -160,13 +171,14 @@ def curve_function(params: CurveParams) -> Callable[[float], float]:
                "logarithmic": lambda x: a * math.log(b * x + 1.0)}.get(kind)
     if formula is None:
         raise ConfigError(f"unknown curve kind {kind!r}")
-    low, high = X_MIN - _EDGE_TOL, X_MAX + _EDGE_TOL
+    low, high = QUALIFIER_MIN - _EDGE_TOL, QUALIFIER_MAX + _EDGE_TOL
 
     def curve(x: float) -> float:
         if x < low or x > high:
             raise ValueError(f"curve input {x!r} outside [0, 4]")
         # a conditional, not min(max(...)): this runs once per node and spec
-        return formula(X_MIN if x < X_MIN else X_MAX if x > X_MAX else x)
+        return formula(QUALIFIER_MIN if x < QUALIFIER_MIN
+                       else QUALIFIER_MAX if x > QUALIFIER_MAX else x)
 
     return curve
 

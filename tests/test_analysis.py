@@ -433,6 +433,20 @@ def test_evaluate_cohort_indices_are_the_reports_indices(workers):
         for pid, per_spec in reports]
 
 
+def test_evaluate_cohort_sizes_its_pool_from_a_generator_of_jobs():
+    # the engine counts the jobs itself: a generator gives what a list gives,
+    # and one job stays in this process at any worker count
+    store = synthesize(SynthConfig(seed=5, n_persons=6, max_visits=6))
+    evaluator = CohortEvaluator(store, default_rules())
+    specs = [make_spec(0.75, GAMMA_THIRD_30), make_spec(3.25, 1.0)]
+    jobs = [(pid, table, table.days) for pid, table in evaluator.tables.items()]
+    for some in (jobs, jobs[:1]):
+        want = list(evaluate_cohort(some, specs, 1))
+        assert len(want) == len(some)
+        for workers in (1, 2):
+            assert list(evaluate_cohort((job for job in some), specs, workers)) == want
+
+
 def test_hi_across_gamma_switches_matches_a_fresh_evaluator():
     # the plans of one gamma are kept and dropped at the switch to another
     store = synthesize(SynthConfig(seed=5, n_persons=8, max_visits=6))
@@ -514,6 +528,17 @@ def test_an_unknown_person_id_is_a_data_error():
     failures = evaluator.precompute(["nobody", "eqvas_only", *good.person_ids], [make_spec()])
     assert failures == {"nobody": str(raised.value)}
     assert "nobody" not in {pid for pid, _, _, _ in evaluator._cache}
+
+
+def test_every_statistic_raises_the_data_error_of_an_unknown_person_id():
+    store = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
+    evaluator = CohortEvaluator(store, default_rules())
+    person_ids = [*store.person_ids, "nobody"]
+    for statistic in (eqvas_vs_hi, maxpain_vs_hi):
+        with pytest.raises(DataError, match="^unknown person id 'nobody'$"):
+            statistic(evaluator, person_ids, make_spec())
+    with pytest.raises(DataError, match="^unknown person id 'nobody'$"):
+        sweep(evaluator, person_ids, [1.0], [2.0])
 
 
 def test_precompute_skips_a_failure_on_days_no_statistic_reads():

@@ -506,6 +506,15 @@ def test_records_from_csv_rejects_an_empty_person_id(tmp_path, person_id):
         records_from_csv(path)
 
 
+def test_records_from_csv_reads_a_padded_upper_case_header_as_the_plain_one(tmp_path):
+    rows = "p,0,s1,b280,2,1\np,1,s2,b2801,3,0.5\n"
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("person_id,day,source_id,code,value,reliability\n" + rows)
+    padded.write_text(" Person_ID , DAY , Source_ID ,CODE, Value , RELIABILITY\n" + rows)
+    assert records_from_csv(padded) == records_from_csv(plain)
+    assert len(records_from_csv(plain)) == 2
+
+
 def test_records_from_csv_names_the_columns_of_a_short_row(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("person_id,day,source_id,code,value,reliability\n"

@@ -137,6 +137,19 @@ def test_curve_function_rejects_an_input_beyond_the_tolerance(y, x):
         curve_function(fit_curve(y))(x)
 
 
+@pytest.mark.parametrize("y", [2.0 + sign * 10.0 ** -k for k in range(4, 16) for sign in (1, -1)])
+def test_a_y_near_2_fits_or_is_too_close_to_fit(y):
+    # within about 1e-7 of 2 both fits lose their constraints to rounding
+    try:
+        params = fit_curve(y)
+    except FitError as exc:
+        assert str(exc) == (f"curve tuning parameter y={y} is too close to 2 to fit in double "
+                            "precision; use 2")
+    else:
+        for x, want in ((0.0, 0.0), (2.0, y), (4.0, 4.0)):
+            assert apply_curve(params, x) == pytest.approx(want, abs=FIT_TOL)
+
+
 def test_a_curve_that_misses_its_constraints_is_a_fit_error():
     with pytest.raises(FitError, match=re.escape("misses constraint f(2.0)=1.0: got")):
         _check_fit(CurveParams("exponential", a=1.0, b=1.0, c=-1.0), 1.0)
