@@ -174,8 +174,11 @@ class CohortEvaluator:
     person's records compiled against it and every person's maximum pain
     by day, and caches per (person, day, gamma, y) index evaluations.  The
     weight plans of one gamma at a time are kept per (person, day), so that
-    each y of that gamma only runs the value pass.  The ``DataError`` of a
-    person whose answers cannot be linked is kept in ``link_errors``."""
+    each y of that gamma only runs the value pass.  A plan keeps only what
+    that pass reads: a weighted mean per node without a calculated child,
+    the weights only of nodes with one, and the root's alpha and r; an
+    audit would weigh the day again.  The ``DataError`` of a person whose
+    answers cannot be linked is kept in ``link_errors``."""
 
     def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store

@@ -23,15 +23,18 @@ health index.
 A node's normalized weights come from alpha, r and u alone, never from a
 value, and only the values depend on the curve parameter y.  So a day is
 evaluated in two steps.  The weight plan (``_plan``) depends on the day and
-gamma: the visible rows, alpha per record day, the fanout u, and per
-calculated node its normalized weights, its alpha and r, and its weighted
-mean of values, which is the same under every y unless a calculated
-child's value fills in; then the plan keeps the values and those
-children.  The value pass (``_score``) depends on y: bottom-up, each
+gamma.  While it weighs, from the visible rows, alpha per record day and
+the fanout u, it holds each calculated node's normalized weights, alpha
+and r.  The plan it returns keeps only what the value pass reads: per
+calculated node without a calculated child its weighted mean of values,
+the same under every y, and per node with one its weights, contribution
+values and the positions its children's values fill, plus the root's
+alpha and r.  The value pass (``_score``) depends on y: bottom-up, each
 node's value is the curve at its weighted mean, summed in the pass only at
-a node with a calculated child.  One plan serves every y of its gamma.
-When every weight at a node is zero or subnormal because old time weights
-underflowed, the node is weighed again from log time weights,
+a node with a calculated child.  One plan serves every y of its gamma; an
+audit, which reports every node's weights, alpha and r, weighs the plan's
+day again.  When every weight at a node is zero or subnormal because old
+time weights underflowed, the node is weighed again from log time weights,
 (day - d)*log(gamma).
 
 There is one way to evaluate: ``compile_records`` once per person and
@@ -206,15 +209,17 @@ def qualifiers(table: RecordTable, day: int,
 
 
 class _Day(NamedTuple):
-    """One day's visible rows, fanouts and steps weighed so far under one
-    gamma: what ``_normalize`` reads when it has to work in log space."""
+    """One day's visible rows, fanouts and nodes weighed so far under one
+    gamma: what ``_normalize`` reads when it has to work in log space.
+    ``weighed`` maps each calculated node weighed so far to its
+    (normalized weights, alpha, r)."""
 
     table: RecordTable
     visible: list
     fanout: list
     day: int
     gamma: float
-    steps: dict
+    weighed: dict
 
 
 def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[float]):
@@ -242,15 +247,15 @@ def _log_terms(ctx: _Day, children_of: dict, slot: int, children: Sequence[int])
     """(log alpha, weight over alpha) of each contribution of a node, in the
     order ``_plan`` gives them: (day - d)*log(gamma) for a record, the
     logsumexp of its weighted contributions for a calculated child."""
-    _, visible, fanout, day, gamma, steps = ctx
+    _, visible, fanout, day, gamma, weighed = ctx
     log_gamma = math.log(gamma)
     terms = [((day - d) * log_gamma, r) for d, s, _, _, r in visible if s == slot]
     for child in children:
-        step = steps.get(child)
-        if step is not None:
+        node = weighed.get(child)
+        if node is not None:
             child_terms = _log_terms(ctx, children_of, child, children_of[child])
             terms.append((_logsumexp([math.log(w) + log_alpha for w, (log_alpha, _)
-                                      in zip(step[1], child_terms) if w > 0.0]), step[5]))
+                                      in zip(node[0], child_terms) if w > 0.0]), node[2]))
         else:
             terms += [((day - d) * log_gamma, r * (1.0 / fanout[key]))
                       for d, s, key, _, r in visible if s == child]
@@ -274,31 +279,44 @@ def _log_normalize(terms: list) -> list[float] | None:
 
 
 class _Plan(NamedTuple):
-    """What one day's evaluation under one gamma needs beyond y.
+    """What one day's evaluation under one gamma needs beyond y, and no more:
+    the value pass reads it all.
 
-    ``steps`` holds one (slot, normalized weights, values, fills, alpha, r)
-    per calculated node in bottom-up order, where ``fills`` holds the
+    ``steps`` holds one (slot, normalized weights, values, fills) per
+    calculated node in bottom-up order, where ``fills`` holds the
     (position, child slot) of each calculated child.  Without fills,
-    ``values`` is the node's weighted mean, the same under every y; with
-    them, it is the contribution values, with 0.0 where a calculated
-    child's value goes.  ``components`` holds (component, slot, bare) per
-    scored component in the order of the tree, where ``bare`` is the
-    weighted mean of a component with data on the bare letter alone, else
-    None.
+    ``values`` is the node's weighted mean, the same under every y, and the
+    weights are not kept (None); with them, it is the contribution values,
+    with 0.0 where a calculated child's value goes.  ``components`` holds
+    (component, slot, bare) per scored component in the order of the tree,
+    where ``bare`` is the weighted mean of a component with data on the
+    bare letter alone, else None.  ``alpha`` and ``reliability`` are the
+    root's; ``table``, ``day`` and ``gamma`` are what was weighed, so that
+    an audit can weigh it again.
     Nothing in a plan is changed after ``_plan`` returns it.
     """
 
-    tree: IcfTree
     steps: tuple
     components: tuple
     alpha: float
     reliability: float
+    table: RecordTable
+    day: int
+    gamma: float
 
 
 def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
     """Weigh the records visible on ``day`` under ``gamma``: everything an
     evaluation needs but the values of calculated nodes, which alone
-    depend on y.  None when no record is visible.
+    depend on y.  None when no record is visible."""
+    weighed = _weigh(table, day, gamma)
+    return None if weighed is None else weighed[1]
+
+
+def _weigh(table: RecordTable, day: int, gamma: float) -> tuple[dict, _Plan] | None:
+    """The weighing behind ``_plan``: each calculated node's (normalized
+    weights, alpha, r) by slot, in bottom-up order, and the plan.  None
+    when no record is visible.
 
     A node with children is calculated in the tree's bottom-up order; a
     leaf never is, its qualifiers flow into its parent.  A component with
@@ -319,44 +337,44 @@ def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
         else:
             u = 1.0 / fanout[key]
             as_leaf[slot].append((value, alpha, r, alpha * r * u))
-    # slot -> (slot, normed, values, fills, alpha, r), in bottom-up order
-    steps: dict[int, tuple] = {}
-    ctx = _Day(table, visible, fanout, day, gamma, steps)
+    weighed: dict[int, tuple] = {}  # slot -> (normed, alpha, r), in bottom-up order
+    steps = []
+    ctx = _Day(table, visible, fanout, day, gamma, weighed)
     for slot, children in table.nodes:
         contributions = direct.get(slot, [])
         fills = []
         for child in children:
-            step = steps.get(child)
-            if step is not None:
+            node = weighed.get(child)
+            if node is not None:
                 fills.append((len(contributions), child))
-                contributions.append((0.0, step[4], step[5], step[4] * step[5]))
+                contributions.append((0.0, node[1], node[2], node[1] * node[2]))
             elif child in as_leaf:
                 contributions += as_leaf[child]
         if not contributions:
             continue
         values, alphas_c, rels, weights = zip(*contributions)
         normed = _normalize(ctx, slot, children, weights)
-        if not fills:  # no value fills in, so the weighted mean is the same under every y
-            values = math.fsum(map(mul, normed, values))
+        if fills:
+            steps.append((slot, tuple(normed), values, tuple(fills)))
+        else:  # no value fills in, so the weighted mean is the same under every y
+            steps.append((slot, None, math.fsum(map(mul, normed, values)), ()))
         # convex combinations of values in [0, 1]; clip float dust at the ends
-        steps[slot] = (slot, normed, values, fills or (),
-                       min(max(math.fsum(map(mul, normed, alphas_c)), 0.0), 1.0),
-                       min(max(math.fsum(map(mul, normed, rels)), 0.0), 1.0))
+        weighed[slot] = (normed, min(max(math.fsum(map(mul, normed, alphas_c)), 0.0), 1.0),
+                         min(max(math.fsum(map(mul, normed, rels)), 0.0), 1.0))
 
-    tree = table.tree
     components = []
     for child in table.nodes[-1][1]:  # the components, in the order of the tree
         bare = None
-        if child not in steps:
+        if child not in weighed:
             if child not in as_leaf:
                 continue
             # data on the bare letter alone, with weight alpha*r
             values, alphas_c, rels, _ = zip(*as_leaf[child])
             normed = _normalize(ctx, child, (), list(map(mul, alphas_c, rels)))
             bare = math.fsum(map(mul, normed, values))
-        components.append((tree.slot_codes[child].component, child, bare))
-    root = steps[ROOT_SLOT]  # every visible record reaches the root
-    return _Plan(tree, tuple(steps.values()), tuple(components), root[4], root[5])
+        components.append((table.tree.slot_codes[child].component, child, bare))
+    _, alpha, r = weighed[ROOT_SLOT]  # every visible record reaches the root
+    return weighed, _Plan(tuple(steps), tuple(components), alpha, r, table, day, gamma)
 
 
 def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationReport:
@@ -364,10 +382,12 @@ def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationR
     calculated node's value is the curve at its weighted mean, bottom-up.
     The plan holds that mean, but for a node with calculated children,
     whose values are filled in and weighed here.  With ``audit`` the
-    report also carries every calculated node's weights and result."""
+    report also carries every calculated node's weights and result; the
+    plan keeps neither weights nor alpha and r below the root, so the
+    audit weighs the plan's day again, to the same floats."""
     curve = curve_function(spec.curve)
     xs = {}  # slot -> x
-    for slot, normed, mean, fills, _, _ in plan.steps:
+    for slot, normed, mean, fills in plan.steps:
         if fills:  # the slot holds the values, with the children's still to fill in
             values = list(mean)
             for i, child in fills:
@@ -378,11 +398,12 @@ def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationR
                   for comp, slot, bare in plan.components}
     audits = None
     if audit:
-        codes = plan.tree.slot_codes
+        weighed, _ = _weigh(plan.table, plan.day, plan.gamma)
+        codes = plan.table.tree.slot_codes
         audits = tuple(NodeAudit(code="" if slot == ROOT_SLOT else codes[slot],
                                  normalized_weights=tuple(normed),
                                  result=NodeResult(xs[slot], alpha, r))
-                       for slot, normed, _, _, alpha, r in plan.steps)
+                       for slot, (normed, alpha, r) in weighed.items())
     return EvaluationReport(xs[ROOT_SLOT], plan.alpha, plan.reliability, components, audits)
 
 

@@ -16,6 +16,7 @@ from icfhi import (
     evaluate_table,
     make_spec,
     nint,
+    normalize_weights,
     parse_code,
     parse_gamma,
     qualifiers,
@@ -282,6 +283,22 @@ def test_old_records_alone_keep_their_day_zero_raw(y):
                                           abs=1e-12)
 
 
+@pytest.mark.parametrize("y", [0.75, 2.0, 3.25])
+def test_audits_where_every_time_weight_underflows_keep_the_day_zero_weights(y):
+    # every time weight underflows at day 8000, so the audit weighs the day
+    # again from log time weights, as the plan was weighed
+    spec = make_spec(y, parse_gamma("1/20@30"))
+    records = _records(("b28010", 3, 0, 0.7, "a"), ("b28013", 1, 0, 0.9, "b"))
+    assert spec.gamma ** 8000 == 0.0
+    table = compile_records(build_tree({r.code for r in records}), records)
+    [[(_, new), (_, old)]] = evaluate_table(table, [0, 8000], [spec], audit=True)
+    assert [a.code for a in old.audits] == [a.code for a in new.audits]
+    for old_audit, new_audit in zip(old.audits, new.audits):
+        assert old_audit.normalized_weights == pytest.approx(new_audit.normalized_weights,
+                                                             abs=1e-12), old_audit.code
+    assert _score(_plan(table, 8000, spec.gamma), spec, audit=True) == old
+
+
 @pytest.mark.parametrize("day", [7300, 7379, 7409])
 def test_subnormal_time_weights_keep_the_day_zero_raw(day):
     # 20**(-day/30) is subnormal on these days: normalized as they are,
@@ -506,6 +523,36 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
                     assert report.raw == pytest.approx(raw, abs=1e-9), label
                     assert report.alpha == pytest.approx(alpha, abs=1e-9), label
                     assert report.reliability == pytest.approx(rel, abs=1e-9), label
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_audit_weights_of_nodes_without_calculated_children_come_from_the_qualifiers(seed):
+    # alpha*r for the node's own records, then alpha*r*u for each leaf
+    # child's records, in tree child order, normalized
+    persons, tree = _random_cohort(seed)
+    checked = 0
+    for records in persons:
+        table = compile_records(tree, records)
+        for gamma_text in KERNEL_GAMMAS:
+            gamma = parse_gamma(gamma_text)
+            for day in sorted({r.day for r in records}):
+                seen = qualifiers(table, day, gamma)
+                [[(_, report)]] = evaluate_table(table, [day], [make_spec(2.0, gamma)],
+                                                 audit=True)
+                calculated = {audit.code for audit in report.audits}
+                for audit in report.audits:
+                    children = [tree.slot_codes[child]
+                                for child in tree.child_slots[tree.slots[audit.code or None]]]
+                    if calculated.intersection(children):
+                        continue
+                    weights = [q.alpha * q.reliability for q in seen.get(audit.code, ())]
+                    for child in children:
+                        weights += [q.alpha * q.reliability * q.uniqueness
+                                    for q in seen.get(child, ())]
+                    assert list(audit.normalized_weights) == normalize_weights(weights), \
+                        f"seed {seed} day {day} {gamma_text} {audit.code}"
+                    checked += 1
+    assert checked > 0
 
 
 def test_cohort_job_groups_specs_by_gamma_in_spec_order():
