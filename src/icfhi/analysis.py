@@ -22,7 +22,8 @@ from typing import NamedTuple, Sequence
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import RecordTable, _Plan, _plan, _score, compile_records, evaluate_cohort
+from .engine import (RecordTable, _check_gamma, _Plan, _plan, _score, compile_records,
+                     evaluate_cohort)
 from .errors import DataError, IcfHiError, InsufficientDataError
 from .formatting import format_cell
 from .linkage import RuleSet, apply_rules
@@ -210,8 +211,8 @@ class CohortEvaluator:
     def hi(self, person_id: str, day: int, spec: WeightingSpec) -> "int | None":
         """Index value at ``day`` from records up to that day, None before the
         first or for a person without linkable records; raises a DataError
-        for an unknown person id, and the person's link error if their
-        answers cannot be linked."""
+        for an unknown person id, the person's link error if their answers
+        cannot be linked, and an EvaluationError for a gamma outside (0, 1]."""
         key = (person_id, day, spec.gamma, spec.y)
         if key not in self._cache:
             self._check(person_id)
@@ -219,6 +220,7 @@ class CohortEvaluator:
             plan = None
             if table is not None:
                 if spec.gamma != self._plans_gamma:
+                    _check_gamma(spec.gamma)
                     self._plans, self._plans_gamma = {}, spec.gamma
                 plan_key = (person_id, day)
                 if plan_key not in self._plans:

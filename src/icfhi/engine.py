@@ -1,13 +1,17 @@
 """Bottom-up health index evaluation over an ICF code tree.
 
 A person's records are compiled against a tree once: ``compile_records``
-turns each record into a row (day, node slot, fanout-key id, value, r) of
-the tree's integer slots, where the fanout key stands for the (parent slot,
-source id) pair.  Every evaluated day then works from these rows alone.  A
+groups them by the slot of their code, each record one row (day, value, r,
+fanout-key id) in record order, where the fanout key stands for the
+(parent slot, source id) pair.  Every evaluated day then takes, per node,
+the visible rows of the node and of its leaf children from these groups
+alone.  A
 record of age TE days carries the time weight alpha = gamma**TE, worked out
 once per distinct record day, and a source that feeds z visible qualifiers
 across the children of one parent gives each of them the uniqueness
-u = 1/z, counted over the records visible that day.
+u = 1/z, counted over the records visible that day.  When a source's
+records share one day, as those of every source that linkage makes do, u
+is fixed when the table is compiled; otherwise each day counts it.
 
 The roll-up runs from the deepest level to the synthetic root: a node with
 children aggregates its own (direct) qualifiers with weight alpha*r, the
@@ -23,13 +27,13 @@ health index.
 A node's normalized weights come from alpha, r and u alone, never from a
 value, and only the values depend on the curve parameter y.  So a day is
 evaluated in two steps.  The weight plan (``_plan``) depends on the day and
-gamma.  While it weighs, from the visible rows, alpha per record day and
-the fanout u, it holds each calculated node's normalized weights, alpha
-and r.  The plan it returns keeps only what the value pass reads: per
-calculated node without a calculated child its weighted mean of values,
-the same under every y, and per node with one its weights, contribution
-values and the positions its children's values fill, plus the root's
-alpha and r.  The value pass (``_score``) depends on y: bottom-up, each
+gamma.  While it weighs, taking from each group the rows of records
+visible that day, it holds each calculated node's normalized weights,
+alpha and r.  The plan it returns keeps only what the value pass reads:
+per calculated node without a calculated child its weighted mean of
+values, the same under every y, and per node with one its weights,
+contribution values and the positions its children's values fill, plus
+the root's alpha and r.  The value pass (``_score``) depends on y: bottom-up, each
 node's value is the curve at its weighted mean, summed in the pass only at
 a node with a calculated child.  One plan serves every y of its gamma; an
 audit, which reports every node's weights, alpha and r, weighs the plan's
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import defaultdict
 from functools import partial
 from itertools import chain, islice
@@ -126,23 +131,29 @@ def scale_index(raw: float, min_raw: float = QUALIFIER_MIN, max_raw: float = QUA
 
 
 class RecordTable(NamedTuple):
-    """One person's records compiled against a tree.
+    """One person's records compiled against a tree, grouped by code.
 
-    ``rows`` holds (day, node slot, fanout-key id, value, r) per record, in
-    record order; ``keys`` maps a fanout-key id to its (parent slot, source
-    id) pair.  ``nodes`` is the tree's bottom-up order cut down to the slots
-    on the records' paths to the root, each with its children on those
-    paths: a node off them never gets a contribution.  ``days`` holds the
-    distinct record days in order and ``calculated`` the slots of ``nodes``,
-    which every day's weighing reads.
+    ``nodes`` is the tree's bottom-up order cut down to the slots on the
+    records' paths to the root, each with its children on those paths: a
+    node off them never gets a contribution.  ``rows`` maps the slot of
+    each code with records to their rows in record order, one row (day,
+    value, r, key id) per record: a calculated node's rows are its own, a
+    leaf's flow into its parent.  The key id numbers the record's fanout
+    key, its (parent slot, source id) pair; ``sources`` holds each key's
+    source id and ``us`` its u = 1/z, where z counts the key's records.
+    ``spread`` holds a (key id, sorted days) pair per key whose records
+    span several days: its z grows with the day, so each evaluated day
+    counts those visible.  ``days`` holds the distinct record days in
+    order.
     """
 
     tree: IcfTree
-    rows: tuple[tuple[int, int, int, float, float], ...]
-    keys: tuple[tuple[int, str], ...]
     nodes: tuple[tuple[int, tuple[int, ...]], ...]
+    rows: dict[int, tuple[tuple[int, float, float, int], ...]]
     days: tuple[int, ...]
-    calculated: frozenset[int]
+    sources: tuple[str, ...]
+    us: tuple[float, ...]
+    spread: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> RecordTable:
@@ -150,9 +161,13 @@ def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> Record
     evaluations on any days and weighting specs.  A record whose code is not
     in the tree, whose value lies outside [0, 4] or whose reliability lies
     outside [0, 1] (nan included) is an EvaluationError."""
-    slots, parent_slots = tree.slots, tree.parent_slots
-    keys: dict[tuple[int, str], int] = {}
-    rows = []
+    slots, parent_slots, child_slots = tree.slots, tree.parent_slots, tree.child_slots
+    keys: dict[tuple[int, str], int] = {}  # fanout key -> its id
+    first = []  # per key id, the day of its first record
+    more: dict[int, int] = {}  # key id -> z, for each key with more than one record
+    spread = set()  # the ids of keys whose records span several days
+    # slot -> one (day, value, r, key id) row per record, in record order
+    groups: defaultdict[int, list] = defaultdict(list)
     for record in records:
         slot = slots.get(record.code)
         if slot is None:
@@ -167,72 +182,105 @@ def compile_records(tree: IcfTree, records: Iterable[QualifierRecord]) -> Record
         if not 0.0 <= r <= 1.0:
             raise EvaluationError(f"record for ICF code {record.code} has reliability {r!r} "
                                   "outside [0, 1]")
-        key = keys.setdefault((parent_slots[slot], record.source_id), len(keys))
-        rows.append((record.day, slot, key, value, r))
+        day = record.day
+        key = keys.setdefault((parent_slots[slot], record.source_id), len(first))
+        if key == len(first):
+            first.append(day)
+        else:
+            more[key] = more.get(key, 1) + 1
+            if first[key] != day:
+                spread.add(key)
+        groups[slot].append((day, value, r, key))
+    us = [1.0] * len(first)
+    for key, z in more.items():
+        us[key] = 1.0 / z
+    # a key whose records span several days keeps their days, to count its u per day
+    spread_days: dict[int, list[int]] = {key: [] for key in spread}
+    if spread_days:
+        for group in groups.values():
+            for day, _, _, key in group:
+                if key in spread_days:
+                    spread_days[key].append(day)
+    days = set(first).union(*spread_days.values())
     on_path: set[int] = set()
-    for _, slot, _, _, _ in rows:
+    for slot in groups:
         while slot >= 0 and slot not in on_path:
             on_path.add(slot)
             slot = parent_slots[slot]
-    nodes = tuple((slot, tuple(child for child in tree.child_slots[slot] if child in on_path))
+    nodes = tuple((slot, tuple(child for child in child_slots[slot] if child in on_path))
                   for slot in tree.bottom_up if slot in on_path)
-    return RecordTable(tree, tuple(rows), tuple(keys), nodes,
-                       tuple(sorted({row[0] for row in rows})),
-                       frozenset(slot for slot, _ in nodes))
+    return RecordTable(tree, nodes, {slot: tuple(group) for slot, group in groups.items()},
+                       tuple(sorted(days)), tuple([source for _, source in keys]),
+                       tuple(us),
+                       tuple((key, tuple(sorted(ds))) for key, ds in spread_days.items()))
 
 
-def _visible(table: RecordTable, day: int, gamma: float):
-    """The rows visible on ``day`` in record order, the time weight
-    gamma**(day - d) of each of their days d, and the fanout z of each
-    fanout key over them."""
-    visible = [row for row in table.rows if row[0] <= day]
-    # counted, not assumed: one source may feed its siblings on several days
-    fanout = [0] * len(table.keys)
-    for row in visible:
-        fanout[row[2]] += 1
-    alphas = {d: gamma ** (day - d) for d in table.days if d <= day}
-    return visible, alphas, fanout
+def _check_gamma(gamma: float) -> None:
+    """Reject a time decay constant that would make a time weight negative,
+    nan or grow with age, once per call and not per node."""
+    # the comparisons are False for nan, so nan is rejected too
+    if not 0.0 < gamma <= 1.0:
+        raise EvaluationError(f"time decay constant gamma must lie in (0, 1], got {gamma!r}")
+
+
+def _uniqueness(table: RecordTable, day: int) -> Sequence[float]:
+    """The u of each fanout key on ``day``, by key id: where a key's records
+    span several days, 1/z for the z of them visible."""
+    if not table.spread:
+        return table.us
+    us = list(table.us)
+    for key, key_days in table.spread:
+        z = bisect_right(key_days, day)
+        if z:  # else no record of the key is visible, and its u is not read
+            us[key] = 1.0 / z
+    return us
 
 
 def qualifiers(table: RecordTable, day: int,
                gamma: float) -> dict[IcfCode, tuple[AttachedQualifier, ...]]:
-    """Every code with a record visible on ``day``, with its qualifiers in
-    record order: value, time weight gamma**(day - d), r, source and u.
-    Built on request for inspection; the roll-up reads the table."""
-    codes, keys = table.tree.slot_codes, table.keys
-    out: dict[IcfCode, list[AttachedQualifier]] = {}
-    visible, alphas, fanout = _visible(table, day, gamma)
-    for d, slot, key, value, r in visible:
-        out.setdefault(codes[slot], []).append(
-            AttachedQualifier(value, alphas[d], r, keys[key][1], 1.0 / fanout[key]))
-    return {code: tuple(quals) for code, quals in out.items()}
+    """Every code with a record visible on ``day``, in code order, with its
+    qualifiers in record order: value, time weight gamma**(day - d), r,
+    source and u.  Built on request for inspection; the roll-up reads the
+    table."""
+    _check_gamma(gamma)
+    codes, sources, us = table.tree.slot_codes, table.sources, _uniqueness(table, day)
+    out: dict[IcfCode, tuple[AttachedQualifier, ...]] = {}
+    for slot, rows in table.rows.items():
+        quals = tuple(AttachedQualifier(value, gamma ** (day - d), r, sources[key], us[key])
+                      for d, value, r, key in rows if d <= day)
+        if quals:
+            out[codes[slot]] = quals
+    return dict(sorted(out.items()))
 
 
 class _Day(NamedTuple):
-    """One day's visible rows, fanouts and nodes weighed so far under one
-    gamma: what ``_normalize`` reads when it has to work in log space.
+    """One day's u by key id and the nodes weighed so far under one gamma:
+    what ``_normalize`` reads when it has to work in log space.
     ``weighed`` maps each calculated node weighed so far to its
     (normalized weights, alpha, r)."""
 
     table: RecordTable
-    visible: list
-    fanout: list
+    us: Sequence[float]
     day: int
     gamma: float
     weighed: dict
 
 
-def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[float]):
-    """The normalized contribution weights of one node.
+def _normalize(ctx: _Day, slot: int, children: Sequence[int],
+               weights: Sequence[float]) -> list[float]:
+    """The normalized contribution weights of one node, in the order
+    ``_weigh`` gives them.
 
     When every weight is zero or subnormal, they are recomputed from log
     time weights, so that time weights that underflow on a long horizon,
     to zero or to a few significant bits, still rank as they should; only
     a node whose contributions all have r*u = 0 cannot be aggregated.
+    The weights are non-negative: ``compile_records`` admits no r outside
+    [0, 1] and every evaluation no gamma outside (0, 1].
     """
     if max(weights) >= _SMALLEST_NORMAL:
-        return normalize_weights(weights)
-    # compile_records admits no negative weight, so all are zero or subnormal
+        total = math.fsum(weights)
+        return [w / total for w in weights]
     normed = _log_normalize(_log_terms(ctx, dict(ctx.table.nodes), slot, children))
     if normed is None:
         label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot]
@@ -245,20 +293,20 @@ def _normalize(ctx: _Day, slot: int, children: Sequence[int], weights: Sequence[
 
 def _log_terms(ctx: _Day, children_of: dict, slot: int, children: Sequence[int]) -> list:
     """(log alpha, weight over alpha) of each contribution of a node, in the
-    order ``_plan`` gives them: (day - d)*log(gamma) for a record, the
+    order ``_weigh`` gives them: (day - d)*log(gamma) for a record, the
     logsumexp of its weighted contributions for a calculated child."""
-    _, visible, fanout, day, gamma, weighed = ctx
+    table, us, day, gamma, weighed = ctx
     log_gamma = math.log(gamma)
-    terms = [((day - d) * log_gamma, r) for d, s, _, _, r in visible if s == slot]
+    terms = [((day - d) * log_gamma, r) for d, _, r, _ in table.rows.get(slot, ()) if d <= day]
     for child in children:
         node = weighed.get(child)
         if node is not None:
             child_terms = _log_terms(ctx, children_of, child, children_of[child])
             terms.append((_logsumexp([math.log(w) + log_alpha for w, (log_alpha, _)
                                       in zip(node[0], child_terms) if w > 0.0]), node[2]))
-        else:
-            terms += [((day - d) * log_gamma, r * (1.0 / fanout[key]))
-                      for d, s, key, _, r in visible if s == child]
+        else:  # a leaf, or a calculated child none of whose records is visible
+            terms += [((day - d) * log_gamma, r * us[key])
+                      for d, _, r, key in table.rows.get(child, ()) if d <= day]
     return terms
 
 
@@ -318,61 +366,79 @@ def _weigh(table: RecordTable, day: int, gamma: float) -> tuple[dict, _Plan] | N
     weights, alpha, r) by slot, in bottom-up order, and the plan.  None
     when no record is visible.
 
-    A node with children is calculated in the tree's bottom-up order; a
-    leaf never is, its qualifiers flow into its parent.  A component with
-    data on the bare letter alone is scored from its own qualifiers.
+    The nodes are weighed in the tree's bottom-up order: a node aggregates
+    its own visible records with weight alpha*r, then, per child in the
+    order of the tree, the child's calculated value with weight alpha*r
+    or, for a leaf, its visible records with weight alpha*r*u.  A
+    component with data on the bare letter alone is scored from its own
+    records, with weight alpha*r.
     """
-    visible, alphas, fanout = _visible(table, day, gamma)
-    if not visible:
+    days = table.days
+    if not days or day < days[0]:
         return None
-    # a calculated node's qualifiers are direct, with weight alpha*r; a
-    # leaf's flow into its parent with weight alpha*r*u
-    calculated = table.calculated
-    direct: defaultdict[int, list[tuple]] = defaultdict(list)
-    as_leaf: defaultdict[int, list[tuple]] = defaultdict(list)
-    for d, slot, key, value, r in visible:
-        alpha = alphas[d]
-        if slot in calculated:
-            direct[slot].append((value, alpha, r, alpha * r))
-        else:
-            u = 1.0 / fanout[key]
-            as_leaf[slot].append((value, alpha, r, alpha * r * u))
+    alphas = {d: gamma ** (day - d) for d in days if d <= day}
+    us = _uniqueness(table, day)
     weighed: dict[int, tuple] = {}  # slot -> (normed, alpha, r), in bottom-up order
     steps = []
-    ctx = _Day(table, visible, fanout, day, gamma, weighed)
-    for slot, children in table.nodes:
-        contributions = direct.get(slot, [])
-        fills = []
+    ctx = _Day(table, us, day, gamma, weighed)
+    fsum = math.fsum
+    nodes = table.nodes
+    rows_of = table.rows
+    for slot, children in nodes:
+        values, alphas_c, rels, weights, fills = [], [], [], [], []
+        for d, value, r, _ in rows_of.get(slot, ()):
+            if d <= day:
+                alpha = alphas[d]
+                values.append(value)
+                alphas_c.append(alpha)
+                rels.append(r)
+                weights.append(alpha * r)
         for child in children:
             node = weighed.get(child)
             if node is not None:
-                fills.append((len(contributions), child))
-                contributions.append((0.0, node[1], node[2], node[1] * node[2]))
-            elif child in as_leaf:
-                contributions += as_leaf[child]
-        if not contributions:
+                _, alpha, r = node
+                fills.append((len(values), child))
+                values.append(0.0)
+                alphas_c.append(alpha)
+                rels.append(r)
+                weights.append(alpha * r)
+                continue
+            # a leaf, or a calculated child none of whose records is visible
+            for d, value, r, key in rows_of.get(child, ()):
+                if d <= day:
+                    alpha = alphas[d]
+                    values.append(value)
+                    alphas_c.append(alpha)
+                    rels.append(r)
+                    weights.append(alpha * r * us[key])
+        if not weights:
             continue
-        values, alphas_c, rels, weights = zip(*contributions)
-        normed = _normalize(ctx, slot, children, weights)
+        if max(weights) >= _SMALLEST_NORMAL:  # _normalize's first branch, without its call
+            total = fsum(weights)
+            normed = [w / total for w in weights]
+        else:
+            normed = _normalize(ctx, slot, children, weights)
         if fills:
-            steps.append((slot, tuple(normed), values, tuple(fills)))
+            steps.append((slot, tuple(normed), tuple(values), tuple(fills)))
         else:  # no value fills in, so the weighted mean is the same under every y
-            steps.append((slot, None, math.fsum(map(mul, normed, values)), ()))
+            steps.append((slot, None, fsum(map(mul, normed, values)), ()))
+        alpha, r = fsum(map(mul, normed, alphas_c)), fsum(map(mul, normed, rels))
         # convex combinations of values in [0, 1]; clip float dust at the ends
-        weighed[slot] = (normed, min(max(math.fsum(map(mul, normed, alphas_c)), 0.0), 1.0),
-                         min(max(math.fsum(map(mul, normed, rels)), 0.0), 1.0))
+        weighed[slot] = (normed, 0.0 if alpha < 0.0 else 1.0 if alpha > 1.0 else alpha,
+                         0.0 if r < 0.0 else 1.0 if r > 1.0 else r)
 
     components = []
-    for child in table.nodes[-1][1]:  # the components, in the order of the tree
+    codes = table.tree.slot_codes
+    for child in nodes[-1][1]:  # the components, in the order of the tree
         bare = None
         if child not in weighed:
-            if child not in as_leaf:
-                continue
             # data on the bare letter alone, with weight alpha*r
-            values, alphas_c, rels, _ = zip(*as_leaf[child])
-            normed = _normalize(ctx, child, (), list(map(mul, alphas_c, rels)))
-            bare = math.fsum(map(mul, normed, values))
-        components.append((table.tree.slot_codes[child].component, child, bare))
+            visible = [row for row in rows_of.get(child, ()) if row[0] <= day]
+            if not visible:
+                continue
+            normed = _normalize(ctx, child, (), [alphas[d] * r for d, _, r, _ in visible])
+            bare = fsum(map(mul, normed, [row[1] for row in visible]))
+        components.append((codes[child].component, child, bare))
     _, alpha, r = weighed[ROOT_SLOT]  # every visible record reaches the root
     return weighed, _Plan(tuple(steps), tuple(components), alpha, r, table, day, gamma)
 
@@ -420,7 +486,9 @@ def evaluate_table(
     itself as the decay reference; the report is None on a day before the
     first record.  Each day is weighed once per gamma and scored under every
     spec of that gamma.  With ``audit`` each report also carries every
-    calculated node's normalized weights and result.
+    calculated node's normalized weights and result.  A spec's gamma
+    outside (0, 1], nan included, is an EvaluationError, raised before
+    any day is weighed.
 
     Which nodes are leaves comes from the table's tree: on a cohort-wide
     tree a code that is a leaf for this person may have children, and the
@@ -433,6 +501,8 @@ def evaluate_table(
     by_gamma: dict[float, list[int]] = {}
     for i, spec in enumerate(specs):
         by_gamma.setdefault(spec.gamma, []).append(i)
+    for gamma in by_gamma:
+        _check_gamma(gamma)
     reports: list[list] = [[] for _ in specs]
     for gamma, indices in by_gamma.items():
         for day in days:

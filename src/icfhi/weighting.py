@@ -196,11 +196,14 @@ def make_spec(y: float = LINEAR_Y, gamma: float = 1.0) -> WeightingSpec:
 
 
 def normalize_weights(weights: Sequence[float]) -> list[float]:
-    """Scale non-negative weights so they sum to one, preserving ratios."""
+    """Scale non-negative, finite weights so they sum to one, preserving ratios."""
     # w < 0 for each weight (False for nan), without a Python frame per weight
     if any(map(lt, weights, repeat(0))):
         raise ValueError("weights must be non-negative")
     total = math.fsum(weights)
+    # with no weight negative, the sum is nan or infinite exactly when a weight is
+    if not math.isfinite(total):
+        raise ValueError("weights must be finite")
     if total <= 0.0:
         raise ValueError("cannot normalize: all weights are zero (degenerate node)")
     return [w / total for w in weights]

@@ -33,7 +33,7 @@ from conftest import (
     worked_example_records,
 )
 import oracle
-from icfhi.engine import _evaluate_job, _plan, _score
+from icfhi.engine import _evaluate_job, _plan, _score, evaluate_cohort
 from oracle import brute_force_evaluate, brute_force_hi, random_case
 
 
@@ -157,6 +157,23 @@ def test_compile_rejects_a_record_outside_the_model_ranges(value, reliability, n
     with pytest.raises(EvaluationError) as err:
         compile_records(build_tree({r.code for r in records}), records)
     assert str(err.value) == f"record for ICF code b2801 has {named}"
+
+
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, 0.0, 1.5])
+def test_a_gamma_outside_the_unit_interval_is_one_error_naming_it(gamma):
+    # make_spec rejects such a gamma; a hand-built spec must not reach the
+    # weighing, where it would make negative, nan or growing time weights
+    spec = make_spec(2.0, 1.0)._replace(gamma=gamma)
+    records = _records(("b280", 2, 0, 1.0, "a"), ("b2801", 3, 5, 0.5, "b"))
+    table = compile_records(build_tree({r.code for r in records}), records)
+    named = f"time decay constant gamma must lie in (0, 1], got {gamma!r}"
+    for evaluate in (lambda: evaluate_table(table, [0, 5], [make_spec(2.0, 1.0), spec]),
+                     lambda: qualifiers(table, 5, gamma)):
+        with pytest.raises(EvaluationError) as err:
+            evaluate()
+        assert str(err.value) == named
+    [(pid, error)] = evaluate_cohort([("p", table, [0, 5])], [spec], workers=1)
+    assert pid == "p" and isinstance(error, EvaluationError) and str(error) == named
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +570,38 @@ def test_audit_weights_of_nodes_without_calculated_children_come_from_the_qualif
                         f"seed {seed} day {day} {gamma_text} {audit.code}"
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_record_order_does_not_change_any_report(seed):
+    # a table groups each node's records in record order and sums them
+    # with fsum, so shuffled records give == reports on every day,
+    # including one where every time weight but gamma = 1's underflows
+    persons, tree = _random_cohort(seed)
+    rng = random.Random(seed)
+    specs = [make_spec(y, parse_gamma(text)) for text in KERNEL_GAMMAS for y in KERNEL_YS]
+    assert parse_gamma("1/3@30") ** 30_000 == 0.0
+    for records in persons:
+        shuffled = records[:]
+        rng.shuffle(shuffled)
+        record_days = sorted({r.day for r in records})
+        days = [record_days[0] - 1, *record_days, record_days[-1] + 7,
+                record_days[-1] + 30_000]
+        assert evaluate_table(compile_records(tree, shuffled), days, specs) \
+            == evaluate_table(compile_records(tree, records), days, specs), f"seed {seed}"
+
+
+def test_a_source_on_several_days_has_its_u_counted_per_day():
+    # _random_cohort brings sources back on later days, so their tables
+    # count u on each day; every other table fixes u = 1/z when compiled
+    tables = []
+    for seed in range(8):
+        persons, tree = _random_cohort(seed)
+        tables += [compile_records(tree, records) for records in persons]
+    assert any(table.spread for table in tables)
+    records = _records(("b2800", 4, 0, 1.0, "s"), ("b2801", 4, 0, 1.0, "s"))
+    table = compile_records(build_tree({r.code for r in records}), records)
+    assert (table.sources, table.us, table.spread) == (("s",), (0.5,), ())
 
 
 def test_cohort_job_groups_specs_by_gamma_in_spec_order():

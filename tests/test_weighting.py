@@ -189,8 +189,11 @@ def test_normalize_weights_errors():
     for negative in ([1.0, -0.1], [2, -1], [1.0, -1e-300], [-0.5], np.array([3, -1])):
         with pytest.raises(ValueError, match="non-negative"):
             normalize_weights(negative)
-    # nan is not negative: it passes the check and spreads, as before
-    assert all(map(math.isnan, normalize_weights([float("nan"), 1.0])))
+    # nan is not negative, but neither is it, nor an infinity, a weight
+    for broken in ([float("nan"), 1.0], [float("inf"), 1.0], [1.0, math.inf, 2.0],
+                   [math.nan], np.array([1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_weights(broken)
     assert normalize_weights([-0.0, 1.0]) == [-0.0, 1.0]
     # numpy scalars and fractions compare as before
     assert normalize_weights(np.array([3, 1])) == [0.75, 0.25]
