@@ -200,10 +200,14 @@ def normalize_weights(weights: Sequence[float]) -> list[float]:
     # w < 0 for each weight (False for nan), without a Python frame per weight
     if any(map(lt, weights, repeat(0))):
         raise ValueError("weights must be non-negative")
-    total = math.fsum(weights)
-    # with no weight negative, the sum is nan or infinite exactly when a weight is
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose sum is not
+        total = math.inf
+    # with no weight negative, the sum is nan or infinite exactly when a
+    # weight is or when the weights sum past the largest float
     if not math.isfinite(total):
-        raise ValueError("weights must be finite")
+        raise ValueError("weights and their sum must be finite")
     if total <= 0.0:
         raise ValueError("cannot normalize: all weights are zero (degenerate node)")
     return [w / total for w in weights]

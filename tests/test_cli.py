@@ -147,15 +147,25 @@ def test_index_gamma_spellings_equivalent(cohort_dir, tmp_path):
     assert read(a) == read(b)
 
 
-@pytest.mark.parametrize("command", ["index", "profile"])
-def test_index_workers_identical(cohort_dir, tmp_path, command):
+@pytest.mark.parametrize("command, y, rows, workers", [
+    pytest.param("index", "2", "records", "4", id="index"),
+    pytest.param("profile", "2", "records", "4", id="profile"),
+    pytest.param("index", "0.75", "reversed", "1", id="index-reversed-y0.75"),
+    pytest.param("index", "3.25", "reversed", "1", id="index-reversed-y3.25"),
+    pytest.param("profile", "2", "reversed", "1", id="profile-reversed"),
+])
+def test_index_workers_identical(cohort_dir, tmp_path, command, y, rows, workers):
+    # neither four workers nor the record rows in reverse, so that each
+    # person's rows run from the last day to the first, change what is written
     linked = tmp_path / "linked"
     assert run("link", "--data", str(cohort_dir), "--out", str(linked)) == 0
+    header, *lines = (linked / "records.csv").read_text().splitlines(keepends=True)
+    (linked / "reversed.csv").write_text(header + "".join(reversed(lines)))
     outputs = []
-    for workers in ("1", "4"):
-        out = tmp_path / f"w{workers}"
-        assert run(command, "--records", str(linked / "records.csv"), "--out", str(out),
-                   "--workers", workers) == 0
+    for name, n in (("records", "1"), (rows, workers)):
+        out = tmp_path / f"{name}-w{n}"
+        assert run(command, "--records", str(linked / f"{name}.csv"), "--out", str(out),
+                   "--y", y, "--workers", n) == 0
         outputs.append(read(out / f"{command}.csv"))
     assert outputs[0] == outputs[1]
 
@@ -186,6 +196,11 @@ def test_profile_long_format(cohort_dir, tmp_path):
     assert rows
     assert set(r["component"] for r in rows) <= {"b", "d", "e", "s"}
     assert all(0 <= int(r["score"]) <= 100 for r in rows)
+
+
+# every file that validate --grid writes
+VALIDATE_OUTPUTS = ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
+                    "sequence_bins.csv", "sweep.csv", "run_info.json")
 
 
 def test_validate_outputs(tmp_path):
@@ -230,8 +245,7 @@ def test_validate_reports_undefined_sweep_cells_and_goes_on(tmp_path, capsys):
                "--groups", "30:5", "--grid", "y=2,3.8;gamma=1") == 0
     assert capsys.readouterr().err == (
         "warning: sweep cell group=30d_5v gamma=1 y=3.8 is undefined: zero_variance\n")
-    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
-                 "sequence_bins.csv", "sweep.csv", "run_info.json"):
+    for name in VALIDATE_OUTPUTS:
         assert (out / name).exists()
     with open(out / "sweep.csv") as fh:
         linear, steep = csv.DictReader(fh)
@@ -311,17 +325,20 @@ def test_validate_library_call_is_what_the_cli_writes_and_prints(tmp_path, capsy
         assert json.load(fh) == json.loads(json.dumps(result.info))
 
 
-def test_validate_repeated_groups_and_gammas_count_once(tmp_path):
-    # a repeated entry must not count a group's persons, or write its rows, twice
+def test_validate_repeated_groups_and_gammas_count_once(tmp_path, capsys):
+    # a repeated entry must not count a group's persons, or write its rows or
+    # warnings, twice; at y = 3.8 the sweep cell is undefined, so it warns
     cohort = tmp_path / "cohort"
     assert run(*synth_args(cohort, seed=42, persons=60)) == 0
     once, repeated = tmp_path / "once", tmp_path / "repeated"
-    assert run("validate", "--data", str(cohort), "--out", str(once),
-               "--groups", "30:5", "--gamma", "1") == 0
-    assert run("validate", "--data", str(cohort), "--out", str(repeated),
-               "--groups", "30:5,30:5", "--gamma", "1,1") == 0
-    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
-                 "sequence_bins.csv", "run_info.json"):
+    errs = []
+    for out, groups, gammas in ((once, "30:5", "1"), (repeated, "30:5,30:5", "1,1")):
+        capsys.readouterr()
+        assert run("validate", "--data", str(cohort), "--out", str(out), "--groups", groups,
+                   "--gamma", gammas, "--grid", "y=2,3.8;gamma=1") == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and "y=3.8 is undefined" in errs[0]
+    for name in VALIDATE_OUTPUTS:
         assert read(repeated / name) == read(once / name), name
 
 
@@ -338,8 +355,7 @@ def test_validate_repeated_grid_values_count_once(tmp_path, capsys):
     assert run("validate", "--data", str(cohort), "--out", str(repeated), "--groups", "30:5",
                "--gamma", "1", "--grid", "y=2,3.8,2.0,3.8;gamma=1,1/3@30,1") == 0
     assert capsys.readouterr().err == err and "y=3.8 is undefined" in err
-    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
-                 "sequence_bins.csv", "sweep.csv", "run_info.json"):
+    for name in VALIDATE_OUTPUTS:
         assert read(repeated / name) == read(once / name), name
     # the library call counts 2 and 2.0 once as well
     result = icfhi.validate(icfhi.ingest(cohort), icfhi.default_rules(),
@@ -348,18 +364,22 @@ def test_validate_repeated_grid_values_count_once(tmp_path, capsys):
     assert result.info["grid"] == {"gamma": [1], "y": [2, 3.8]}
 
 
-def test_validate_deterministic_across_runs_and_workers(tmp_path):
+def test_validate_deterministic_across_runs_and_workers(tmp_path, capsys):
+    # the same files, and the same warning lines in the same order, at any
+    # worker count
     cohort = tmp_path / "cohort"
     assert run(*synth_args(cohort, seed=42, persons=120)) == 0
-    outs = []
+    outs, errs = [], []
     for name, workers in (("v1", "1"), ("v2", "1"), ("v8", "4")):
         out = tmp_path / name
-        assert run("validate", "--data", str(cohort), "--out", str(out),
-                   "--groups", "30:5", "--workers", workers) == 0
+        capsys.readouterr()
+        assert run("validate", "--data", str(cohort), "--out", str(out), "--groups", "30:5",
+                   "--grid", "y=2,3.8;gamma=1/3@30,1", "--workers", workers) == 0
         outs.append(out)
-    for name in ("eqvas_correlations.csv", "maxpain_summary.csv", "maxpain_person.csv",
-                 "sequence_bins.csv", "run_info.json"):
-        assert read(outs[0] / name) == read(outs[1] / name) == read(outs[2] / name)
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2] and "is undefined" in errs[0]
+    for name in VALIDATE_OUTPUTS:
+        assert read(outs[0] / name) == read(outs[1] / name) == read(outs[2] / name), name
 
 
 def test_fit_weights_prints_parameters(capsys):

@@ -189,9 +189,10 @@ def test_normalize_weights_errors():
     for negative in ([1.0, -0.1], [2, -1], [1.0, -1e-300], [-0.5], np.array([3, -1])):
         with pytest.raises(ValueError, match="non-negative"):
             normalize_weights(negative)
-    # nan is not negative, but neither is it, nor an infinity, a weight
+    # nan is not negative, but neither is it, nor an infinity, a weight; nor
+    # are finite weights whose sum overflows
     for broken in ([float("nan"), 1.0], [float("inf"), 1.0], [1.0, math.inf, 2.0],
-                   [math.nan], np.array([1.0, np.inf])):
+                   [math.nan], np.array([1.0, np.inf]), [1e308, 1e308]):
         with pytest.raises(ValueError, match="finite"):
             normalize_weights(broken)
     assert normalize_weights([-0.0, 1.0]) == [-0.0, 1.0]
