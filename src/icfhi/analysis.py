@@ -173,8 +173,9 @@ class SweepCell:
 class CohortEvaluator:
     """Links a cohort once, holds the cohort-wide tree skeleton, every
     person's records compiled against it and every person's maximum pain
-    by day, and caches per (person, day, gamma, y) index evaluations.  The
-    weight plans of one gamma at a time are kept per (person, day), so that
+    by day, and caches index values by (gamma, y), then person, then day,
+    so that a value costs a slot in a person's dict of days.  The weight
+    plans of one gamma at a time are kept per (person, day), so that
     each y of that gamma only runs the value pass.  A plan keeps only what
     that pass reads: a weighted mean per node without a calculated child,
     the weights only of nodes with one, and the root's alpha and r; an
@@ -196,7 +197,7 @@ class CohortEvaluator:
         }
         self.max_pain: dict[str, dict[int, float]] = {
             person.person_id: max_pain_by_day(person) for person in store}
-        self._cache: dict[tuple, "int | None"] = {}
+        self._cache: dict[tuple[float, float], dict[str, dict[int, "int | None"]]] = {}
         # built on demand in hi, and dropped when hi is asked for another gamma
         self._plans: dict[tuple[str, int], _Plan | None] = {}
         self._plans_gamma: float | None = None
@@ -213,28 +214,32 @@ class CohortEvaluator:
         first or for a person without linkable records; raises a DataError
         for an unknown person id, the person's link error if their answers
         cannot be linked, and an EvaluationError for a gamma outside (0, 1]."""
-        key = (person_id, day, spec.gamma, spec.y)
-        if key not in self._cache:
-            self._check(person_id)
-            table = self.tables.get(person_id)
-            plan = None
-            if table is not None:
-                if spec.gamma != self._plans_gamma:
-                    _check_gamma(spec.gamma)
-                    self._plans, self._plans_gamma = {}, spec.gamma
-                plan_key = (person_id, day)
-                if plan_key not in self._plans:
-                    self._plans[plan_key] = _plan(table, day, spec.gamma)
-                plan = self._plans[plan_key]
-            self._cache[key] = None if plan is None else _score(plan, spec).index
-        return self._cache[key]
+        spec_key = (spec.gamma, spec.y)
+        try:
+            return self._cache[spec_key][person_id][day]
+        except KeyError:
+            pass
+        self._check(person_id)
+        table = self.tables.get(person_id)
+        plan = None
+        if table is not None:
+            if spec.gamma != self._plans_gamma:
+                _check_gamma(spec.gamma)
+                self._plans, self._plans_gamma = {}, spec.gamma
+            plan_key = (person_id, day)
+            if plan_key not in self._plans:
+                self._plans[plan_key] = _plan(table, day, spec.gamma)
+            plan = self._plans[plan_key]
+        value = None if plan is None else _score(plan, spec).index
+        self._cache.setdefault(spec_key, {}).setdefault(person_id, {})[day] = value
+        return value
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],
                    workers: int = 1) -> dict[str, str]:
-        """Fill the cache for every (person, statistic day, spec), with the
-        values ``hi`` would compute, for any worker count; return the error
-        message of each person who is unknown, cannot be linked or whose
-        evaluation fails.
+        """Add to the cache, beside what it already holds, the values ``hi``
+        would compute for every (person, statistic day, spec), for any
+        worker count; return the error message of each person who is
+        unknown, cannot be linked or whose evaluation fails.
 
         The statistic days of a person are the days the statistics read:
         EQ-VAS days and pain days.  A person whose evaluation would fail
@@ -253,8 +258,9 @@ class CohortEvaluator:
                 failures[pid] = str(outcome)
                 continue
             for spec, values in zip(specs, outcome):
-                for day, value in values:
-                    self._cache[(pid, day, spec.gamma, spec.y)] = value
+                if values:
+                    by_person = self._cache.setdefault((spec.gamma, spec.y), {})
+                    by_person.setdefault(pid, {}).update(values)
         return failures
 
 

@@ -447,6 +447,14 @@ def test_evaluate_cohort_sizes_its_pool_from_a_generator_of_jobs():
             assert list(evaluate_cohort((job for job in some), specs, workers)) == want
 
 
+def _cached(evaluator):
+    """The evaluator's index cache as flat (person, day, gamma, y) -> value
+    entries."""
+    return {(pid, day, gamma, y): value
+            for (gamma, y), by_person in evaluator._cache.items()
+            for pid, by_day in by_person.items() for day, value in by_day.items()}
+
+
 def test_hi_across_gamma_switches_matches_a_fresh_evaluator():
     # the plans of one gamma are kept and dropped at the switch to another
     store = synthesize(SynthConfig(seed=5, n_persons=8, max_visits=6))
@@ -476,10 +484,43 @@ def test_precompute_matches_serial_hi():
     for workers in (1, 2):
         evaluator = CohortEvaluator(store, default_rules())
         assert evaluator.precompute(store.person_ids, specs, workers=workers) == {}
-        assert sorted(evaluator._cache) == sorted(
+        assert sorted(_cached(evaluator)) == sorted(
             (pid, day, spec.gamma, spec.y) for pid, day in read for spec in specs)
-        for (pid, day, gamma, y), value in evaluator._cache.items():
+        for (pid, day, gamma, y), value in _cached(evaluator).items():
             assert serial.hi(pid, day, make_spec(y, gamma)) == value
+
+
+def test_hi_and_precompute_in_either_order_keep_each_others_values():
+    # hi on days no statistic reads (day -1 and, at seed 6, some measurement
+    # days), before precompute on one evaluator and after it on another:
+    # both end with every value of either call, each a fresh evaluator's
+    store = synthesize(SynthConfig(seed=6, n_persons=6, max_visits=6))
+    specs = [make_spec(y, gamma) for y in (0.75, 3.25) for gamma in (GAMMA_THIRD_30, 1.0)]
+    read = {(person.person_id, day) for person in store
+            for day in {*person.eqvas, *max_pain_by_day(person)}}
+    unread = {(person.person_id, day) for person in store for day in (-1, *person.days)} - read
+    assert any(day >= 0 for _, day in unread)
+
+    def hi_on_unread_days(evaluator):
+        for spec in specs:
+            for pid, day in sorted(unread):
+                evaluator.hi(pid, day, spec)
+
+    hi_first, precompute_first = (CohortEvaluator(store, default_rules()) for _ in range(2))
+    hi_on_unread_days(hi_first)
+    by_hi = _cached(hi_first)
+    assert hi_first.precompute(store.person_ids, specs) == {}
+    assert precompute_first.precompute(store.person_ids, specs) == {}
+    by_precompute = _cached(precompute_first)
+    hi_on_unread_days(precompute_first)
+    both = _cached(hi_first)
+    assert _cached(precompute_first) == both
+    assert by_hi.items() <= both.items() and by_precompute.items() <= both.items()
+    assert sorted(both) == sorted(
+        (pid, day, spec.gamma, spec.y) for pid, day in read | unread for spec in specs)
+    fresh = CohortEvaluator(store, default_rules())
+    for (pid, day, gamma, y), value in both.items():
+        assert fresh.hi(pid, day, make_spec(y, gamma)) == value
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -495,9 +536,9 @@ def test_precompute_reports_a_failed_person(workers):
     failures = evaluator.precompute(["bad", *good.person_ids], [make_spec()], workers)
     assert list(failures) == ["bad"]
     assert failures["bad"].startswith("all contribution weights at node")
-    assert len(evaluator._cache) == sum(len({*person.eqvas, *max_pain_by_day(person)})
-                                        for person in good)
-    assert "bad" not in {pid for pid, _, _, _ in evaluator._cache}
+    assert len(_cached(evaluator)) == sum(len({*person.eqvas, *max_pain_by_day(person)})
+                                          for person in good)
+    assert "bad" not in {pid for pid, _, _, _ in _cached(evaluator)}
 
 
 def test_a_person_who_cannot_be_linked_is_kept_as_a_failure():
@@ -514,7 +555,7 @@ def test_a_person_who_cannot_be_linked_is_kept_as_a_failure():
     failures = evaluator.precompute(["bad", *good.person_ids], [make_spec()])
     assert failures == {"bad": str(raised.value)}
     assert others.precompute(good.person_ids, [make_spec()]) == {}
-    assert evaluator._cache == others._cache
+    assert _cached(evaluator) == _cached(others)
 
 
 def test_an_unknown_person_id_is_a_data_error():
@@ -527,7 +568,7 @@ def test_an_unknown_person_id_is_a_data_error():
         evaluator.hi("nobody", 0, make_spec())
     failures = evaluator.precompute(["nobody", "eqvas_only", *good.person_ids], [make_spec()])
     assert failures == {"nobody": str(raised.value)}
-    assert "nobody" not in {pid for pid, _, _, _ in evaluator._cache}
+    assert "nobody" not in {pid for pid, _, _, _ in _cached(evaluator)}
 
 
 def test_every_statistic_raises_the_data_error_of_an_unknown_person_id():
@@ -548,4 +589,4 @@ def test_precompute_skips_a_failure_on_days_no_statistic_reads():
     rules["rules"].append(UNRATED_RULE)
     evaluator = CohortEvaluator(CohortStore([bad]), RuleSet.from_json(rules))
     assert evaluator.precompute(["bad"], [make_spec()]) == {}
-    assert evaluator._cache == {}
+    assert _cached(evaluator) == {}
