@@ -8,10 +8,9 @@ sweeps.  ``validate`` runs the whole protocol on a cohort and returns the
 rows of its tables, the persons it left out and the statistics it found
 undefined.  All outputs are deterministic given the cohort and grid.
 
-Medians, quartiles and bins are worked out in pure Python, to the float as
-numpy's ``median``, ``percentile`` and ``array_split`` work them out, so
-that this module loads no numpy; ``pearson`` loads scipy, and numpy with
-it, at its first p-value.
+Medians and quartiles are numpy's and p-values scipy's, each imported
+inside the function that needs it, so that importing this module loads
+neither.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from .codes import IcfTree, build_tree
 from .cohort import CohortStore, Person, stats
-from .engine import (RecordTable, _check_gamma, _Plan, _plan, _score, compile_records,
+from .engine import (RecordTable, _check_gamma, _Plan, _score, _weigh, compile_records,
                      evaluate_cohort)
 from .errors import DataError, IcfHiError, InsufficientDataError
 from .formatting import format_cell
@@ -178,9 +177,9 @@ class CohortEvaluator:
     plans of one gamma at a time are kept per (person, day), so that
     each y of that gamma only runs the value pass.  A plan keeps only what
     that pass reads: a weighted mean per node without a calculated child,
-    the weights only of nodes with one, and the root's alpha and r; an
-    audit would weigh the day again.  The ``DataError`` of a person whose
-    answers cannot be linked is kept in ``link_errors``."""
+    the weights only of nodes with one, and the root's alpha and r.  The
+    ``DataError`` of a person whose answers cannot be linked is kept in
+    ``link_errors``."""
 
     def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store
@@ -228,7 +227,7 @@ class CohortEvaluator:
                 self._plans, self._plans_gamma = {}, spec.gamma
             plan_key = (person_id, day)
             if plan_key not in self._plans:
-                self._plans[plan_key] = _plan(table, day, spec.gamma)
+                self._plans[plan_key] = _weigh(table, day, spec.gamma)
             plan = self._plans[plan_key]
         value = None if plan is None else _score(plan, spec).index
         self._cache.setdefault(spec_key, {}).setdefault(person_id, {})[day] = value
@@ -324,6 +323,8 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     index (or pain) trajectory is constant are omitted and counted.  An
     unknown person id is a DataError, as in ``eqvas_vs_hi``.
     """
+    import numpy as np  # imported here, as pearson imports scipy: only validate needs it
+
     raw: list[tuple[str, int, float, float]] = []
     omitted = 0
     for pid in person_ids:
@@ -352,7 +353,7 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     portion = sum(c.significant for c in correlations) / len(correlations)
     return MaxPainReport(
         correlations=correlations,
-        median=_median(coeffs),
+        median=float(np.median(coeffs)),
         significant_portion=portion,
         omitted_constant_trajectories=omitted,
         boxplot=_boxplot_stats(coeffs),
@@ -361,38 +362,11 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
     )
 
 
-def _median(values: Sequence[float]) -> float:
-    """``numpy.median(values)`` of finite floats, to the float: the middle
-    value, or the mean of the two middle ones, summed from 0.0 as numpy's
-    mean sums, so that a zero median is 0.0."""
-    ordered = sorted(values)
-    half = len(ordered) // 2
-    if len(ordered) % 2:
-        return 0.0 + ordered[half]
-    return (0.0 + ordered[half - 1] + ordered[half]) / 2
-
-
-def _percentile(ordered: Sequence[float], p: float) -> float:
-    """``numpy.percentile(ordered, p)`` of sorted finite floats, to the float:
-    numpy's default linear method, with its virtual index and its
-    two-sided interpolation."""
-    n = len(ordered)
-    q = p / 100
-    virtual = n * q + (1 - q) - 1
-    if virtual >= n - 1:
-        below = above = -1  # numpy takes the last value, at index -1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
-    t = virtual - below
-    a, b = ordered[below], ordered[above]
-    diff = b - a
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-
-
 def _boxplot_stats(values: Sequence[float]) -> BoxplotStats:
+    import numpy as np  # imported here, as in maxpain_vs_hi
+
     ordered = sorted(values)
-    q1, median, q3 = (_percentile(ordered, p) for p in (25, 50, 75))
+    q1, median, q3 = map(float, np.percentile(values, (25, 50, 75)))
     iqr = q3 - q1
     low_fence, high_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = [v for v in ordered if low_fence <= v <= high_fence]
@@ -418,6 +392,8 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
                            k: int = 3) -> list[SequenceBin]:
     """Split the per-person correlations into ``k`` near-equal bins by the
     person's treatment sequence length (ties broken by person id)."""
+    import numpy as np  # imported here, as in maxpain_vs_hi
+
     if len(report.correlations) < k:
         raise InsufficientDataError(
             f"cannot form {k} bins from {len(report.correlations)} correlations",
@@ -437,7 +413,7 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
                 max_length=members[-1][0],
                 n=len(members),
                 significant_portion=sum(c.significant for _, _, c in members) / len(members),
-                median_correlation=_median(corrs),
+                median_correlation=float(np.median(corrs)),
             )
         )
     return bins

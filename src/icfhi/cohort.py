@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, field
 from datetime import date
 from operator import attrgetter
@@ -26,8 +25,6 @@ from .formatting import write_csv
 
 if TYPE_CHECKING:
     import numpy as np
-
-log = logging.getLogger(__name__)
 
 EQVAS_INSTRUMENT = "eqvas"
 
@@ -158,7 +155,6 @@ def _read_rows(path: Path, eqvas: bool):
         reader = csv.reader(fh)
         header = csv_header(reader)
         if header is None:
-            log.warning("input file %s is empty", path)
             return
         day_name = next((h for h in header if h in _DAY_HEADERS), None)
         names = ("person_id", day_name, "value") if eqvas else \
@@ -223,7 +219,8 @@ def _read_person_ids(path: Path) -> list[str]:
 
 def ingest(path) -> CohortStore:
     """Ingest a single answers CSV, or a cohort directory holding
-    answers.csv plus optional eqvas.csv and persons.csv."""
+    answers.csv plus optional eqvas.csv and persons.csv.  Input without a
+    usable row gives an empty store; the caller decides how to report it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input data not found: {path}")
@@ -263,7 +260,6 @@ def ingest(path) -> CohortStore:
                                                              item, value)))
 
     if not persons:
-        log.warning("no usable rows ingested from %s: cohort is empty", path)
         return CohortStore([])
     if mixed:
         raise DataError(mixed)

@@ -26,20 +26,20 @@ health index.
 
 A node's normalized weights come from alpha, r and u alone, never from a
 value, and only the values depend on the curve parameter y.  So a day is
-evaluated in two steps.  The weight plan (``_plan``) depends on the day and
+evaluated in two steps.  The weight plan (``_weigh``) depends on the day and
 gamma.  While it weighs, taking from each group the rows of records
 visible that day, it holds each calculated node's normalized weights,
 alpha and r.  The plan it returns keeps only what the value pass reads:
 per calculated node without a calculated child its weighted mean of
 values, the same under every y, and per node with one its weights,
 contribution values and the positions its children's values fill, plus
-the root's alpha and r.  The value pass (``_score``) depends on y: bottom-up, each
-node's value is the curve at its weighted mean, summed in the pass only at
-a node with a calculated child.  One plan serves every y of its gamma; an
-audit, which reports every node's weights, alpha and r, weighs the plan's
-day again.  When every weight at a node is zero or subnormal because old
-time weights underflowed, the node is weighed again from log time weights,
-(day - d)*log(gamma).
+the root's alpha and r; a plan weighed for an audit also keeps every
+calculated node's weights, alpha and r.  The value pass (``_score``)
+depends on y: bottom-up, each node's value is the curve at its weighted
+mean, summed in the pass only at a node with a calculated child.  One
+plan serves every y of its gamma.  When every weight at a node is zero or
+subnormal because old time weights underflowed, the node is weighed again
+from log time weights, (day - d)*log(gamma).
 
 There is one way to evaluate: ``compile_records`` once per person and
 tree, then one ``evaluate_table`` call for any days and any number of
@@ -339,32 +339,24 @@ class _Plan(NamedTuple):
     (component, slot, bare) per scored component in the order of the tree,
     where ``bare`` is the weighted mean of a component with data on the
     bare letter alone, else None.  ``alpha`` and ``reliability`` are the
-    root's; ``table``, ``day`` and ``gamma`` are what was weighed, so that
-    an audit can weigh it again.
-    Nothing in a plan is changed after ``_plan`` returns it.
+    root's.  ``audits`` holds, for a plan weighed with ``audit``, one
+    (slot, code, normalized weights, alpha, r) per calculated node in
+    bottom-up order, the code "" for the root; otherwise None.
+    Nothing in a plan is changed after ``_weigh`` returns it.
     """
 
     steps: tuple
     components: tuple
     alpha: float
     reliability: float
-    table: RecordTable
-    day: int
-    gamma: float
+    audits: tuple | None
 
 
-def _plan(table: RecordTable, day: int, gamma: float) -> _Plan | None:
-    """Weigh the records visible on ``day`` under ``gamma``: everything an
-    evaluation needs but the values of calculated nodes, which alone
-    depend on y.  None when no record is visible."""
-    weighed = _weigh(table, day, gamma)
-    return None if weighed is None else weighed[1]
-
-
-def _weigh(table: RecordTable, day: int, gamma: float) -> tuple[dict, _Plan] | None:
-    """The weighing behind ``_plan``: each calculated node's (normalized
-    weights, alpha, r) by slot, in bottom-up order, and the plan.  None
-    when no record is visible.
+def _weigh(table: RecordTable, day: int, gamma: float, audit: bool = False) -> _Plan | None:
+    """Weigh the records visible on ``day`` under ``gamma``: the plan of
+    everything an evaluation needs but the values of calculated nodes,
+    which alone depend on y, with ``audit`` every calculated node's
+    weights, alpha and r too.  None when no record is visible.
 
     The nodes are weighed in the tree's bottom-up order: a node aggregates
     its own visible records with weight alpha*r, then, per child in the
@@ -439,18 +431,21 @@ def _weigh(table: RecordTable, day: int, gamma: float) -> tuple[dict, _Plan] | N
             normed = _normalize(ctx, child, (), [alphas[d] * r for d, _, r, _ in visible])
             bare = fsum(map(mul, normed, [row[1] for row in visible]))
         components.append((codes[child].component, child, bare))
+    audits = None
+    if audit:
+        audits = tuple((slot, "" if slot == ROOT_SLOT else codes[slot], tuple(normed), alpha, r)
+                       for slot, (normed, alpha, r) in weighed.items())
     _, alpha, r = weighed[ROOT_SLOT]  # every visible record reaches the root
-    return weighed, _Plan(tuple(steps), tuple(components), alpha, r, table, day, gamma)
+    return _Plan(tuple(steps), tuple(components), alpha, r, audits)
 
 
-def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationReport:
+def _score(plan: _Plan, spec: WeightingSpec) -> EvaluationReport:
     """The report of a plan under ``spec``, from the value pass: each
     calculated node's value is the curve at its weighted mean, bottom-up.
     The plan holds that mean, but for a node with calculated children,
-    whose values are filled in and weighed here.  With ``audit`` the
-    report also carries every calculated node's weights and result; the
-    plan keeps neither weights nor alpha and r below the root, so the
-    audit weighs the plan's day again, to the same floats."""
+    whose values are filled in and weighed here.  A plan weighed for an
+    audit gives a report that carries every calculated node's weights and
+    result."""
     curve = curve_function(spec.curve)
     xs = {}  # slot -> x
     for slot, normed, mean, fills in plan.steps:
@@ -463,13 +458,9 @@ def _score(plan: _Plan, spec: WeightingSpec, audit: bool = False) -> EvaluationR
     components = {comp: xs[slot] if bare is None else curve(bare)
                   for comp, slot, bare in plan.components}
     audits = None
-    if audit:
-        weighed, _ = _weigh(plan.table, plan.day, plan.gamma)
-        codes = plan.table.tree.slot_codes
-        audits = tuple(NodeAudit(code="" if slot == ROOT_SLOT else codes[slot],
-                                 normalized_weights=tuple(normed),
-                                 result=NodeResult(xs[slot], alpha, r))
-                       for slot, (normed, alpha, r) in weighed.items())
+    if plan.audits is not None:
+        audits = tuple(NodeAudit(code, normed, NodeResult(xs[slot], alpha, r))
+                       for slot, code, normed, alpha, r in plan.audits)
     return EvaluationReport(xs[ROOT_SLOT], plan.alpha, plan.reliability, components, audits)
 
 
@@ -506,9 +497,9 @@ def evaluate_table(
     reports: list[list] = [[] for _ in specs]
     for gamma, indices in by_gamma.items():
         for day in days:
-            plan = _plan(table, day, gamma)
+            plan = _weigh(table, day, gamma, audit)
             for i in indices:
-                reports[i].append((day, None if plan is None else _score(plan, specs[i], audit)))
+                reports[i].append((day, None if plan is None else _score(plan, specs[i])))
     return reports
 
 

@@ -32,7 +32,7 @@ from icfhi import (
     synthesize,
 )
 
-from icfhi.analysis import _median, _percentile, _split
+from icfhi.analysis import _split
 from icfhi.engine import evaluate_cohort
 
 from conftest import (
@@ -117,6 +117,14 @@ def test_pearson_loads_no_scipy_stats():
     proc = run_python("-c", "import sys; from icfhi.analysis import pearson; "
                             "pearson([1, 2, 3, 4], [1, 3, 2, 4]); "
                             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_importing_analysis_loads_neither_numpy_nor_scipy():
+    # the statistics import them where they first need them
+    proc = run_python("-c", "import sys, icfhi.analysis; "
+                            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -368,28 +376,6 @@ def test_boxplot_stats_match_numpy():
     assert report.median == float(np.median(coeffs))
     assert report.boxplot.whisker_low >= coeffs.min()
     assert report.boxplot.whisker_high <= coeffs.max()
-
-
-# analysis works out medians, quartiles and bins without numpy, to the float
-# as numpy does; numpy stays installed because synth draws with it
-_SAMPLES = st.one_of(
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
-    # many ties: a few distinct values, each repeated
-    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)),
-)
-
-
-@given(_SAMPLES)
-def test_median_is_numpys(values):
-    assert _median(values) == float(np.median(values))
-
-
-@given(_SAMPLES)
-def test_quartiles_are_numpys(values):
-    ordered = sorted(values)
-    assert [_percentile(ordered, p) for p in (25, 50, 75)] == \
-        [float(v) for v in np.percentile(np.array(values), [25, 50, 75])]
 
 
 def test_split_is_numpys_array_split():

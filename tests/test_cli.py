@@ -840,9 +840,11 @@ def _modules_after(package, *argv):
 
 
 # modules that index, profile and fit-weights never run: numpy serves only
-# synth, scipy validate's p-values, and analysis and cohort would bring
-# dataclasses, logging and datetime with them
-NOT_FOR_RECORDS = ("icfhi.analysis", "icfhi.cohort", "dataclasses", "numpy", "scipy")
+# synth and validate's statistics, scipy validate's p-values (and logging
+# with it), and analysis and cohort would bring dataclasses and datetime
+# with them
+NOT_FOR_RECORDS = ("icfhi.analysis", "icfhi.cohort", "dataclasses", "logging", "numpy",
+                   "scipy")
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):

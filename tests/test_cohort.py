@@ -18,6 +18,8 @@ from icfhi import (
     synthesize,
 )
 
+from conftest import run_python
+
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -168,12 +170,17 @@ def test_ingest_eqvas_row_without_person_id_is_data_error(tmp_path):
         ingest(cohort)
 
 
-def test_ingest_empty_file_warns_and_returns_empty(tmp_path, caplog):
-    path = _write(tmp_path / "a.csv", HEADER)
-    with caplog.at_level("WARNING"):
-        store = ingest(path)
-    assert len(store) == 0
-    assert any("empty" in r.message for r in caplog.records)
+def test_ingest_empty_file_warns_and_returns_empty(tmp_path):
+    # ingest returns the empty store; link, in a process of its own so that
+    # any logging would reach its stderr, warns once that it linked nothing
+    for name, text in (("header_only", HEADER), ("empty", "")):
+        path = _write(tmp_path / f"{name}.csv", text)
+        assert len(ingest(path)) == 0
+        proc = run_python("-c", "from icfhi.cli import main; raise SystemExit(main(["
+                                f"'link', '--data', {str(path)!r}, "
+                                f"'--out', {str(tmp_path / name)!r}]))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["warning: no records produced (empty input data)"]
 
 
 def test_ingest_rejects_bad_header(tmp_path):

@@ -33,7 +33,8 @@ from conftest import (
     worked_example_records,
 )
 import oracle
-from icfhi.engine import _evaluate_job, _plan, _score, evaluate_cohort
+import icfhi.engine as engine
+from icfhi.engine import _evaluate_job, _score, _weigh, evaluate_cohort
 from oracle import brute_force_evaluate, brute_force_hi, random_case
 
 
@@ -302,8 +303,8 @@ def test_old_records_alone_keep_their_day_zero_raw(y):
 
 @pytest.mark.parametrize("y", [0.75, 2.0, 3.25])
 def test_audits_where_every_time_weight_underflows_keep_the_day_zero_weights(y):
-    # every time weight underflows at day 8000, so the audit weighs the day
-    # again from log time weights, as the plan was weighed
+    # every time weight underflows at day 8000, so the day is weighed from
+    # log time weights, and the audit reads those weights
     spec = make_spec(y, parse_gamma("1/20@30"))
     records = _records(("b28010", 3, 0, 0.7, "a"), ("b28013", 1, 0, 0.9, "b"))
     assert spec.gamma ** 8000 == 0.0
@@ -313,7 +314,7 @@ def test_audits_where_every_time_weight_underflows_keep_the_day_zero_weights(y):
     for old_audit, new_audit in zip(old.audits, new.audits):
         assert old_audit.normalized_weights == pytest.approx(new_audit.normalized_weights,
                                                              abs=1e-12), old_audit.code
-    assert _score(_plan(table, 8000, spec.gamma), spec, audit=True) == old
+    assert _score(_weigh(table, 8000, spec.gamma, audit=True), spec) == old
 
 
 @pytest.mark.parametrize("day", [7300, 7379, 7409])
@@ -516,15 +517,16 @@ def test_trajectory_kernel_matches_single_day_path_and_oracle(seed, monkeypatch)
         record_days = sorted({r.day for r in records})
         days = [record_days[0] - 1, *record_days, record_days[-1] + 7]
         for gamma_text in KERNEL_GAMMAS:
-            # one weight plan per day serves every y of its gamma
-            plans = [(day, _plan(table, day, parse_gamma(gamma_text))) for day in days]
+            # one weight plan per day serves every y of its gamma, with or without audits
+            plans = {audit: [(day, _weigh(table, day, parse_gamma(gamma_text), audit))
+                             for day in days] for audit in (False, True)}
             for y in KERNEL_YS:
                 spec = make_spec(y, parse_gamma(gamma_text))
                 [trajectory] = evaluate_table(table, days, [spec])
                 assert [day for day, _ in trajectory] == days
-                for audit in (False, True):
-                    assert [[(day, None if plan is None else _score(plan, spec, audit))
-                             for day, plan in plans]] \
+                for audit, day_plans in plans.items():
+                    assert [[(day, None if plan is None else _score(plan, spec))
+                             for day, plan in day_plans]] \
                         == evaluate_table(table, days, [spec], audit=audit)
                 for day, report in trajectory:
                     visible = [r for r in records if r.day <= day]
@@ -615,6 +617,28 @@ def test_cohort_job_groups_specs_by_gamma_in_spec_order():
         pid, rows = _evaluate_job(specs, job)
         assert pid == "p"
         assert rows == [_evaluate_job([spec], job)[1][0] for spec in specs]
+
+
+def test_an_audit_weighs_each_day_once_per_gamma(monkeypatch):
+    # the audit comes from the plan its day was weighed for, not from a
+    # second weighing per spec
+    persons, tree = _random_cohort(3)
+    specs = [make_spec(y, parse_gamma(text)) for text in KERNEL_GAMMAS for y in KERNEL_YS]
+    calls = []
+    weigh = engine._weigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return weigh(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_weigh", counted)
+    for records in persons:
+        record_days = sorted({r.day for r in records})
+        days = [record_days[0] - 1, *record_days]
+        calls.clear()
+        [reports, *_] = evaluate_table(compile_records(tree, records), days, specs, audit=True)
+        assert all(report.audits for _, report in reports[1:])
+        assert len(calls) == len(days) * len(KERNEL_GAMMAS)
 
 
 def _case_records(seed, shift=0):
