@@ -212,18 +212,19 @@ class CohortEvaluator:
         """Index value at ``day`` from records up to that day, None before the
         first or for a person without linkable records; raises a DataError
         for an unknown person id, the person's link error if their answers
-        cannot be linked, and an EvaluationError for a gamma outside (0, 1]."""
+        cannot be linked, and, for any person, an EvaluationError for a gamma
+        outside (0, 1]."""
         spec_key = (spec.gamma, spec.y)
         try:
             return self._cache[spec_key][person_id][day]
         except KeyError:
             pass
         self._check(person_id)
+        _check_gamma(spec.gamma)
         table = self.tables.get(person_id)
         plan = None
         if table is not None:
             if spec.gamma != self._plans_gamma:
-                _check_gamma(spec.gamma)
                 self._plans, self._plans_gamma = {}, spec.gamma
             plan_key = (person_id, day)
             if plan_key not in self._plans:

@@ -251,6 +251,8 @@ def _parse_grid(text: str):
         key = key.strip().lower()
         if key not in axes:
             raise ConfigError(f"unknown grid axis {key!r} (expected y or gamma)")
+        if key in values:
+            raise ConfigError(f"grid axis {key!r} is given twice")
         values[key] = axes[key](body)
     if not (values.get("y") and values.get("gamma")):
         raise ConfigError(f"grid {text!r} must define both y and gamma axes")

@@ -253,23 +253,11 @@ def qualifiers(table: RecordTable, day: int,
     return dict(sorted(out.items()))
 
 
-class _Day(NamedTuple):
-    """One day's u by key id and the nodes weighed so far under one gamma:
-    what ``_normalize`` reads when it has to work in log space.
-    ``weighed`` maps each calculated node weighed so far to its
-    (normalized weights, alpha, r)."""
-
-    table: RecordTable
-    us: Sequence[float]
-    day: int
-    gamma: float
-    weighed: dict
-
-
-def _normalize(ctx: _Day, slot: int, children: Sequence[int],
-               weights: Sequence[float]) -> list[float]:
+def _normalize(weights: Sequence[float], table: RecordTable, us: Sequence[float], day: int,
+               gamma: float, weighed: dict, slot: int, children: Sequence[int]) -> list[float]:
     """The normalized contribution weights of one node, in the order
-    ``_weigh`` gives them.
+    ``_weigh`` gives them; ``weighed`` maps each calculated node weighed
+    so far to its (normalized weights, alpha, r).
 
     When every weight is zero or subnormal, they are recomputed from log
     time weights, so that time weights that underflow on a long horizon,
@@ -281,48 +269,36 @@ def _normalize(ctx: _Day, slot: int, children: Sequence[int],
     if max(weights) >= _SMALLEST_NORMAL:
         total = math.fsum(weights)
         return [w / total for w in weights]
-    normed = _log_normalize(_log_terms(ctx, dict(ctx.table.nodes), slot, children))
-    if normed is None:
-        label = "root" if slot == ROOT_SLOT else ctx.table.tree.slot_codes[slot]
+    log_gamma = math.log(gamma)
+    children_of = dict(table.nodes)
+
+    def terms(slot: int, children: Sequence[int]) -> list:
+        """(log alpha, weight over alpha) of each contribution of a node:
+        (day - d)*log(gamma) for a record, the logsumexp of its weighted
+        contributions for a calculated child."""
+        out = [((day - d) * log_gamma, r) for d, _, r, _ in table.rows.get(slot, ()) if d <= day]
+        for child in children:
+            node = weighed.get(child)
+            if node is not None:
+                logs = [math.log(w) + log_alpha for w, (log_alpha, _)
+                        in zip(node[0], terms(child, children_of[child])) if w > 0.0]
+                top = max(logs)
+                log_sum = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+                out.append((log_sum, node[2]))
+            else:  # a leaf, or a calculated child none of whose records is visible
+                out += [((day - d) * log_gamma, r * us[key])
+                        for d, _, r, key in table.rows.get(child, ()) if d <= day]
+        return out
+
+    logs = [log_alpha + math.log(k) if k > 0.0 else -math.inf
+            for log_alpha, k in terms(slot, children)]
+    top = max(logs)
+    if top == -math.inf:
+        label = "root" if slot == ROOT_SLOT else table.tree.slot_codes[slot]
         raise EvaluationError(
             f"all contribution weights at node {label} are zero (reliability and/or "
             "time weights vanish); the node cannot be aggregated"
         )
-    return normed
-
-
-def _log_terms(ctx: _Day, children_of: dict, slot: int, children: Sequence[int]) -> list:
-    """(log alpha, weight over alpha) of each contribution of a node, in the
-    order ``_weigh`` gives them: (day - d)*log(gamma) for a record, the
-    logsumexp of its weighted contributions for a calculated child."""
-    table, us, day, gamma, weighed = ctx
-    log_gamma = math.log(gamma)
-    terms = [((day - d) * log_gamma, r) for d, _, r, _ in table.rows.get(slot, ()) if d <= day]
-    for child in children:
-        node = weighed.get(child)
-        if node is not None:
-            child_terms = _log_terms(ctx, children_of, child, children_of[child])
-            terms.append((_logsumexp([math.log(w) + log_alpha for w, (log_alpha, _)
-                                      in zip(node[0], child_terms) if w > 0.0]), node[2]))
-        else:  # a leaf, or a calculated child none of whose records is visible
-            terms += [((day - d) * log_gamma, r * us[key])
-                      for d, _, r, key in table.rows.get(child, ()) if d <= day]
-    return terms
-
-
-def _logsumexp(logs: Sequence[float]) -> float:
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
-
-
-def _log_normalize(terms: list) -> list[float] | None:
-    """Normalized weights from (log alpha, weight over alpha) terms, with
-    the largest log weight subtracted first; None when every term has
-    weight zero."""
-    logs = [log_alpha + math.log(k) if k > 0.0 else -math.inf for log_alpha, k in terms]
-    top = max(logs)
-    if top == -math.inf:
-        return None
     return normalize_weights([math.exp(x - top) for x in logs])
 
 
@@ -372,7 +348,6 @@ def _weigh(table: RecordTable, day: int, gamma: float, audit: bool = False) -> _
     us = _uniqueness(table, day)
     weighed: dict[int, tuple] = {}  # slot -> (normed, alpha, r), in bottom-up order
     steps = []
-    ctx = _Day(table, us, day, gamma, weighed)
     fsum = math.fsum
     nodes = table.nodes
     rows_of = table.rows
@@ -405,11 +380,11 @@ def _weigh(table: RecordTable, day: int, gamma: float, audit: bool = False) -> _
                     weights.append(alpha * r * us[key])
         if not weights:
             continue
-        if max(weights) >= _SMALLEST_NORMAL:  # _normalize's first branch, without its call
+        if max(weights) >= _SMALLEST_NORMAL:  # _normalize's fast path, inline: no call per node
             total = fsum(weights)
             normed = [w / total for w in weights]
         else:
-            normed = _normalize(ctx, slot, children, weights)
+            normed = _normalize(weights, table, us, day, gamma, weighed, slot, children)
         if fills:
             steps.append((slot, tuple(normed), tuple(values), tuple(fills)))
         else:  # no value fills in, so the weighted mean is the same under every y
@@ -428,7 +403,8 @@ def _weigh(table: RecordTable, day: int, gamma: float, audit: bool = False) -> _
             visible = [row for row in rows_of.get(child, ()) if row[0] <= day]
             if not visible:
                 continue
-            normed = _normalize(ctx, child, (), [alphas[d] * r for d, _, r, _ in visible])
+            normed = _normalize([alphas[d] * r for d, _, r, _ in visible],
+                                table, us, day, gamma, weighed, child, ())
             bare = fsum(map(mul, normed, [row[1] for row in visible]))
         components.append((codes[child].component, child, bare))
     audits = None

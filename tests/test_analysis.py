@@ -11,18 +11,21 @@ from icfhi import (
     CohortEvaluator,
     CohortStore,
     DataError,
+    EvaluationError,
     GroupSpec,
     InsufficientDataError,
     Person,
     RawAnswer,
     RuleSet,
     SynthConfig,
+    WeightingSpec,
     apply_rules,
     bin_by_sequence_length,
     compile_records,
     default_rules,
     eqvas_vs_hi,
     evaluate_table,
+    fit_curve,
     form_groups,
     make_spec,
     max_pain_by_day,
@@ -555,6 +558,22 @@ def test_an_unknown_person_id_is_a_data_error():
     failures = evaluator.precompute(["nobody", "eqvas_only", *good.person_ids], [make_spec()])
     assert failures == {"nobody": str(raised.value)}
     assert "nobody" not in {pid for pid, _, _, _ in _cached(evaluator)}
+
+
+@pytest.mark.parametrize("gamma", [1.5, 0.0, math.nan])
+def test_hi_rejects_a_gamma_outside_the_unit_interval_for_every_person(gamma):
+    # a person without linkable records has no table to weigh, but such a
+    # gamma is an error for them as for a person with records, and hi
+    # caches nothing for either
+    good = synthesize(SynthConfig(seed=5, n_persons=3, max_visits=4))
+    eqvas_only = Person("eqvas_only", [], {0: 50.0})
+    evaluator = CohortEvaluator(CohortStore([eqvas_only, *good]), default_rules())
+    spec = WeightingSpec(2.0, gamma, fit_curve(2.0))
+    for pid in ("eqvas_only", good.person_ids[0]):
+        with pytest.raises(EvaluationError) as err:
+            evaluator.hi(pid, 0, spec)
+        assert str(err.value) == f"time decay constant gamma must lie in (0, 1], got {gamma!r}"
+    assert _cached(evaluator) == {}
 
 
 def test_every_statistic_raises_the_data_error_of_an_unknown_person_id():

@@ -744,6 +744,8 @@ RECORDS_HEADER = CSV_HEADERS["records.csv"]
     (["synth", "--trend", "bogus"], {}, 2,
      "error (configuration): trend must be one of ('improving', 'worsening', 'flat', 'mixed'), "
      "got 'bogus'"),
+    (["validate", "--data", "{tmp}/answers.csv", "--grid", "y=2;gamma=1;y=3"], {}, 2,
+     "error (configuration): grid axis 'y' is given twice"),
 ])
 def test_exit_code_and_its_one_stderr_line(tmp_path, capsys, argv, files, code, line):
     (tmp_path / "answers.csv").write_text(ANSWERS_HEADER + "p1,0,pain_vas,back,5\n")

@@ -277,6 +277,30 @@ def test_all_zero_reliability_is_degenerate():
     assert "zero" in str(err.value)
 
 
+@pytest.mark.parametrize("triples, label", [
+    ([("b280", 2, 0)], "b2"),
+    ([("b", 2, 0), ("d", 1, 0)], "root"),
+])
+def test_a_node_whose_weights_are_all_zero_is_named_in_the_error(triples, label):
+    # r = 0 on every record: the log-space weighing finds no weight either
+    records = _records(*triples, reliability=0.0)
+    with pytest.raises(EvaluationError) as err:
+        report_on(records, 0, make_spec(2.0, 1.0))
+    assert str(err.value) == (f"all contribution weights at node {label} are zero "
+                              "(reliability and/or time weights vanish); the node "
+                              "cannot be aggregated")
+
+
+def test_a_bare_component_whose_only_record_underflows_scores_its_value():
+    # the b record is 8000 days old, so its one weight underflows to zero;
+    # weighed from its log time weight, it is the whole of its component
+    spec = make_spec(2.0, parse_gamma("1/20@30"))
+    records = _records(("b", 3, 0), ("d450", 1, 8000))
+    assert spec.gamma ** 8000 == 0.0
+    report = report_on(records, 8000, spec)
+    assert report.components["b"] == 3.0
+
+
 def test_long_horizon_underflow_is_evaluated():
     # the b280 record is 8000 days old: its time weight 20**(-8000/30)
     # underflows to zero, which alone must not stop the evaluation
