@@ -15,8 +15,8 @@ _EXPORTS = {
     "analysis": (
         "DEFAULT_GROUPS", "VALIDATION_TABLES", "BoxplotStats", "CohortEvaluator",
         "CorrelationReport", "GroupSpec", "MaxPainReport", "PersonCorrelation", "SequenceBin",
-        "SweepCell", "Validation", "bin_by_sequence_length", "eqvas_vs_hi", "form_groups",
-        "max_pain_by_day", "maxpain_vs_hi", "pearson", "sweep", "validate",
+        "Validation", "bin_by_sequence_length", "eqvas_vs_hi", "form_groups", "max_pain_by_day",
+        "maxpain_vs_hi", "pearson", "validate",
     ),
     "codes": ("COMPONENTS", "IcfCode", "IcfTree", "build_tree", "parse_code"),
     "cohort": (

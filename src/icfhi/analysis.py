@@ -3,8 +3,8 @@
 Implements the validation protocol: eligibility groups by treatment
 duration and sequence length, pooled EQ-VAS vs. index correlation, per
 person maximum-pain vs. index trajectory correlations with Bonferroni
-correction, tertile binning by sequence length, and (gamma, y) parameter
-sweeps.  ``validate`` runs the whole protocol on a cohort and returns the
+correction and tertile binning by sequence length.  ``validate`` runs the
+whole protocol on a cohort, a (gamma, y) sweep included, and returns the
 rows of its tables, the persons it left out and the statistics it found
 undefined.  All outputs are deterministic given the cohort and grid.
 
@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 from typing import NamedTuple, Sequence
 
 from .codes import IcfTree, build_tree
-from .cohort import CohortStore, Person, stats
+from .cohort import PAIN_INSTRUMENT, CohortStore, Person, stats
 from .engine import (RecordTable, _check_gamma, _Plan, _score, _weigh, compile_records,
                      evaluate_cohort)
 from .errors import DataError, IcfHiError, InsufficientDataError
@@ -29,8 +29,6 @@ from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
 
 DEFAULT_ALPHA = 0.05
-
-PAIN_INSTRUMENT = "pain_vas"
 
 
 @dataclass(frozen=True, order=True)
@@ -148,25 +146,6 @@ class SequenceBin:
     n: int
     significant_portion: float
     median_correlation: float
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One (gamma, y) cell: the EQ-VAS and maximum-pain reports, each None
-    when it is undefined for the cell, and in ``undefined`` the reason of
-    each undefined one by name, "eqvas" before "maxpain"."""
-
-    gamma: float
-    y: float
-    eqvas: CorrelationReport | None
-    maxpain: MaxPainReport | None
-    undefined: dict[str, str]
-    distinct_index_values: int
-
-    @property
-    def status(self) -> str:
-        """The reason of the first undefined statistic, or "ok"."""
-        return next(iter(self.undefined.values()), "ok")
 
 
 class CohortEvaluator:
@@ -420,23 +399,17 @@ def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
     return bins
 
 
-def sweep(evaluator: CohortEvaluator, person_ids: Sequence[str],
-          gammas: Sequence[float], ys: Sequence[float],
-          alpha: float = DEFAULT_ALPHA) -> list[SweepCell]:
-    """One cell per (gamma, y): the pooled EQ-VAS correlation and the
-    maximum-pain report for the group, and the number of distinct index
-    values in the pooled EQ-VAS series.  A statistic that is undefined for
-    the cell is reported with its reason, not raised."""
-    cells: list[SweepCell] = []
-    for gamma in gammas:
-        for y in ys:
-            spec = make_spec(y, gamma)
-            eqvas_values, hi_values = _eqvas_pairs(evaluator, person_ids, spec)
-            undefined: dict[str, str] = {}
-            eq = _defined(undefined, "eqvas", _pooled_correlation, eqvas_values, hi_values, alpha)
-            mp = _defined(undefined, "maxpain", maxpain_vs_hi, evaluator, person_ids, spec, alpha)
-            cells.append(SweepCell(gamma, y, eq, mp, undefined, len(set(hi_values))))
-    return cells
+def _cell(evaluator: CohortEvaluator, person_ids: Sequence[str], spec: WeightingSpec,
+          alpha: float) -> tuple:
+    """One (group, spec) cell of ``validate``: the EQ-VAS and maximum-pain
+    reports, each None when it is undefined, the reason of each undefined
+    one by name, "eqvas" before "maxpain", and the number of distinct index
+    values in the pooled EQ-VAS series."""
+    eqvas_values, hi_values = _eqvas_pairs(evaluator, person_ids, spec)
+    undefined: dict[str, str] = {}
+    eq = _defined(undefined, "eqvas", _pooled_correlation, eqvas_values, hi_values, alpha)
+    mp = _defined(undefined, "maxpain", maxpain_vs_hi, evaluator, person_ids, spec, alpha)
+    return eq, mp, undefined, len(set(hi_values))
 
 
 def _defined(undefined: dict[str, str], name: str, statistic, *args):
@@ -479,27 +452,29 @@ def validate(store: CohortStore, rules: RuleSet, groups: Sequence[GroupSpec],
              alpha: float = DEFAULT_ALPHA, workers: int = 1) -> Validation:
     """The validation protocol: per group and gamma at ``y``, the EQ-VAS
     correlation, maximum-pain summary and persons, and sequence bins; with
-    a ``grid`` of (gammas, ys), a sweep row per group and cell.  A repeated
-    group, gamma or grid value counts once; a failed person is left out of
-    every group."""
+    a ``grid`` of (gammas, ys), a sweep row per group and cell, whose status
+    names its first undefined statistic's reason, or "ok".  Each undefined
+    statistic warns, a sweep cell once.  A repeated group, gamma or grid
+    value counts once; a failed person is left out of every group."""
     gammas, groups = list(dict.fromkeys(gammas)), list(dict.fromkeys(groups))
     grid_gammas, grid_ys = (list(dict.fromkeys(axis)) for axis in grid or ((), ()))
     evaluator = CohortEvaluator(store, rules)
     members = form_groups(store, groups)
-    specs = [make_spec(y, gamma) for gamma in gammas]
-    specs += [make_spec(grid_y, gamma) for gamma in grid_gammas for grid_y in grid_ys]
+    group_specs = [make_spec(y, gamma) for gamma in gammas]
+    grid_specs = [make_spec(grid_y, gamma) for gamma in grid_gammas for grid_y in grid_ys]
     eligible = sorted({pid for pids in members.values() for pid in pids})
     # a group spec that is also a grid cell is evaluated once
-    failures = evaluator.precompute(eligible, list(dict.fromkeys(specs)), workers)
+    failures = evaluator.precompute(eligible, list(dict.fromkeys(group_specs + grid_specs)),
+                                    workers)
     members = {g: [pid for pid in pids if pid not in failures] for g, pids in members.items()}
 
     tables = {name: [] for name in VALIDATION_TABLES if name != "sweep" or grid is not None}
     warnings = []
     for group in groups:
         label, pids = group.label, members[group]
-        for cell in sweep(evaluator, pids, gammas, [y], alpha):
-            eq, mp, undefined = cell.eqvas, cell.maxpain, dict(cell.undefined)
-            key = [label, cell.gamma, y]
+        for spec in group_specs:
+            eq, mp, undefined, _ = _cell(evaluator, pids, spec, alpha)
+            key = [label, spec.gamma, y]
             if eq is not None:
                 tables["eqvas_correlations"].append(
                     key + [eq.n, eq.coefficient, eq.p_value, int(eq.bonferroni_significant)])
@@ -513,19 +488,20 @@ def validate(store: CohortStore, rules: RuleSet, groups: Sequence[GroupSpec],
                     for c in mp.correlations)
                 bins = _defined(undefined, "sequence_bins", bin_by_sequence_length, store, mp)
                 tables["sequence_bins"].extend(key + list(astuple(b)) for b in bins or ())
-            where = f"group {label} gamma={format_cell(cell.gamma)} y={format_cell(y)}"
+            where = f"group {label} gamma={format_cell(spec.gamma)} y={format_cell(y)}"
             warnings.extend(f"{where} {name} is undefined: {reason}"
                             for name, reason in undefined.items())
-        for cell in sweep(evaluator, pids, grid_gammas, grid_ys, alpha):
-            eq, mp = cell.eqvas, cell.maxpain
+        for spec in grid_specs:
+            eq, mp, undefined, distinct = _cell(evaluator, pids, spec, alpha)
+            status = next(iter(undefined.values()), "ok")
             tables["sweep"].append(
-                [label, cell.gamma, cell.y,
+                [label, spec.gamma, spec.y,
                  *((None,) * 3 if eq is None else (eq.n, eq.coefficient, eq.p_value)),
                  *((None,) * 3 if mp is None else (mp.n, mp.median, mp.significant_portion)),
-                 cell.distinct_index_values, cell.status])
-            if cell.undefined:
-                warnings.append(f"sweep cell group={label} gamma={format_cell(cell.gamma)} "
-                                f"y={format_cell(cell.y)} is undefined: {cell.status}")
+                 distinct, status])
+            if undefined:
+                warnings.append(f"sweep cell group={label} gamma={format_cell(spec.gamma)} "
+                                f"y={format_cell(spec.y)} is undefined: {status}")
 
     return Validation(tables, failures, warnings, dict(
         alpha=alpha, gammas=gammas, y=y, groups={g.label: len(members[g]) for g in groups},

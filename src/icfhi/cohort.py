@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 EQVAS_INSTRUMENT = "eqvas"
+PAIN_INSTRUMENT = "pain_vas"
 
 ANSWER_COLUMNS = ("person_id", "day", "instrument", "item", "value")
 _DAY_HEADERS = ("day", "date", "day_or_date")
@@ -45,11 +46,6 @@ class RawAnswer(NamedTuple):
     @property
     def source_item_id(self) -> str:
         return f"{self.instrument}:{self.item}"
-
-    @property
-    def source_id(self) -> str:
-        # unique per answer given the duplicate-row check at ingestion
-        return f"{self.person_id}:{self.day}:{self.instrument}:{self.item}"
 
 
 @dataclass
@@ -437,7 +433,7 @@ def synthesize(config: SynthConfig) -> CohortStore:
             _fill_visit(person, rng, config, int(day), latent, pain_bias)
         if not person.answers and not person.eqvas:
             # guarantee at least one linkable answer per person
-            person.answers.append(RawAnswer(pid, 0, "pain_vas", "back",
+            person.answers.append(RawAnswer(pid, 0, PAIN_INSTRUMENT, "back",
                                             float(round(10 * start))))
         _start_at_day_zero(person)
         persons.append(person)
@@ -464,7 +460,7 @@ def _fill_visit(person, rng, config, day, latent, pain_bias) -> None:
                                                            replace=False))]
         for area in areas:
             level = np.clip(latent + pain_bias[area] + rng.normal(0.0, config.noise), 0.0, 1.0)
-            person.answers.append(RawAnswer(person.person_id, day, "pain_vas", area,
+            person.answers.append(RawAnswer(person.person_id, day, PAIN_INSTRUMENT, area,
                                             float(round(10 * level))))
     if rng.uniform() < config.p_machine:
         n_items = 2 + int(rng.integers(0, 3))

@@ -442,20 +442,21 @@ def _score(plan: _Plan, spec: WeightingSpec) -> EvaluationReport:
 
 def evaluate_table(
     table: RecordTable,
-    days: Sequence[int],
+    days: Iterable[int],
     specs: Sequence[WeightingSpec],
     *,
     audit: bool = False,
 ) -> list[list[tuple[int, EvaluationReport | None]]]:
     """Evaluate a compiled table on each requested day under each spec: per
     spec, in spec order, the (day, report or None) pairs of the days in
-    order.  A day uses only the records available by that day and the day
-    itself as the decay reference; the report is None on a day before the
-    first record.  Each day is weighed once per gamma and scored under every
-    spec of that gamma.  With ``audit`` each report also carries every
-    calculated node's normalized weights and result.  A spec's gamma
-    outside (0, 1], nan included, is an EvaluationError, raised before
-    any day is weighed.
+    order.  ``days`` is any iterable, read once; days out of ascending
+    order are an EvaluationError.  A day uses only the records available by
+    that day and the day itself as the decay reference; the report is None
+    on a day before the first record.  Each day is weighed once per gamma
+    and scored under every spec of that gamma.  With ``audit`` each report
+    also carries every calculated node's normalized weights and result.  A
+    spec's gamma outside (0, 1], nan included, is an EvaluationError,
+    raised before any day is weighed.
 
     Which nodes are leaves comes from the table's tree: on a cohort-wide
     tree a code that is a leaf for this person may have children, and the
@@ -463,7 +464,8 @@ def evaluate_table(
     b280 evaluated at y = 0.75 gives raw f^4(v) on a tree that also holds
     b2800, and f^3(v) on the record's own tree.
     """
-    if list(days) != sorted(days):
+    days = list(days)
+    if days != sorted(days):
         raise EvaluationError("evaluation days must be sorted ascending")
     by_gamma: dict[float, list[int]] = {}
     for i, spec in enumerate(specs):

@@ -314,7 +314,8 @@ def link_answers(answers: "Iterable[RawAnswer]", rules: RuleSet) -> list[Link]:
         if entry is None:
             entry = linked[key] = _link_entry(answer, rules)
         if entry:
-            # the source id is RawAnswer.source_id, built here without the property call
+            # the source id, person:day:instrument:item, is unique per answer
+            # given the duplicate-row check at ingestion
             append(new_link(Link, (person_id, day, f"{person_id}:{day}:{instrument}:{item}",
                                    *entry)))
     return links

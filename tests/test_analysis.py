@@ -31,12 +31,13 @@ from icfhi import (
     max_pain_by_day,
     maxpain_vs_hi,
     pearson,
-    sweep,
     synthesize,
+    validate,
 )
 
-from icfhi.analysis import _split
+from icfhi.analysis import DEFAULT_ALPHA, _cell, _split
 from icfhi.engine import evaluate_cohort
+from icfhi.formatting import format_cell
 
 from conftest import (
     GAMMA_THIRD_30,
@@ -60,6 +61,8 @@ def test_form_groups_predicates():
         _person_with_days("thirty_only", [0, 20, 40, 60, 95, 96, 97, 98]),
         # duration 10: neither
         _person_with_days("neither", [0, 5, 10]),
+        # listed only in persons.csv: no days, so no treatment stats
+        Person("listed_only"),
     ])
     groups = form_groups(store, specs)
     assert groups[specs[0]] == ["both"]
@@ -304,6 +307,27 @@ def test_bins_sizes_with_ties():
     assert max(b.n for b in bins) - min(b.n for b in bins) <= 1
 
 
+def test_maxpain_skips_a_person_with_fewer_than_three_index_days():
+    # with pain_vas:back validation-only, the pain of "late" links to nothing:
+    # its one ODI answer, on day 2, gives an index on two of its four pain days
+    rules = default_rules_json()
+    rules["rules"] = [{"source_item_id": "pain_vas:back", "validation_only": True}
+                      if rule["source_item_id"] == "pain_vas:back" else rule
+                      for rule in rules["rules"]]
+    late = Person("late", [RawAnswer("late", d, "pain_vas", "back", float(d)) for d in range(4)]
+                  + [RawAnswer("late", 2, "odi", "walking", 2.0)])
+    # neck pain links, so these persons have an index on every pain day
+    others = [Person(pid, [RawAnswer(pid, d, "pain_vas", "neck", float(d * (i + 2) % 11))
+                           for d in range(4)])
+              for i, pid in enumerate(("a", "b", "c"))]
+    evaluator = CohortEvaluator(CohortStore([late, *others]), RuleSet.from_json(rules))
+    spec = make_spec()
+    assert [evaluator.hi("late", d, spec) for d in range(4)] == [None, None, 50, 50]
+    report = maxpain_vs_hi(evaluator, ["late", "a", "b", "c"], spec)
+    assert (report.n, report.omitted_constant_trajectories) == (3, 0)
+    assert [c.person_id for c in report.correlations] == ["a", "b", "c"]
+
+
 def test_bins_need_enough_persons():
     store = _coupled_store(n_persons=2, seed=6)
     evaluator = CohortEvaluator(store, default_rules())
@@ -318,24 +342,27 @@ def test_sweep_contains_linear_row_matching_direct_results():
     group = [p.person_id for p in store if len(p.days) >= 4]
     gammas = [GAMMA_THIRD_30, 1.0]
     ys = [1.0, 2.0]
-    cells = sweep(evaluator, group, gammas, ys)
+    cells = {(gamma, y): _cell(evaluator, group, make_spec(y, gamma), DEFAULT_ALPHA)
+             for gamma in gammas for y in ys}
     assert len(cells) == 4
     direct_eq = eqvas_vs_hi(evaluator, group, make_spec(2.0, GAMMA_THIRD_30))
     direct_mp = maxpain_vs_hi(evaluator, group, make_spec(2.0, GAMMA_THIRD_30))
-    linear_cell = next(c for c in cells if c.y == 2.0 and c.gamma == GAMMA_THIRD_30)
-    assert linear_cell.eqvas.coefficient == direct_eq.coefficient
-    assert linear_cell.maxpain.median == direct_mp.median
-    assert linear_cell.eqvas.n == direct_eq.n
-    assert (linear_cell.undefined, linear_cell.status) == ({}, "ok")
+    eqvas, maxpain, undefined, _ = cells[GAMMA_THIRD_30, 2.0]
+    assert eqvas.coefficient == direct_eq.coefficient
+    assert maxpain.median == direct_mp.median
+    assert eqvas.n == direct_eq.n
+    assert undefined == {}  # status "ok"
 
 
 def test_sweep_reports_undefined_statistics_as_status():
     lone = CohortStore([Person("p", [RawAnswer("p", 0, "pain_vas", "back", 3.0)], {0: 70.0})])
-    [cell] = sweep(CohortEvaluator(lone, default_rules()), ["p"], [1.0], [2.0])
-    assert (cell.status, cell.distinct_index_values) == ("too_few_pairs", 1)
-    assert cell.eqvas is None
-    assert cell.maxpain is None
-    assert cell.undefined == {"eqvas": "too_few_pairs", "maxpain": "no_correlations"}
+    eqvas, maxpain, undefined, distinct = _cell(CohortEvaluator(lone, default_rules()), ["p"],
+                                                make_spec(2.0, 1.0), DEFAULT_ALPHA)
+    assert distinct == 1
+    assert eqvas is None
+    assert maxpain is None
+    # in order: the first reason is the cell's status
+    assert list(undefined.items()) == [("eqvas", "too_few_pairs"), ("maxpain", "no_correlations")]
     # two pain days per person: the pooled EQ-VAS correlation is defined, but
     # no person has the three days a maximum-pain correlation needs
     persons = [Person(pid, [RawAnswer(pid, d, "pain_vas", "back", float(2 + i + d))
@@ -343,18 +370,44 @@ def test_sweep_reports_undefined_statistics_as_status():
                for i, pid in enumerate(("a", "b", "c"))]
     store = CohortStore(persons)
     evaluator = CohortEvaluator(store, default_rules())
-    [cell] = sweep(evaluator, store.person_ids, [1.0], [2.0])
+    eqvas, maxpain, undefined, distinct = _cell(evaluator, store.person_ids,
+                                                make_spec(2.0, 1.0), DEFAULT_ALPHA)
     direct = eqvas_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
-    assert cell.status == "no_correlations"
-    assert (cell.eqvas.n, cell.eqvas.coefficient, cell.eqvas.p_value) == (
+    assert (eqvas.n, eqvas.coefficient, eqvas.p_value) == (
         direct.n, direct.coefficient, direct.p_value)
-    assert cell.maxpain is None
-    assert cell.undefined == {"maxpain": "no_correlations"}
-    assert cell.distinct_index_values == len({evaluator.hi(p.person_id, day, make_spec(2.0, 1.0))
-                                             for p in persons for day in p.eqvas}) > 1
+    assert maxpain is None
+    assert undefined == {"maxpain": "no_correlations"}
+    assert distinct == len({evaluator.hi(p.person_id, day, make_spec(2.0, 1.0))
+                            for p in persons for day in p.eqvas}) > 1
     with pytest.raises(InsufficientDataError) as raised:
         maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
     assert raised.value.reason == "no_correlations"
+
+
+def test_validate_builds_its_sweep_rows_and_warnings_from_its_cells():
+    store = synthesize(SynthConfig(seed=42, n_persons=60))
+    group, gammas, ys = GroupSpec(30, 5), [GAMMA_THIRD_30, 1.0], [2.0, 3.8]
+    result = validate(store, default_rules(), [group], [1.0], 2.0, grid=(gammas, ys))
+    evaluator = CohortEvaluator(store, default_rules())
+    pids = form_groups(store, [group])[group]
+    rows, warnings = [], []
+    for gamma in gammas:
+        for y in ys:
+            eqvas, maxpain, undefined, distinct = _cell(evaluator, pids, make_spec(y, gamma),
+                                                        DEFAULT_ALPHA)
+            status = next(iter(undefined.values()), "ok")
+            rows.append([group.label, gamma, y, eqvas.n if eqvas else None,
+                         eqvas.coefficient if eqvas else None, eqvas.p_value if eqvas else None,
+                         maxpain.n if maxpain else None, maxpain.median if maxpain else None,
+                         maxpain.significant_portion if maxpain else None, distinct, status])
+            if undefined:
+                warnings.append(f"sweep cell group=30d_5v gamma={format_cell(gamma)} "
+                                f"y={format_cell(y)} is undefined: {status}")
+    assert result.failures == {}
+    assert result.tables["sweep"] == rows
+    assert [line for line in result.warnings if line.startswith("sweep cell")] == warnings
+    # both kinds of cell occur: y = 3.8 leaves every pooled index value the same
+    assert {row[-1] for row in rows} == {"ok", "zero_variance"}
 
 
 def test_summaries_deterministic():
@@ -583,8 +636,6 @@ def test_every_statistic_raises_the_data_error_of_an_unknown_person_id():
     for statistic in (eqvas_vs_hi, maxpain_vs_hi):
         with pytest.raises(DataError, match="^unknown person id 'nobody'$"):
             statistic(evaluator, person_ids, make_spec())
-    with pytest.raises(DataError, match="^unknown person id 'nobody'$"):
-        sweep(evaluator, person_ids, [1.0], [2.0])
 
 
 def test_precompute_skips_a_failure_on_days_no_statistic_reads():

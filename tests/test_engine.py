@@ -470,9 +470,19 @@ def test_trajectory_improving_person_rises():
 
 def test_trajectory_requires_sorted_days():
     spec = make_spec(2.0, 1.0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as err:
         evaluate_table(compile_records(build_tree({"b280"}), _records(("b280", 1, 0))),
                        [10, 0], [spec])
+    assert str(err.value) == "evaluation days must be sorted ascending"
+
+
+def test_evaluation_days_may_be_an_iterator():
+    # the days are read once, so an iterator gives the reports of its list
+    table = compile_records(build_tree({"b280"}), _records(("b280", 1, 0), ("b280", 3, 5)))
+    specs = [make_spec(2.0, 1.0), make_spec(1.0, GAMMA_THIRD_30)]
+    assert evaluate_table(table, iter([0, 5]), specs) == evaluate_table(table, [0, 5], specs)
+    with pytest.raises(EvaluationError, match="^evaluation days must be sorted ascending$"):
+        evaluate_table(table, iter([5, 0]), specs)
 
 
 def test_uniqueness_counts_a_source_reused_on_a_later_day():

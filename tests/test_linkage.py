@@ -347,7 +347,8 @@ def test_multi_target_answer_rows_are_contiguous_in_code_order(tmp_path):
     with open(tmp_path / "records.csv", newline="") as fh:
         sources = [(row["source_id"], row["code"]) for row in csv.DictReader(fh)]
     for answer in answers:
-        rows = [i for i, (source, _) in enumerate(sources) if source == answer.source_id]
+        source_id = f"{answer.person_id}:{answer.day}:{answer.source_item_id}"
+        rows = [i for i, (source, _) in enumerate(sources) if source == source_id]
         assert rows == list(range(rows[0], rows[0] + len(rows)))
         targets = rules.get(answer.source_item_id).targets
         assert [sources[i][1] for i in rows] == [c.text for c in sorted(targets)]
@@ -384,7 +385,8 @@ def test_records_and_answers_are_slotted_and_pickle():
                                        "reliability")
     assert Link._fields == ("person_id", "day", "source_id", "targets", "value", "reliability")
     assert RawAnswer._fields == ("person_id", "day", "instrument", "item", "value")
-    assert (answer.source_item_id, answer.source_id) == ("odi:lifting", "p:0:odi:lifting")
+    assert answer.source_item_id == "odi:lifting"
+    assert link_answers([answer], default_rules())[0].source_id == "p:0:odi:lifting"
     for obj in (record, link, answer):
         assert not hasattr(obj, "__dict__")
         copy = pickle.loads(pickle.dumps(obj))
@@ -582,7 +584,8 @@ def _translate_each(answers, rules):
         except ValueError as exc:
             return None, (f"cannot translate {source!r} answer for person {answer.person_id} "
                           f"on day {answer.day}: {exc}")
-        links.append(Link(answer.person_id, answer.day, answer.source_id, rule.targets, value,
+        links.append(Link(answer.person_id, answer.day,
+                          f"{answer.person_id}:{answer.day}:{source}", rule.targets, value,
                           rule.reliability))
     return links, None
 
