@@ -108,10 +108,15 @@ def translation_from_json(obj: dict) -> ValueTranslation:
     """A translation from JSON; a bad field raises KeyError, TypeError or ValueError."""
     kind = obj["kind"]
     if kind == "discrete_map":
-        return DiscreteMap({int(k): float(v) for k, v in obj["map"].items()})
+        mapping = obj["map"]
+        if not isinstance(mapping, dict) or not mapping:
+            raise ConfigError("discrete_map needs a non-empty JSON object as its map")
+        return DiscreteMap({int(k): float(v) for k, v in mapping.items()})
     if kind == "interval_map":
         breaks = tuple(float(v) for v in obj["breaks"])
         qualifiers = tuple(float(v) for v in obj["qualifiers"])
+        if len(breaks) < 2:
+            raise ConfigError("interval_map needs at least two breaks")
         if len(qualifiers) != len(breaks) - 1:
             raise ConfigError("interval_map needs exactly len(breaks)-1 qualifiers")
         if any(b >= c for b, c in zip(breaks, breaks[1:])):
@@ -232,7 +237,10 @@ class RuleSet:
                 raise ConfigError(f"rule entry without source_item_id: {entry!r}") from None
             validation_only = bool(entry.get("validation_only"))
             try:
-                targets = () if validation_only else tuple(map(parse_code, entry["targets"]))
+                targets = () if validation_only else entry["targets"]
+                if not isinstance(targets, (list, tuple)):
+                    raise ConfigError(f"targets must be a JSON list of codes, got {targets!r}")
+                targets = tuple(map(parse_code, targets))
                 translation = (None if validation_only
                                else translation_from_json(entry["translation"]))
                 reliability = float(entry.get("reliability", 1.0))
