@@ -10,34 +10,24 @@ so that ``import icfhi`` loads no submodule and a command loads only the
 modules it runs.
 """
 
-# module -> the names the package exports from it
+# module -> the names the package exports from it: those that README.md's
+# "Library use" lists; the modules keep other names for their own use
 _EXPORTS = {
-    "analysis": (
-        "DEFAULT_GROUPS", "VALIDATION_TABLES", "BoxplotStats", "CohortEvaluator",
-        "CorrelationReport", "GroupSpec", "MaxPainReport", "PersonCorrelation", "SequenceBin",
-        "Validation", "bin_by_sequence_length", "eqvas_vs_hi", "form_groups", "max_pain_by_day",
-        "maxpain_vs_hi", "pearson", "validate",
+    "cohort": ("CohortStore", "Person", "RawAnswer", "ingest"),
+    "linkage": (
+        "AffineMap", "DiscreteMap", "IntervalMap", "Link", "LinkageRule", "QualifierRecord",
+        "RuleSet", "apply_rules", "default_rules", "link_answers", "load_rules",
     ),
-    "codes": ("COMPONENTS", "IcfCode", "IcfTree", "build_tree", "parse_code"),
-    "cohort": (
-        "CohortStore", "Person", "RawAnswer", "SynthConfig", "TreatmentStats", "ingest",
-        "load_synth_config", "serialize", "stats", "synthesize",
-    ),
+    "codes": ("IcfCode", "IcfTree", "build_tree", "parse_code"),
+    "weighting": ("CurveParams", "WeightingSpec", "make_spec", "parse_gamma"),
     "engine": (
-        "AttachedQualifier", "EvaluationReport", "NodeResult", "RecordTable", "compile_records",
-        "evaluate_table", "nint", "qualifiers", "scale_index",
+        "AttachedQualifier", "EvaluationReport", "NodeAudit", "NodeResult", "RecordTable",
+        "compile_records", "evaluate_table", "qualifiers",
     ),
+    "analysis": ("DEFAULT_GROUPS", "VALIDATION_TABLES", "GroupSpec", "Validation", "validate"),
     "errors": (
         "CodeParseError", "ConfigError", "DataError", "EvaluationError", "FitError",
         "IcfHiError", "InsufficientDataError",
-    ),
-    "linkage": (
-        "Link", "LinkageRule", "QualifierRecord", "RuleSet", "apply_rules", "default_rules",
-        "link_answers", "load_rules", "records_from_csv", "records_to_csv",
-    ),
-    "weighting": (
-        "CurveParams", "WeightingSpec", "apply_curve", "fit_curve", "gamma_from_fraction",
-        "make_spec", "normalize_weights", "parse_gamma",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,6 +8,15 @@ whole protocol on a cohort, a (gamma, y) sweep included, and returns the
 rows of its tables, the persons it left out and the statistics it found
 undefined.  All outputs are deterministic given the cohort and grid.
 
+The package exports ``validate``, ``Validation``, ``VALIDATION_TABLES``,
+``GroupSpec`` and ``DEFAULT_GROUPS``.  The rest serves ``validate``:
+``CohortEvaluator`` links and evaluates the cohort once; ``eqvas_vs_hi``
+and ``maxpain_vs_hi`` compute a (group, spec) cell's two statistics as a
+``CorrelationReport`` and a ``MaxPainReport``, which holds one
+``PersonCorrelation`` per person and the box plot of their coefficients;
+``_sequence_bins`` cuts a ``MaxPainReport`` into its three
+``sequence_bins`` rows.
+
 Medians and quartiles are numpy's and p-values scipy's, each imported
 inside the function that needs it, so that importing this module loads
 neither.
@@ -16,7 +25,7 @@ neither.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .codes import IcfTree, build_tree
@@ -29,6 +38,8 @@ from .linkage import RuleSet, apply_rules
 from .weighting import WeightingSpec, make_spec
 
 DEFAULT_ALPHA = 0.05
+# the paper bins the per-person correlations into tertiles of sequence length
+_SEQUENCE_BINS = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -114,38 +125,25 @@ class PersonCorrelation:
 
 
 @dataclass(frozen=True)
-class BoxplotStats:
-    n: int
-    median: float
-    q1: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-
-
-@dataclass(frozen=True)
 class MaxPainReport:
+    """The per-person correlations of a group, their median, the portion
+    significant at the Bonferroni ``threshold``, the count of omitted
+    constant trajectories, and the box plot: quartiles and the whiskers,
+    the most extreme correlations within 1.5 IQR of them."""
+
     correlations: tuple[PersonCorrelation, ...]
     median: float
     significant_portion: float
     omitted_constant_trajectories: int
-    boxplot: BoxplotStats
-    alpha: float
+    q1: float
+    q3: float
+    whisker_low: float
+    whisker_high: float
     threshold: float
 
     @property
     def n(self) -> int:
         return len(self.correlations)
-
-
-@dataclass(frozen=True)
-class SequenceBin:
-    index: int
-    min_length: int
-    max_length: int
-    n: int
-    significant_portion: float
-    median_correlation: float
 
 
 class CohortEvaluator:
@@ -330,33 +328,20 @@ def maxpain_vs_hi(evaluator: CohortEvaluator, person_ids: Sequence[str],
         PersonCorrelation(pid, n_days, r, p, p < threshold) for pid, n_days, r, p in raw
     )
     coeffs = [c.coefficient for c in correlations]
-    portion = sum(c.significant for c in correlations) / len(correlations)
+    q1, q3 = map(float, np.percentile(coeffs, (25, 75)))
+    iqr = q3 - q1
+    low_fence, high_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    inside = sorted(v for v in coeffs if low_fence <= v <= high_fence)
     return MaxPainReport(
         correlations=correlations,
         median=float(np.median(coeffs)),
-        significant_portion=portion,
+        significant_portion=sum(c.significant for c in correlations) / len(correlations),
         omitted_constant_trajectories=omitted,
-        boxplot=_boxplot_stats(coeffs),
-        alpha=alpha,
-        threshold=threshold,
-    )
-
-
-def _boxplot_stats(values: Sequence[float]) -> BoxplotStats:
-    import numpy as np  # imported here, as in maxpain_vs_hi
-
-    ordered = sorted(values)
-    q1, median, q3 = map(float, np.percentile(values, (25, 50, 75)))
-    iqr = q3 - q1
-    low_fence, high_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = [v for v in ordered if low_fence <= v <= high_fence]
-    return BoxplotStats(
-        n=len(ordered),
-        median=median,
         q1=q1,
         q3=q3,
         whisker_low=inside[0],
         whisker_high=inside[-1],
+        threshold=threshold,
     )
 
 
@@ -368,35 +353,25 @@ def _split(items: list, k: int) -> list[list]:
     return [items[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-def bin_by_sequence_length(store: CohortStore, report: MaxPainReport,
-                           k: int = 3) -> list[SequenceBin]:
-    """Split the per-person correlations into ``k`` near-equal bins by the
-    person's treatment sequence length (ties broken by person id)."""
+def _sequence_bins(store: CohortStore, report: MaxPainReport) -> list[list]:
+    """The per-person correlations in three near-equal bins by the person's
+    treatment sequence length (ties broken by person id): per bin, its
+    ``sequence_bins`` row after the group key."""
     import numpy as np  # imported here, as in maxpain_vs_hi
 
-    if len(report.correlations) < k:
+    if report.n < _SEQUENCE_BINS:
         raise InsufficientDataError(
-            f"cannot form {k} bins from {len(report.correlations)} correlations",
+            f"cannot form {_SEQUENCE_BINS} bins from {report.n} correlations",
             "too_few_correlations",
         )
     keyed = sorted(
         ((stats(store.person(c.person_id)).sequence_length, c.person_id, c)
          for c in report.correlations),
     )
-    bins: list[SequenceBin] = []
-    for i, members in enumerate(_split(keyed, k), start=1):
-        corrs = [c.coefficient for _, _, c in members]
-        bins.append(
-            SequenceBin(
-                index=i,
-                min_length=members[0][0],
-                max_length=members[-1][0],
-                n=len(members),
-                significant_portion=sum(c.significant for _, _, c in members) / len(members),
-                median_correlation=float(np.median(corrs)),
-            )
-        )
-    return bins
+    return [[i, members[0][0], members[-1][0], len(members),
+             sum(c.significant for _, _, c in members) / len(members),
+             float(np.median([c.coefficient for _, _, c in members]))]
+            for i, members in enumerate(_split(keyed, _SEQUENCE_BINS), start=1)]
 
 
 def _cell(evaluator: CohortEvaluator, person_ids: Sequence[str], spec: WeightingSpec,
@@ -481,13 +456,13 @@ def validate(store: CohortStore, rules: RuleSet, groups: Sequence[GroupSpec],
             if mp is not None:
                 tables["maxpain_summary"].append(
                     key + [mp.n, mp.median, mp.significant_portion,
-                           mp.omitted_constant_trajectories, mp.boxplot.q1, mp.boxplot.q3,
-                           mp.boxplot.whisker_low, mp.boxplot.whisker_high, mp.threshold])
+                           mp.omitted_constant_trajectories, mp.q1, mp.q3, mp.whisker_low,
+                           mp.whisker_high, mp.threshold])
                 tables["maxpain_person"].extend(
                     key + [c.person_id, c.n_days, c.coefficient, c.p_value, int(c.significant)]
                     for c in mp.correlations)
-                bins = _defined(undefined, "sequence_bins", bin_by_sequence_length, store, mp)
-                tables["sequence_bins"].extend(key + list(astuple(b)) for b in bins or ())
+                bins = _defined(undefined, "sequence_bins", _sequence_bins, store, mp)
+                tables["sequence_bins"].extend(key + row for row in bins or ())
             where = f"group {label} gamma={format_cell(spec.gamma)} y={format_cell(y)}"
             warnings.extend(f"{where} {name} is undefined: {reason}"
                             for name, reason in undefined.items())

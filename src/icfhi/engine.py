@@ -118,16 +118,13 @@ class EvaluationReport(NamedTuple):
         return scale_index(self.raw)
 
 
-def nint(value: float) -> int:
-    """Nearest integer, halves rounded away from zero."""
-    return int(math.copysign(math.floor(abs(value) + 0.5), value))
-
-
 def scale_index(raw: float, min_raw: float = QUALIFIER_MIN, max_raw: float = QUALIFIER_MAX) -> int:
-    """Invert and scale a raw value onto the 0 (worst) - 100 (best) index."""
+    """Invert and scale a raw value onto the 0 (worst) - 100 (best) index,
+    rounded to the nearest integer with halves away from zero."""
     if max_raw <= min_raw:
         raise EvaluationError(f"degenerate scaling bounds [{min_raw}, {max_raw}]")
-    return nint(100.0 - 100.0 * (raw - min_raw) / (max_raw - min_raw))
+    scaled = 100.0 - 100.0 * (raw - min_raw) / (max_raw - min_raw)
+    return int(math.copysign(math.floor(abs(scaled) + 0.5), scaled))
 
 
 class RecordTable(NamedTuple):

@@ -104,8 +104,9 @@ def _translation_outputs(translation: ValueTranslation) -> list[float]:
     return [low, high]
 
 
-def translation_from_json(obj: dict) -> ValueTranslation:
-    """A translation from JSON; a bad field raises KeyError, TypeError or ValueError."""
+def _translation_from_json(obj: dict) -> ValueTranslation:
+    """A translation from JSON; a bad field raises KeyError, TypeError, ValueError
+    or ConfigError."""
     kind = obj["kind"]
     if kind == "discrete_map":
         mapping = obj["map"]
@@ -242,7 +243,7 @@ class RuleSet:
                     raise ConfigError(f"targets must be a JSON list of codes, got {targets!r}")
                 targets = tuple(map(parse_code, targets))
                 translation = (None if validation_only
-                               else translation_from_json(entry["translation"]))
+                               else _translation_from_json(entry["translation"]))
                 reliability = float(entry.get("reliability", 1.0))
             except KeyError as exc:
                 raise ConfigError(f"rule {source!r} is missing field {exc}") from None

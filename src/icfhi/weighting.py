@@ -213,23 +213,21 @@ def normalize_weights(weights: Sequence[float]) -> list[float]:
     return [w / total for w in weights]
 
 
-def gamma_from_fraction(fraction: float, horizon_days: int) -> float:
-    """Gamma such that a qualifier ``horizon_days`` old keeps ``fraction`` of its weight."""
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"decay fraction must lie in (0, 1], got {fraction}")
-    if horizon_days <= 0:
-        raise ConfigError(f"decay horizon must be a positive day count, got {horizon_days}")
-    return fraction ** (1.0 / horizon_days)
-
-
 def parse_gamma(text: str) -> float:
     """Parse a gamma setting: plain value ("0.964", "1") or "FRACTION@DAYS"
     such as "1/3@30" meaning one third of the weight remains after 30 days."""
     raw = text.strip()
     try:
         if "@" in raw:
+            # the gamma at which a qualifier DAYS old keeps FRACTION of its weight
             frac_text, _, days_text = raw.partition("@")
-            gamma = gamma_from_fraction(_parse_fraction(frac_text), int(days_text))
+            fraction, horizon_days = _parse_fraction(frac_text), int(days_text)
+            if not (0.0 < fraction <= 1.0):
+                raise ConfigError(f"decay fraction must lie in (0, 1], got {fraction}")
+            if horizon_days <= 0:
+                raise ConfigError(
+                    f"decay horizon must be a positive day count, got {horizon_days}")
+            gamma = fraction ** (1.0 / horizon_days)
         else:
             gamma = _parse_fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:

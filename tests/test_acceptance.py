@@ -9,27 +9,22 @@ import math
 import random
 
 from icfhi import (
-    CohortEvaluator,
     DEFAULT_GROUPS,
     QualifierRecord,
-    SynthConfig,
-    apply_curve,
     apply_rules,
-    bin_by_sequence_length,
     build_tree,
     compile_records,
     default_rules,
-    eqvas_vs_hi,
-    fit_curve,
-    form_groups,
     make_spec,
-    maxpain_vs_hi,
     parse_code,
     qualifiers,
-    scale_index,
-    synthesize,
 )
+from icfhi.analysis import (CohortEvaluator, _sequence_bins, eqvas_vs_hi, form_groups,
+                            maxpain_vs_hi)
 from icfhi.cli import main as cli_main
+from icfhi.cohort import SynthConfig, synthesize
+from icfhi.engine import scale_index
+from icfhi.weighting import apply_curve, fit_curve
 
 from conftest import (
     GAMMA_THIRD_30,
@@ -249,10 +244,10 @@ def test_sign_reproduction():
             assert eq.coefficient > 0.3, (spec_def.label, gamma, eq.coefficient)
             mp = maxpain_vs_hi(evaluator, pids, wspec)
             assert mp.median < -0.3, (spec_def.label, gamma, mp.median)
-        bins = bin_by_sequence_length(
+        bins = _sequence_bins(
             store, maxpain_vs_hi(evaluator, pids, make_spec(2.0, GAMMA_THIRD_30))
         )
-        portions = [b.significant_portion for b in bins]
+        portions = [portion for _, _, _, _, portion, _ in bins]
         assert portions[0] <= portions[1] <= portions[2], (spec_def.label, portions)
         assert portions[2] > portions[0], (spec_def.label, portions)
 

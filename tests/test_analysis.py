@@ -8,7 +8,6 @@ from scipy.stats import pearsonr
 from scipy.stats import t as student_t
 
 from icfhi import (
-    CohortEvaluator,
     CohortStore,
     DataError,
     EvaluationError,
@@ -17,27 +16,21 @@ from icfhi import (
     Person,
     RawAnswer,
     RuleSet,
-    SynthConfig,
     WeightingSpec,
     apply_rules,
-    bin_by_sequence_length,
     compile_records,
     default_rules,
-    eqvas_vs_hi,
     evaluate_table,
-    fit_curve,
-    form_groups,
     make_spec,
-    max_pain_by_day,
-    maxpain_vs_hi,
-    pearson,
-    synthesize,
     validate,
 )
 
-from icfhi.analysis import DEFAULT_ALPHA, _cell, _split
+from icfhi.analysis import (DEFAULT_ALPHA, CohortEvaluator, _cell, _sequence_bins, _split,
+                            eqvas_vs_hi, form_groups, max_pain_by_day, maxpain_vs_hi, pearson)
+from icfhi.cohort import SynthConfig, synthesize
 from icfhi.engine import evaluate_cohort
 from icfhi.formatting import format_cell
+from icfhi.weighting import fit_curve
 
 from conftest import (
     GAMMA_THIRD_30,
@@ -285,9 +278,9 @@ def test_bins_exact_tertiles():
     store = CohortStore(persons)
     evaluator = CohortEvaluator(store, default_rules())
     report = maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
-    bins = bin_by_sequence_length(store, report, k=3)
-    assert [b.n for b in bins] == [3, 3, 3]
-    assert [(b.min_length, b.max_length) for b in bins] == [(3, 5), (6, 8), (9, 11)]
+    bins = _sequence_bins(store, report)
+    assert [n for _, _, _, n, _, _ in bins] == [3, 3, 3]
+    assert [(low, high) for _, low, high, _, _, _ in bins] == [(3, 5), (6, 8), (9, 11)]
 
 
 def test_bins_sizes_with_ties():
@@ -302,9 +295,9 @@ def test_bins_sizes_with_ties():
     store = CohortStore(persons)
     evaluator = CohortEvaluator(store, default_rules())
     report = maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
-    bins = bin_by_sequence_length(store, report, k=3)
-    assert sum(b.n for b in bins) == report.n
-    assert max(b.n for b in bins) - min(b.n for b in bins) <= 1
+    sizes = [n for _, _, _, n, _, _ in _sequence_bins(store, report)]
+    assert sum(sizes) == report.n
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_maxpain_skips_a_person_with_fewer_than_three_index_days():
@@ -333,7 +326,7 @@ def test_bins_need_enough_persons():
     evaluator = CohortEvaluator(store, default_rules())
     report = maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, 1.0))
     with pytest.raises(InsufficientDataError):
-        bin_by_sequence_length(store, report, k=3)
+        _sequence_bins(store, report)
 
 
 def test_sweep_contains_linear_row_matching_direct_results():
@@ -416,7 +409,7 @@ def test_summaries_deterministic():
         evaluator = CohortEvaluator(store, default_rules())
         group = [p.person_id for p in store if len(p.days) >= 3]
         report = maxpain_vs_hi(evaluator, group, make_spec(2.0, GAMMA_THIRD_30))
-        return report.median, report.significant_portion, report.boxplot
+        return report
 
     assert run() == run()
 
@@ -426,12 +419,11 @@ def test_boxplot_stats_match_numpy():
     evaluator = CohortEvaluator(store, default_rules())
     report = maxpain_vs_hi(evaluator, store.person_ids, make_spec(2.0, GAMMA_THIRD_30))
     coeffs = np.array([c.coefficient for c in report.correlations])
-    assert report.boxplot.q1 == float(np.percentile(coeffs, 25))
-    assert report.boxplot.q3 == float(np.percentile(coeffs, 75))
-    assert report.boxplot.median == float(np.percentile(coeffs, 50))
+    assert report.q1 == float(np.percentile(coeffs, 25))
+    assert report.q3 == float(np.percentile(coeffs, 75))
     assert report.median == float(np.median(coeffs))
-    assert report.boxplot.whisker_low >= coeffs.min()
-    assert report.boxplot.whisker_high <= coeffs.max()
+    assert report.whisker_low >= coeffs.min()
+    assert report.whisker_high <= coeffs.max()
 
 
 def test_split_is_numpys_array_split():

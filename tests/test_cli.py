@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import icfhi
+from icfhi import analysis
 from icfhi.cli import _parse_grid, main
 from icfhi.formatting import format_cell, write_csv
+from icfhi.linkage import records_to_csv
 
 from conftest import GAMMA_THIRD_30, UNRATED_RULE, default_rules_json, run_python
 
@@ -70,7 +72,7 @@ def test_link_writes_what_records_to_csv_writes_for_any_order(cohort_dir, tmp_pa
     records = [r for person in icfhi.ingest(cohort_dir)
                for r in icfhi.apply_rules(person.answers, rules)]
     random.Random(11).shuffle(records)
-    icfhi.records_to_csv(records, tmp_path / "shuffled.csv")
+    records_to_csv(records, tmp_path / "shuffled.csv")
     assert read(out / "records.csv") == read(tmp_path / "shuffled.csv")
 
 
@@ -255,12 +257,12 @@ def test_validate_reports_undefined_sweep_cells_and_goes_on(tmp_path, capsys):
     assert linear["status"] == "ok" and int(linear["distinct_index_values"]) > 1
 
     store = icfhi.ingest(cohort)
-    evaluator = icfhi.CohortEvaluator(store, icfhi.default_rules())
+    evaluator = analysis.CohortEvaluator(store, icfhi.default_rules())
     group = icfhi.GroupSpec(30, 5)
-    pids = icfhi.form_groups(store, [group])[group]
+    pids = analysis.form_groups(store, [group])[group]
     spec = icfhi.make_spec(2.0, 1.0)
-    eq = icfhi.eqvas_vs_hi(evaluator, pids, spec)
-    mp = icfhi.maxpain_vs_hi(evaluator, pids, spec)
+    eq = analysis.eqvas_vs_hi(evaluator, pids, spec)
+    mp = analysis.maxpain_vs_hi(evaluator, pids, spec)
     assert [linear[k] for k in ("eqvas_n", "eqvas_coefficient", "eqvas_p", "maxpain_n",
                                 "maxpain_median", "maxpain_significant_portion")] == [
         format_cell(v) for v in (eq.n, eq.coefficient, eq.p_value, mp.n, mp.median,
@@ -831,7 +833,7 @@ def test_index_starts_no_more_processes_than_persons(tmp_path, monkeypatch, pers
     records = [icfhi.QualifierRecord(f"p{i}", day, f"s{i}{day}", icfhi.parse_code("b280"),
                                      2.0, 1.0)
                for i in range(persons) for day in (0, 3)]
-    icfhi.records_to_csv(records, tmp_path / "records.csv")
+    records_to_csv(records, tmp_path / "records.csv")
     assert run("index", "--records", str(tmp_path / "records.csv"), "--out",
                str(tmp_path / "out"), "--workers", workers) == 0
     assert _PoolSpy.max_workers == pools

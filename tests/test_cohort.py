@@ -11,12 +11,9 @@ from icfhi import (
     DataError,
     Person,
     RawAnswer,
-    SynthConfig,
     ingest,
-    serialize,
-    stats,
-    synthesize,
 )
+from icfhi.cohort import SynthConfig, serialize, stats, synthesize
 
 from conftest import run_python
 
@@ -355,7 +352,7 @@ def test_ingest_peak_memory_stays_near_what_it_keeps(tmp_path):
 
 
 def test_stats_examples():
-    from icfhi import TreatmentStats
+    from icfhi.cohort import TreatmentStats
 
     single = Person("a", [RawAnswer("a", 0, "pain_vas", "back", 3.0)])
     assert stats(single) == TreatmentStats(0, 1)

@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 from icfhi import (
     EvaluationError,
     QualifierRecord,
-    apply_curve,
     build_tree,
     compile_records,
     evaluate_table,
     make_spec,
-    nint,
-    normalize_weights,
     parse_code,
     parse_gamma,
     qualifiers,
-    scale_index,
 )
 
 from conftest import (
@@ -34,7 +30,8 @@ from conftest import (
 )
 import oracle
 import icfhi.engine as engine
-from icfhi.engine import _evaluate_job, _score, _weigh, evaluate_cohort
+from icfhi.engine import _evaluate_job, _score, _weigh, evaluate_cohort, scale_index
+from icfhi.weighting import apply_curve, normalize_weights
 from oracle import brute_force_evaluate, brute_force_hi, random_case
 
 
@@ -57,6 +54,10 @@ def _qualifiers(records, day, spec, tree=None):
 
 
 def test_nint_half_away_from_zero():
+    # on bounds [0, 100] the scaled value is 100 - raw
+    def nint(scaled):
+        return scale_index(100.0 - scaled, 0.0, 100.0)
+
     assert nint(0.5) == 1
     assert nint(1.5) == 2
     assert nint(2.5) == 3

@@ -21,21 +21,18 @@ from icfhi import (
     QualifierRecord,
     RawAnswer,
     RuleSet,
-    SynthConfig,
     apply_rules,
     default_rules,
     ingest,
     link_answers,
     load_rules,
     parse_code,
-    records_from_csv,
-    records_to_csv,
-    serialize,
-    synthesize,
 )
 from icfhi.cli import main
+from icfhi.cohort import SynthConfig, serialize, synthesize
 from icfhi.formatting import format_cell
-from icfhi.linkage import RECORD_COLUMNS, AffineMap, RecordWriter, _quote
+from icfhi.linkage import (RECORD_COLUMNS, AffineMap, RecordWriter, _quote, records_from_csv,
+                           records_to_csv)
 
 from conftest import default_rules_json, shipped_translation
 

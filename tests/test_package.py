@@ -1,7 +1,9 @@
 """The package namespace: ``import icfhi`` loads no submodule, and each
 exported name is imported from its module on first use."""
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,22 @@ def test_every_exported_name_is_the_object_of_its_module():
         assert value is getattr(module, name), name
         # a class or function is exported from the module that defines it
         assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def _readme_exports():
+    """(module, name) of each name in the export list of README.md's
+    "Library use" section: its lines "- `icfhi.MODULE`: `name`, ..."."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- `icfhi\.(\w+)`: (.*(?:\n  .*)*)", section, re.M)
+    return [(module, name) for module, names in items for name in re.findall(r"`(\w+)`", names)]
+
+
+def test_the_exports_are_the_names_the_readme_lists():
+    exports = _readme_exports()
+    assert len(exports) == len(set(exports))
+    assert sorted(icfhi.__all__) == sorted(name for _, name in exports)
+    assert {name: module for module, name in exports} == icfhi._MODULE_OF
 
 
 def test_star_import_binds_every_exported_name():

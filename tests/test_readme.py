@@ -5,8 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
-from icfhi import SynthConfig, serialize, synthesize
 from icfhi.cli import main
+from icfhi.cohort import SynthConfig, serialize, synthesize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -14,15 +14,12 @@ from icfhi import (
     ConfigError,
     CurveParams,
     FitError,
-    apply_curve,
-    fit_curve,
-    gamma_from_fraction,
     make_spec,
-    normalize_weights,
     parse_gamma,
 )
 
-from icfhi.weighting import _brentq, _check_fit, curve_function
+from icfhi.weighting import (_brentq, _check_fit, apply_curve, curve_function, fit_curve,
+                             normalize_weights)
 
 from conftest import GAMMA_THIRD_30, GAMMA_TWENTIETH_30, engine_alphas, run_python
 from oracle import bisect_log_fit
@@ -217,7 +214,7 @@ def test_parse_gamma_forms():
     assert parse_gamma("0.95") == 0.95
     assert parse_gamma("1/3@30") == pytest.approx(GAMMA_THIRD_30, abs=1e-15)
     assert parse_gamma("1/20@30") == pytest.approx(GAMMA_TWENTIETH_30, abs=1e-15)
-    assert gamma_from_fraction(0.5, 10) == pytest.approx(0.5 ** 0.1, abs=1e-15)
+    assert parse_gamma("0.5@10") == pytest.approx(0.5 ** 0.1, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", ["", "abc", "2.0", "0", "-0.5", "1/3@", "1/3@0", "3/2@30"])
@@ -301,7 +298,8 @@ def test_brentq_port_rejects_a_bracket_without_a_sign_change():
 
 
 def test_log_fit_loads_no_scipy():
-    proc = run_python("-c", "import sys; from icfhi import fit_curve; fit_curve(3.25); "
+    proc = run_python("-c", "import sys; from icfhi.weighting import fit_curve; "
+                            "fit_curve(3.25); "
                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
