@@ -584,16 +584,6 @@ def test_a_byte_order_mark_opening_an_outside_input_is_skipped(cohort_dir, tmp_p
     ("--rules", {"translation": None}, "'unrated:item'"),
     ("--rules", {"translation": {"scale": 1}}, "'unrated:item' is missing field 'kind'"),
     ("--rules", {"translation": {"kind": "bogus"}}, "'unrated:item': unknown translation kind"),
-    # an interval map with one break would fail on its first answer in the domain
-    ("--rules", {"translation": {"kind": "interval_map", "breaks": [0], "qualifiers": []}},
-     "'unrated:item': interval_map needs at least two breaks"),
-    ("--rules", {"translation": {"kind": "discrete_map", "map": [1, 2]}},
-     "'unrated:item': discrete_map needs a non-empty JSON object"),
-    # an empty map would fail every answer as a data error
-    ("--rules", {"translation": {"kind": "discrete_map", "map": {}}},
-     "'unrated:item': discrete_map needs a non-empty JSON object"),
-    # a string of targets would be read one character at a time
-    ("--rules", {"targets": "b"}, "'unrated:item': targets must be a JSON list"),
     ("--synth-config", {"visit_gap_days": 5}, "visit gap range 5"),
     ("--synth-config", {"visit_gap_days": [3]}, "visit gap range (3,)"),
     ("--synth-config", {"visit_gap_days": ["a", "b"]}, "visit gap range ('a', 'b')"),
@@ -605,6 +595,16 @@ def test_a_byte_order_mark_opening_an_outside_input_is_skipped(cohort_dir, tmp_p
     ("--synth-config", {"visit_gap_days": [True, 2]}, "visit gap range (True, 2)"),
     ("--synth-config", {"visit_gap_days": [2**62, 2**62], "max_visits": 5},
      f"visit gap range ({2**62}, {2**62})"),
+    # an interval map with one break would fail on its first answer in the domain
+    ("--rules", {"translation": {"kind": "interval_map", "breaks": [0], "qualifiers": []}},
+     "'unrated:item': interval_map needs at least two breaks"),
+    ("--rules", {"translation": {"kind": "discrete_map", "map": [1, 2]}},
+     "'unrated:item': discrete_map needs a non-empty JSON object"),
+    # an empty map would fail every answer as a data error
+    ("--rules", {"translation": {"kind": "discrete_map", "map": {}}},
+     "'unrated:item': discrete_map needs a non-empty JSON object"),
+    # a string of targets would be read one character at a time
+    ("--rules", {"targets": "b"}, "'unrated:item': targets must be a JSON list"),
 ])
 def test_setting_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, option, content,
                                                          named):
