@@ -25,17 +25,18 @@ neither.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .codes import IcfTree, build_tree
+from .codes import ROOT_SLOT, IcfTree, build_tree
 from .cohort import PAIN_INSTRUMENT, CohortStore, Person, stats
-from .engine import (RecordTable, _check_gamma, _Plan, _score, _weigh, compile_records,
-                     evaluate_cohort)
+from .engine import (RecordTable, _check_gamma, _Plan, _values, _weigh, compile_records,
+                     evaluate_cohort, scale_index)
 from .errors import DataError, IcfHiError, InsufficientDataError
 from .formatting import format_cell
 from .linkage import RuleSet, apply_rules
-from .weighting import WeightingSpec, make_spec
+from .weighting import WeightingSpec, curve_function, make_spec
 
 DEFAULT_ALPHA = 0.05
 # the paper bins the per-person correlations into tertiles of sequence length
@@ -150,13 +151,12 @@ class CohortEvaluator:
     """Links a cohort once, holds the cohort-wide tree skeleton, every
     person's records compiled against it and every person's maximum pain
     by day, and caches index values by (gamma, y), then person, then day,
-    so that a value costs a slot in a person's dict of days.  The weight
-    plans of one gamma at a time are kept per (person, day), so that
-    each y of that gamma only runs the value pass.  A plan keeps only what
-    that pass reads: a weighted mean per node without a calculated child,
-    the weights only of nodes with one, and the root's alpha and r.  The
-    ``DataError`` of a person whose answers cannot be linked is kept in
-    ``link_errors``."""
+    so that a value costs a slot in a person's dict of days.  ``hi`` keeps
+    the weight plans of one gamma at a time per (person, day), so that each
+    y of that gamma only runs the value pass, and it runs that pass alone:
+    the index reads only the root's value, so no report or component value
+    is built.  The ``DataError`` of a person whose answers cannot be linked
+    is kept in ``link_errors``."""
 
     def __init__(self, store: CohortStore, rules: RuleSet):
         self.store = store
@@ -173,7 +173,7 @@ class CohortEvaluator:
         }
         self.max_pain: dict[str, dict[int, float]] = {
             person.person_id: max_pain_by_day(person) for person in store}
-        self._cache: dict[tuple[float, float], dict[str, dict[int, "int | None"]]] = {}
+        self._cache: defaultdict = defaultdict(dict)  # (gamma, y) -> person -> day -> index
         # built on demand in hi, and dropped when hi is asked for another gamma
         self._plans: dict[tuple[str, int], _Plan | None] = {}
         self._plans_gamma: float | None = None
@@ -191,24 +191,25 @@ class CohortEvaluator:
         for an unknown person id, the person's link error if their answers
         cannot be linked, and, for any person, an EvaluationError for a gamma
         outside (0, 1]."""
-        spec_key = (spec.gamma, spec.y)
-        try:
-            return self._cache[spec_key][person_id][day]
-        except KeyError:
-            pass
+        by_person = self._cache[(spec.gamma, spec.y)]
+        by_day = by_person.get(person_id)
+        if by_day is not None and day in by_day:
+            return by_day[day]
         self._check(person_id)
         _check_gamma(spec.gamma)
         table = self.tables.get(person_id)
-        plan = None
+        value = None
         if table is not None:
             if spec.gamma != self._plans_gamma:
                 self._plans, self._plans_gamma = {}, spec.gamma
-            plan_key = (person_id, day)
-            if plan_key not in self._plans:
-                self._plans[plan_key] = _weigh(table, day, spec.gamma)
-            plan = self._plans[plan_key]
-        value = None if plan is None else _score(plan, spec).index
-        self._cache.setdefault(spec_key, {}).setdefault(person_id, {})[day] = value
+            plan = self._plans.get((person_id, day), False)  # False: not weighed yet
+            if plan is False:
+                plan = self._plans[person_id, day] = _weigh(table, day, spec.gamma)
+            if plan is not None:  # the value pass alone: hi reads only the root's value
+                value = scale_index(_values(plan, curve_function(spec.curve))[ROOT_SLOT])
+        if by_day is None:
+            by_day = by_person[person_id] = {}
+        by_day[day] = value
         return value
 
     def precompute(self, person_ids: Sequence[str], specs: Sequence[WeightingSpec],
@@ -236,8 +237,7 @@ class CohortEvaluator:
                 continue
             for spec, values in zip(specs, outcome):
                 if values:
-                    by_person = self._cache.setdefault((spec.gamma, spec.y), {})
-                    by_person.setdefault(pid, {}).update(values)
+                    self._cache[(spec.gamma, spec.y)].setdefault(pid, {}).update(values)
         return failures
 
 

@@ -34,12 +34,15 @@ per calculated node without a calculated child its weighted mean of
 values, the same under every y, and per node with one its weights,
 contribution values and the positions its children's values fill, plus
 the root's alpha and r; a plan weighed for an audit also keeps every
-calculated node's weights, alpha and r.  The value pass (``_score``)
-depends on y: bottom-up, each node's value is the curve at its weighted
-mean, summed in the pass only at a node with a calculated child.  One
-plan serves every y of its gamma.  When every weight at a node is zero or
-subnormal because old time weights underflowed, the node is weighed again
-from log time weights, (day - d)*log(gamma).
+calculated node's weights, alpha and r.  A node whose one contribution is
+a calculated child of normal weight w passes it through: w/w is exactly
+1.0, so its mean is the child's value, neither normalized nor summed.
+The value pass (``_values``) depends on y: bottom-up, each node's value is
+the curve at its weighted mean, summed in the pass only at a node with a
+calculated child.  One plan serves every y of its gamma.  When every
+weight at a node is zero or subnormal because old time weights
+underflowed, the node is weighed again from log time weights,
+(day - d)*log(gamma).
 
 There is one way to evaluate: ``compile_records`` once per person and
 tree, then one ``evaluate_table`` call for any days and any number of
@@ -49,10 +52,10 @@ shows the alpha, r and u of each record on a day.  ``evaluate_cohort``
 runs ``evaluate_table`` on many persons' compiled tables, in this process
 or in a process pool, and reports a person whose evaluation fails instead
 of stopping.  Every evaluation, on any of these paths, is one
-``EvaluationReport`` from ``_score``: the raw root value, its alpha and r,
-and the raw value per component, with the 0-100 index as
-``report.index``.  Every step is pure: the tree and the table are never
-changed, so repeated evaluations are identical.
+``EvaluationReport`` from ``_score``, built on the value pass: the raw
+root value, its alpha and r, and the raw value per component, with the
+0-100 index as ``report.index``.  Every step is pure: the tree and the
+table are never changed, so repeated evaluations are identical.
 """
 
 from __future__ import annotations
@@ -308,7 +311,8 @@ class _Plan(NamedTuple):
     (position, child slot) of each calculated child.  Without fills,
     ``values`` is the node's weighted mean, the same under every y, and the
     weights are not kept (None); with them, it is the contribution values,
-    with 0.0 where a calculated child's value goes.  ``components`` holds
+    with 0.0 where a calculated child's value goes.  A pass-through step
+    is (slot, None, None, child slot).  ``components`` holds
     (component, slot, bare) per scored component in the order of the tree,
     where ``bare`` is the weighted mean of a component with data on the
     bare letter alone, else None.  ``alpha`` and ``reliability`` are the
@@ -377,6 +381,11 @@ def _weigh(table: RecordTable, day: int, gamma: float, audit: bool = False) -> _
                     weights.append(alpha * r * us[key])
         if not weights:
             continue
+        if len(weights) == 1 and fills and weights[0] >= _SMALLEST_NORMAL:
+            # a pass-through step: one normal weight normalizes to exactly 1.0
+            steps.append((slot, None, None, fills[0][1]))
+            weighed[slot] = ([1.0], alphas_c[0], rels[0])
+            continue
         if max(weights) >= _SMALLEST_NORMAL:  # _normalize's fast path, inline: no call per node
             total = fsum(weights)
             normed = [w / total for w in weights]
@@ -412,22 +421,29 @@ def _weigh(table: RecordTable, day: int, gamma: float, audit: bool = False) -> _
     return _Plan(tuple(steps), tuple(components), alpha, r, audits)
 
 
-def _score(plan: _Plan, spec: WeightingSpec) -> EvaluationReport:
-    """The report of a plan under ``spec``, from the value pass: each
-    calculated node's value is the curve at its weighted mean, bottom-up.
-    The plan holds that mean, but for a node with calculated children,
-    whose values are filled in and weighed here.  A plan weighed for an
-    audit gives a report that carries every calculated node's weights and
-    result."""
-    curve = curve_function(spec.curve)
+def _values(plan: _Plan, curve) -> dict[int, float]:
+    """The value pass: each calculated node's value by slot, bottom-up, the
+    ``curve`` at its weighted mean.  The plan holds that mean but where
+    calculated children's values fill in: a pass-through takes its child's."""
     xs = {}  # slot -> x
     for slot, normed, mean, fills in plan.steps:
-        if fills:  # the slot holds the values, with the children's still to fill in
-            values = list(mean)
-            for i, child in fills:
-                values[i] = xs[child]
-            mean = math.fsum(map(mul, normed, values))
+        if fills:
+            if normed is None:  # a pass-through step: ``fills`` is its child's slot
+                mean = xs[fills]
+            else:  # the slot holds the values, with the children's still to fill in
+                values = list(mean)
+                for i, child in fills:
+                    values[i] = xs[child]
+                mean = math.fsum(map(mul, normed, values))
         xs[slot] = curve(mean)
+    return xs
+
+
+def _score(plan: _Plan, spec: WeightingSpec) -> EvaluationReport:
+    """The report of a plan under ``spec``, from the value pass; from a plan
+    weighed for an audit, with every calculated node's weights and result."""
+    curve = curve_function(spec.curve)
+    xs = _values(plan, curve)
     components = {comp: xs[slot] if bare is None else curve(bare)
                   for comp, slot, bare in plan.components}
     audits = None

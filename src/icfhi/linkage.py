@@ -104,6 +104,14 @@ def _translation_outputs(translation: ValueTranslation) -> list[float]:
     return [low, high]
 
 
+def _flag(obj: dict, name: str) -> bool:
+    """A rule file's optional true/false field: only a JSON boolean."""
+    value = obj.get(name, False)
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _translation_from_json(obj: dict) -> ValueTranslation:
     """A translation from JSON; a bad field raises KeyError, TypeError, ValueError
     or ConfigError."""
@@ -132,7 +140,7 @@ def _translation_from_json(obj: dict) -> ValueTranslation:
             float(obj["scale"]),
             float(obj["offset"]),
             (float(lo), float(hi)),
-            bool(obj.get("require_integer", False)),
+            _flag(obj, "require_integer"),
         )
     raise ConfigError(f"unknown translation kind {kind!r}")
 
@@ -236,18 +244,23 @@ class RuleSet:
                 source = entry["source_item_id"]
             except (TypeError, KeyError):
                 raise ConfigError(f"rule entry without source_item_id: {entry!r}") from None
-            validation_only = bool(entry.get("validation_only"))
             try:
+                if not isinstance(source, str):
+                    raise ConfigError("source_item_id must be a JSON string")
+                validation_only = _flag(entry, "validation_only")
                 targets = () if validation_only else entry["targets"]
                 if not isinstance(targets, (list, tuple)):
                     raise ConfigError(f"targets must be a JSON list of codes, got {targets!r}")
                 targets = tuple(map(parse_code, targets))
                 translation = (None if validation_only
                                else _translation_from_json(entry["translation"]))
-                reliability = float(entry.get("reliability", 1.0))
+                reliability = entry.get("reliability", 1.0)
+                if type(reliability) not in (int, float):  # a JSON number; a bool is neither
+                    raise ConfigError(f"reliability must be a JSON number, got {reliability!r}")
+                reliability = float(reliability)
             except KeyError as exc:
                 raise ConfigError(f"rule {source!r} is missing field {exc}") from None
-            except (TypeError, ValueError, ConfigError, DataError) as exc:
+            except (TypeError, ValueError, OverflowError, ConfigError, DataError) as exc:
                 raise ConfigError(f"rule {source!r}: {exc}") from None
             rules.append(LinkageRule(source, targets, translation, reliability, validation_only))
         return cls(rules)

@@ -160,26 +160,27 @@ def _check_fit(params: CurveParams, y: float) -> None:
             )
 
 
+def _clamp(x: float) -> float:
+    """x outside [0, 4] clamped to the end within float dust of it, else a ValueError."""
+    if x < QUALIFIER_MIN - _EDGE_TOL or x > QUALIFIER_MAX + _EDGE_TOL:
+        raise ValueError(f"curve input {x!r} outside [0, 4]")
+    return QUALIFIER_MIN if x < QUALIFIER_MIN else QUALIFIER_MAX if x > QUALIFIER_MAX else x
+
+
 @lru_cache(maxsize=1024)
 def curve_function(params: CurveParams) -> Callable[[float], float]:
     """The fitted curve as a function of x in [0, 4], resolved once per
     curve: x within float dust beyond an end is clamped to it, x further
-    out is a ValueError."""
+    out is a ValueError.  One closure per kind, the formula inline: it runs
+    once per node and spec."""
     kind, a, b, c = params
-    formula = {"linear": lambda x: x,
-               "exponential": lambda x: a * math.exp(b * x) + c,
-               "logarithmic": lambda x: a * math.log(b * x + 1.0)}.get(kind)
-    if formula is None:
+    lo, hi, exp, log = QUALIFIER_MIN, QUALIFIER_MAX, math.exp, math.log
+    curve = {"linear": lambda x: x if lo <= x <= hi else _clamp(x),
+             "exponential": lambda x: a * exp(b * (x if lo <= x <= hi else _clamp(x))) + c,
+             "logarithmic": lambda x: a * log(b * (x if lo <= x <= hi else _clamp(x)) + 1.0),
+             }.get(kind)
+    if curve is None:
         raise ConfigError(f"unknown curve kind {kind!r}")
-    low, high = QUALIFIER_MIN - _EDGE_TOL, QUALIFIER_MAX + _EDGE_TOL
-
-    def curve(x: float) -> float:
-        if x < low or x > high:
-            raise ValueError(f"curve input {x!r} outside [0, 4]")
-        # a conditional, not min(max(...)): this runs once per node and spec
-        return formula(QUALIFIER_MIN if x < QUALIFIER_MIN
-                       else QUALIFIER_MAX if x > QUALIFIER_MAX else x)
-
     return curve
 
 

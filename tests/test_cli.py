@@ -605,6 +605,17 @@ def test_a_byte_order_mark_opening_an_outside_input_is_skipped(cohort_dir, tmp_p
      "'unrated:item': discrete_map needs a non-empty JSON object"),
     # a string of targets would be read one character at a time
     ("--rules", {"targets": "b"}, "'unrated:item': targets must be a JSON list"),
+    # bool("no") is True: the rule would link nothing
+    ("--rules", {"validation_only": "no"},
+     "'unrated:item': validation_only must be true or false, got 'no'"),
+    ("--rules", {"translation": {**UNRATED_RULE["translation"], "require_integer": "no"}},
+     "'unrated:item': require_integer must be true or false, got 'no'"),
+    # float(True) is 1.0
+    ("--rules", {"reliability": True}, "'unrated:item': reliability must be a JSON number"),
+    # no answer's source item id would ever match it
+    ("--rules", {"source_item_id": 5}, "rule 5: source_item_id must be a JSON string"),
+    # a JSON integer beyond the floats, which float() cannot convert
+    ("--rules", {"reliability": 10**400}, "'unrated:item': int too large to convert to float"),
 ])
 def test_setting_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, option, content,
                                                          named):

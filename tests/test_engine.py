@@ -355,6 +355,72 @@ def test_subnormal_time_weights_keep_the_day_zero_raw(day):
                                           abs=1e-12)
 
 
+# one b2801 record: b280 weighs it, and b2, b and the root each have the
+# result of their one child as their only contribution, of weight alpha*r.
+# (reliability, gamma, day): that weight is normal, exactly the smallest
+# normal, subnormal, or alpha and r are normal but their product is zero
+CHAIN_WEIGHTS = {
+    "normal": (0.8, GAMMA_THIRD_30, 45),
+    "smallest-normal": (sys.float_info.min, GAMMA_THIRD_30, 0),
+    "subnormal": (sys.float_info.min / 2, GAMMA_THIRD_30, 0),
+    "zero": (1e-200, 0.5, 664),
+}
+
+
+def _chain(name, y=0.75):
+    reliability, gamma, day = CHAIN_WEIGHTS[name]
+    records = _records(("b2801", 3, 0, reliability))
+    return records, make_spec(y, gamma), day
+
+
+@pytest.mark.parametrize("name", CHAIN_WEIGHTS)
+def test_a_chain_of_single_calculated_children_passes_each_result_up(name):
+    records, spec, day = _chain(name)
+    report = report_on(records, day, spec, audit=True)
+    chain = list(report.audits)
+    assert [audit.code for audit in chain] == ["b280", "b2", "b", ""]
+    child_weight = chain[0].result.alpha * chain[0].result.reliability
+    assert (child_weight == 0.0) == (name == "zero")
+    assert (child_weight >= sys.float_info.min) == (name in ("normal", "smallest-normal"))
+    # one weight normalizes to exactly 1.0, whether or not it is normal, so
+    # each node is the curve at its child's value, with the child's alpha and r
+    for child, node in zip(chain, chain[1:]):
+        assert node.normalized_weights == (1.0,), node.code
+        assert node.result == (apply_curve(spec, child.result.x), child.result.alpha,
+                               child.result.reliability), node.code
+    assert (report.raw, report.alpha, report.reliability) == tuple(chain[-1].result)
+    # on one chain the values do not depend on the weight, and every alpha
+    # and r is the record's; the oracle, whose products underflow with such
+    # small weights, evaluates the record new and with r = 1
+    plain = [(r.code.text, r.value, r.day, 1.0, r.source_id) for r in records]
+    raw, _, _, per_node = brute_force_evaluate(plain, spec.gamma, 0,
+                                               lambda x: apply_curve(spec, x))
+    assert report.raw == pytest.approx(raw, abs=1e-12)
+    for audit in chain[:-1]:
+        assert audit.result.x == pytest.approx(per_node[audit.code.text][0], abs=1e-12)
+        assert audit.result[1:] == (spec.gamma ** day, records[0].reliability), audit.code
+
+
+@pytest.mark.parametrize("name", CHAIN_WEIGHTS)
+def test_only_a_normal_weight_makes_a_pass_through_step(name):
+    # a pass-through step is (slot, None, None, child slot): neither weights
+    # nor a mean, since its mean is the child's value
+    records, spec, day = _chain(name)
+    plan = _weigh(compile_records(build_tree({r.code for r in records}), records), day,
+                  spec.gamma)
+    passes = [step[1] is None and step[2] is None for step in plan.steps]
+    assert passes == [False, *[name in ("normal", "smallest-normal")] * 3]
+
+
+def test_a_chain_whose_one_record_has_no_reliability_names_its_lowest_node():
+    records = _records(("b2801", 3, 0, 0.0))
+    with pytest.raises(EvaluationError) as err:
+        report_on(records, 0, make_spec(0.75, GAMMA_THIRD_30))
+    assert str(err.value) == ("all contribution weights at node b280 are zero "
+                              "(reliability and/or time weights vanish); the node "
+                              "cannot be aggregated")
+
+
 def test_interior_node_direct_qualifiers_not_double_counted():
     # a mid-tree node with its own qualifier and a child qualifier: the
     # grandparent must see the node only through its calculated value

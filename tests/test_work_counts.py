@@ -1,6 +1,7 @@
 """Work counts as a gate: the calls that carry the cost of ``index``,
 ``profile`` and ``validate`` on the seed-42 60-person cohort, at one worker,
-against ``work_counts_seed42.json``.
+and of the (gamma, y) sweep pattern that scores index values one at a time
+through ``CohortEvaluator.hi``, against ``work_counts_seed42.json``.
 
 A timing moves with the machine; the number of weighings, scorings, curve
 fits and correlations a command makes does not.  A change that moves a count
@@ -15,13 +16,15 @@ from pathlib import Path
 import pytest
 
 import icfhi
+from icfhi import GroupSpec, InsufficientDataError, default_rules, ingest, make_spec, parse_gamma
+from icfhi.analysis import CohortEvaluator, eqvas_vs_hi, form_groups, maxpain_vs_hi
 from icfhi.cli import main
 
 EXPECTED = Path(__file__).resolve().parent / "work_counts_seed42.json"
 
 # counted function -> the module that defines it
 COUNTED = {"link_answers": "linkage", "build_tree": "codes", "compile_records": "engine",
-           "_weigh": "engine", "_score": "engine", "fit_curve": "weighting",
+           "_weigh": "engine", "_score": "engine", "_values": "engine", "fit_curve": "weighting",
            "pearson": "analysis", "_evaluate_job": "engine"}
 MODULES = ("analysis", "cli", "codes", "cohort", "engine", "linkage", "weighting")
 
@@ -31,6 +34,9 @@ COMMANDS = {
     "validate": ["validate", "--data", "{cohort}", "--grid", "y=2,3.8;gamma=1/3@30,1",
                  "--workers", "1"],
 }
+# the sweep pattern: both statistics of each (gamma, y) cell, gamma outermost,
+# on the 30-day, 5-visit group
+HI_GAMMAS, HI_YS = ("1/3@30", "1"), (2.0, 3.8)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +67,12 @@ def _count_calls(monkeypatch) -> Counter:
     return counts
 
 
+def _assert_recorded(counts: Counter, scenario: str) -> None:
+    got = {name: counts[name] for name in COUNTED}
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[scenario]
+    assert got == expected, f"{scenario}: {json.dumps(got, sort_keys=True)}"
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_work_counts_match_the_recorded_ones(inputs, monkeypatch, capsys, command):
     argv = [arg.format(**inputs) for arg in COMMANDS[command]]
@@ -68,6 +80,23 @@ def test_work_counts_match_the_recorded_ones(inputs, monkeypatch, capsys, comman
     counts = _count_calls(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    got = {name: counts[name] for name in COUNTED}
-    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[command]
-    assert got == expected, f"{command}: {json.dumps(got, sort_keys=True)}"
+    _assert_recorded(counts, command)
+
+
+def test_work_counts_of_the_hi_pattern_match_the_recorded_ones(inputs, monkeypatch):
+    # hi weighs each (person, day) once per gamma and runs the value pass
+    # alone for each y: a weighing per spec would double the _weigh count
+    store = ingest(inputs["cohort"])
+    evaluator = CohortEvaluator(store, default_rules())
+    group = GroupSpec(30, 5)
+    pids = form_groups(store, [group])[group]
+    counts = _count_calls(monkeypatch)
+    for gamma in HI_GAMMAS:
+        for y in HI_YS:
+            spec = make_spec(y, parse_gamma(gamma))
+            for statistic in (eqvas_vs_hi, maxpain_vs_hi):
+                try:
+                    statistic(evaluator, pids, spec)
+                except InsufficientDataError:
+                    pass
+    _assert_recorded(counts, "hi")
